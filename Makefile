@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint layering frozen determinism typecheck baseline bench bench-detailed bench-batch
+.PHONY: check test lint layering frozen determinism typecheck baseline bench bench-detailed bench-batch bench-ledger
 
 # The single correctness gate: tier-1 tests, the simulation-invariant
 # linter (ratcheted against analysis-baseline.json), the import-layering
@@ -67,3 +67,9 @@ bench-detailed:
 JOBS ?= 4
 bench-batch:
 	$(PYTHON) -m repro.perf bench --only batch --jobs $(JOBS)
+
+# The performance ledger (BENCHMARK.json's command): every workload of
+# benchmarks/ledger untraced + traced, end-to-end and per-layer metrics,
+# output checks against golden.json.  Writes benchmarks/ledger/out/.
+bench-ledger:
+	python3 benchmarks/ledger/run.py

@@ -118,11 +118,16 @@ LAYER_DAG: Dict[str, FrozenSet[str]] = {
 #:   hands it, so it may import nothing from :mod:`repro` at all; an
 #:   import appearing here would mean engine state leaked into what must
 #:   stay a layout-independent helper.
+#: * ``repro.core.reduce`` — the batch engine's log reducers (receive-port
+#:   FIFO completions, delivery tallies, accounting replay).  Same
+#:   contract as ``repro.core.skip``: pure arithmetic over logged arrays,
+#:   no :mod:`repro` import at all.
 MODULE_LAYERS: Dict[str, FrozenSet[str]] = {
     "repro.core.batch": frozenset(
         {"core", "errors", "metrics", "optics", "sim", "traffic"}
     ),
     "repro.core.skip": frozenset(),
+    "repro.core.reduce": frozenset(),
 }
 
 #: Deliberate module-level exceptions to the package DAG, as

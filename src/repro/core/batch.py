@@ -18,7 +18,11 @@ rings, and the loop itself jumps over cycles that provably execute no
 event (:mod:`repro.core.skip` computes the next-event time from per-slot
 ring occupancy, the injection schedule, the Lock-Step grid and the drain
 grid), so wall-clock cost scales with events executed, not cycles
-simulated.  Runs that drain their labeled packets mid-slab are compacted
+simulated.  The loop keeps only state that decides *future events*: the
+receive side (no back-pressure) and the busy-energy/link-utilisation
+accounting are appended to logs and reduced in bulk on the ``chunk`` grid
+(:mod:`repro.core.reduce`), bit-identically to per-cycle bookkeeping.
+Runs that drain their labeled packets mid-slab are compacted
 out of the state arrays (their finished metrics scattered to their
 original slab positions) instead of being re-masked every phase.  The
 Lock-Step control plane (window snapshots, DPM decisions, DBR grant
@@ -37,9 +41,10 @@ Fidelity contract (enforced by the statistical-equivalence harness in
   equivalent only.
 * **Integer cycle grid**: service completions are rounded up to the next
   cycle before delivery, intra-board deliveries keep the fast engine's
-  same-cycle hand-off, and blocked senders retry once per cycle instead of
-  exactly at the freeing pop.  These quantizations shift per-packet timing
-  by under a cycle and are covered by the declared tolerances.
+  same-cycle hand-off, and blocked senders retry on the cycle after the
+  freeing pop instead of exactly at it.  These quantizations shift
+  per-packet timing by under a cycle and are covered by the declared
+  tolerances.
 * **Latency proxy**: per-packet identity is not tracked; labeled latency
   pairs the j-th labeled delivery with the j-th labeled injection (FIFO
   proxy, exact in expectation for drained runs).  ``p99_latency`` and
@@ -53,13 +58,19 @@ batch`` never changes *what* can be swept, only how fast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import ERapidConfig
 from repro.core.dbr import DestDemand, WavelengthState, dbr_plan
+from repro.core.reduce import (
+    ACCT_FIELDS,
+    ReceiveLog,
+    replay_accounting,
+    tally_completions,
+)
 from repro.core.skip import BatchTelemetry, next_event_time
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
@@ -90,12 +101,28 @@ _GAP_DRAW_CHUNK = 4096
 _RING = 512
 
 
+#: "No senders": what the push phase gets when no port exit needs a queue.
+_NO_IDX = np.zeros(0, dtype=np.int64)
+
+
+class _Schedule(NamedTuple):
+    """One workload's precomputed traffic (node-major, shared read-only by
+    every run of the slab with that workload)."""
+
+    node_counts: np.ndarray  #: packets per node
+    times: np.ndarray  #: injection cycles
+    routes: np.ndarray  #: see BatchEngine._draw_schedule
+    pre_wu: int  #: packets injected before warmup ends
+    pre_me: int  #: packets injected before the measure window ends
+    lab_prefix: np.ndarray  #: prefix sums of the labeled injection cycles
+
+
 def _cat(parts: List[np.ndarray], buf: np.ndarray) -> np.ndarray:
     """Concatenate index arrays into a preallocated staging buffer.
 
     With a single part the part itself is returned (zero copy); callers
     treat the result as scratch either way, so the in-place sorts in the
-    dispatch/recv phases stay safe.  Replaces the per-cycle
+    dispatch phase stays safe.  Replaces the per-cycle
     ``np.concatenate`` chains — the cycle loop never allocates staging.
     """
     if len(parts) == 1:
@@ -400,14 +427,29 @@ class BatchEngine:
         self.p_started = np.zeros(RN, dtype=np.int64)
         self.p_busy = np.zeros(RN, dtype=bool)
         self.p_blocked = np.zeros(RN, dtype=bool)
-        # Blocked senders as a compact index list (retried once per cycle).
-        self.blk = np.zeros(0, dtype=np.int64)
+        # Blocked senders are parked per node: the full pair they wait on,
+        # their local destination and a monotone ticket (admission order
+        # within a pair).  Only the senders of a pair popped on the
+        # previous executed cycle are retried (self._popped): a pair with
+        # parked senders and no pop is still full.
+        self.park_pq = np.zeros(RN, dtype=np.int64)
+        self.park_loc = np.zeros(RN, dtype=np.int64)
+        self.park_tk = np.zeros(RN, dtype=np.int64)
+        self.park_cnt = np.zeros(RBB, dtype=np.int64)
+        self.n_parked = 0
+        self._ticket = 0
+        self._popped: Optional[np.ndarray] = None
         # Pair transmitter queues: bounded rings of local dest-node ids.
         self.tx_ring = np.zeros(RBB * self.CAP, dtype=np.int16)
         self.tx_head = np.zeros(RBB, dtype=np.int64)
         self.tx_qlen = np.zeros(RBB, dtype=np.int64)
-        self.occ_acc = np.zeros(RBB)  # integral of queue length over window
-        self.q_last = np.zeros(RBB, dtype=np.int64)
+        # Queue-length integral, kept as a first moment: with q_mom the
+        # running sum of (length change x cycle), tx_qlen * t - q_mom is
+        # the integral of the queue length over [0, t] — exact integers,
+        # one fused update per push/pop.  occ_base holds its value at the
+        # last window boundary.
+        self.q_mom = np.zeros(RBB, dtype=np.int64)
+        self.occ_base = np.zeros(RBB, dtype=np.int64)
         # Optical channels.
         self.c_owner = np.full(RC, -1, dtype=np.int16)
         self.c_level = np.full(RC, self.L - 1, dtype=np.int8)
@@ -417,9 +459,12 @@ class BatchEngine:
         self.c_pq = np.zeros(RC, dtype=np.int64)
         self.win_busy = np.zeros(RC)
         self.win_carry = np.zeros(RC)
-        # Receive ports.
-        self.r_qlen = np.zeros(RN, dtype=np.int64)
-        self.r_busy = np.zeros(RN, dtype=bool)
+        # Receive side and dispatch accounting are logged, not simulated
+        # per cycle (see repro.core.reduce).  Every arrival cycle is below
+        # he + _RING: a dispatch at t <= he leads by less than the ring.
+        self.recv = ReceiveLog(R, N, self.SER, self.he + _RING)
+        self._local_logged = 0
+        self._acct: List[float] = []
         # Per-run accumulators.
         self.delivered_total = np.zeros(R, dtype=np.int64)
         self.delivered_measure = np.zeros(R, dtype=np.int64)
@@ -478,53 +523,41 @@ class BatchEngine:
         self.thr_lmin_rc = np.repeat([t.l_min for t in thr], CH)
         self.thr_lmax_rc = np.repeat([t.l_max for t in thr], CH)
         self.thr_bmax_rc = np.repeat([t.b_max for t in thr], CH)
-        # Precomputed injection schedules + destination streams.
+        # Precomputed injection schedules + per-packet routes.
         self._build_traffic()
         # Event rings: python lists of small index arrays per cycle slot.
         # The loop is event-driven — every phase scans only the indices
         # carried by these rings (plus this cycle's injections), never the
         # full state arrays, so per-cycle cost scales with activity.
-        self.ring_deliv: List[List[np.ndarray]] = [[] for _ in range(_RING)]
         self.ring_pexit: List[List[np.ndarray]] = [[] for _ in range(_RING)]
-        self.ring_rexit: List[List[np.ndarray]] = [[] for _ in range(_RING)]
         # Channels whose service ends (and may redispatch) at a cycle.
         self.ring_cend: List[List[np.ndarray]] = [[] for _ in range(_RING)]
         # Per-slot ring occupancy: number of scheduled index arrays across
-        # all four rings.  The time-skip loop's next-event index — every
-        # ring append pairs with an increment; the slot is zeroed when the
-        # loop lands on it.
+        # both rings.  The time-skip loop's next-event index — every ring
+        # append pairs with an increment; the slot is zeroed when the loop
+        # lands on it.
         self.ring_occ = np.zeros(_RING, dtype=np.int64)
         # Pending control-plane applications, keyed by apply cycle.
         self._pend_dpm: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pend_dbr: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Preallocated staging/scratch: per-cycle candidate concatenation
         # and mask temporaries never allocate.  Sizing: each send part is
-        # a disjoint node set (<= RN total); deliveries are bounded by one
-        # in-flight packet per channel (RC) plus local hand-offs and recv
-        # completions (RN each); dispatch candidates by service ends +
-        # poked pair channels + fresh grants (3 * RC).
+        # a disjoint node set (<= RN total); dispatch candidates are
+        # bounded by service ends + poked pair channels + fresh grants
+        # (3 * RC).
         self._st_send = np.empty(RN, dtype=np.int64)
         self._st_pexit = np.empty(RN, dtype=np.int64)
-        self._st_rexit = np.empty(RN, dtype=np.int64)
-        self._st_deliv = np.empty(RC + RN, dtype=np.int64)
-        self._st_recv = np.empty(RC + 2 * RN, dtype=np.int64)
         self._st_disp = np.empty(3 * RC, dtype=np.int64)
-        self._st_prn = np.empty(RN, dtype=np.int64)
-        self._st_ppq = np.empty(RN, dtype=np.int64)
-        self._st_ploc = np.empty(RN, dtype=np.int64)
-        scratch = max(3 * RC, RC + 2 * RN)
+        scratch = max(3 * RC, RN)
         self._bm1 = np.empty(scratch, dtype=bool)
         # Rank-scan scratch (push/dispatch group ranking): a read-only
-        # iota, two int64 work buffers, and bool mask buffers.  _bm3 is
-        # returned from _push_pairs as the admit mask — valid until the
-        # next push, which is at least one cycle away.
+        # iota, two int64 work buffers, and bool mask buffers.
         self._iota = np.arange(scratch, dtype=np.int64)
+        self._iota_d = np.arange(D, dtype=np.int64)
         self._rk1 = np.empty(scratch, dtype=np.int64)
         self._rk2 = np.empty(scratch, dtype=np.int64)
         self._bm2 = np.empty(scratch, dtype=bool)
         self._bm3 = np.empty(scratch, dtype=bool)
-        self._fp1 = np.empty(scratch, dtype=np.float64)
-        self._fp2 = np.empty(scratch, dtype=np.float64)
 
     def _build_traffic(self) -> None:
         """Draw every run's full injection schedule up front.
@@ -532,86 +565,46 @@ class BatchEngine:
         Gap draws consume each node's named stream exactly as the scalar
         engine does (chunk size cannot change the values); uniform
         destination draws are chunked on the same stream afterwards, which
-        is the documented statistically-equivalent deviation.
+        is the documented statistically-equivalent deviation.  A schedule
+        is a function of the workload alone (the slab shares one config),
+        so each distinct workload is drawn once and shared by its runs —
+        the four policies of a sweep point see common random numbers.
         """
         R, N = self.R, self.N
-        cfg = self.config
-        params = CapacityParams(
-            packet_bits=cfg.router.packet_bytes * 8,
-            optical_gbps=cfg.power_levels.highest.bit_rate_gbps,
-            electrical_gbps=cfg.router.port_gbps,
-            clock_ghz=cfg.router.clock_ghz,
-        )
         he = self.he
+        drawn: Dict[Tuple[object, ...], _Schedule] = {}
         times_parts: List[np.ndarray] = []
         rn_parts: List[np.ndarray] = []
+        route_parts: List[np.ndarray] = []
         counts = np.zeros(R * N, dtype=np.int64)
         self.inj_measure = np.zeros(R, dtype=np.int64)
         self.pre_wu_inj = np.zeros(R, dtype=np.int64)
-        self.lab_inj = np.zeros(R, dtype=np.int64)
         self.lab_prefix: List[np.ndarray] = []
-        dest_parts: List[np.ndarray] = []
-        for r in range(R):
-            workload = self._workloads[r]
-            rate = workload.injection_rate(cfg.topology, params)
-            pattern = workload.resolve_pattern(cfg.topology)
-            registry = RngRegistry(seed=workload.seed)
-            run_lab_times: List[np.ndarray] = []
-            # One sized draw usually covers the horizon (mean gap 1/rate,
-            # so ~he*rate gaps reach he; the 6-sigma margin makes a top-up
-            # draw rare).  Chunking never changes the values drawn.
-            mean_gaps = he * rate
-            n0 = int(mean_gaps + 6.0 * math.sqrt(mean_gaps) + 16.0)
-            for n in range(N):
-                stream = registry.stream(f"inject.{n}")
-                if rate <= 0.0:
-                    t = np.zeros(0, dtype=np.int64)
-                else:
-                    g = geometric_gap_array(stream, rate, n0)
-                    total = int(g.sum())
-                    if total < he:
-                        gaps = [g]
-                        while total < he:
-                            g2 = geometric_gap_array(
-                                stream, rate, _GAP_DRAW_CHUNK
-                            )
-                            gaps.append(g2)
-                            total += int(g2.sum())
-                        g = np.concatenate(gaps)
-                    t = np.cumsum(g)
-                    t = t[: np.searchsorted(t, he)]
-                rn = r * N + n
-                counts[rn] = len(t)
-                times_parts.append(t)
-                rn_parts.append(np.full(len(t), rn, dtype=np.int64))
-                lo = int(np.searchsorted(t, self.wu))
-                hi = int(np.searchsorted(t, self.me))
-                self.inj_measure[r] += hi - lo
-                self.pre_wu_inj[r] += lo
-                run_lab_times.append(t[lo:hi])
-                if pattern.is_permutation:
-                    dest_parts.append(
-                        np.full(len(t), pattern.dest(n), dtype=np.int16)
-                    )
-                else:
-                    d = integer_array(stream, 0, N - 1, len(t))
-                    d += d >= n
-                    dest_parts.append(d.astype(np.int16))
-            self.lab_inj[r] = self.inj_measure[r]
-            lab = np.sort(np.concatenate(run_lab_times))
-            prefix = np.zeros(len(lab) + 1)
-            np.cumsum(lab, out=prefix[1:])
-            self.lab_prefix.append(prefix)
+        for r, workload in enumerate(self._workloads):
+            key = astuple(workload)
+            if key not in drawn:
+                drawn[key] = self._draw_schedule(workload)
+            sched = drawn[key]
+            counts[r * N : (r + 1) * N] = sched.node_counts
+            times_parts.append(sched.times)
+            rn_parts.append(
+                np.repeat(
+                    np.arange(r * N, (r + 1) * N, dtype=np.int64),
+                    sched.node_counts,
+                )
+            )
+            route_parts.append(sched.routes)
+            self.inj_measure[r] = sched.pre_me - sched.pre_wu
+            self.pre_wu_inj[r] = sched.pre_wu
+            self.lab_prefix.append(sched.lab_prefix)
+        self.lab_inj = self.inj_measure.copy()
         self.p_off = np.zeros(R * N + 1, dtype=np.int64)
         np.cumsum(counts, out=self.p_off[1:])
-        self.flat_dest = (
-            np.concatenate(dest_parts) if dest_parts else np.zeros(0, np.int16)
-        )
-        times_all = np.concatenate(times_parts) if times_parts else np.zeros(0, np.int64)
-        rn_all = np.concatenate(rn_parts) if rn_parts else np.zeros(0, np.int64)
+        self.flat_route = np.concatenate(route_parts)
+        times_all = np.concatenate(times_parts)
         order = np.argsort(times_all, kind="stable")
-        self.evt_rn = rn_all[order]
-        per_cycle = np.bincount(times_all.astype(np.int64), minlength=he + 1)
+        self.evt_rn = np.concatenate(rn_parts)[order]
+        per_cycle = np.bincount(times_all, minlength=he + 1)
         self.evt_off = np.zeros(he + 2, dtype=np.int64)
         np.cumsum(per_cycle, out=self.evt_off[1 : len(per_cycle) + 1])
         self.evt_off[len(per_cycle) + 1 :] = self.evt_off[len(per_cycle)]
@@ -620,6 +613,79 @@ class BatchEngine:
         # scanning the dense CSR offsets.
         self.inj_cycles = np.flatnonzero(np.diff(self.evt_off) > 0).astype(
             np.int64
+        )
+
+    def _draw_schedule(self, workload: WorkloadSpec) -> _Schedule:
+        """Draw one workload's injection cycles and per-packet routes.
+
+        A packet's route is fixed when it is drawn, so it is resolved
+        here, once: ``(pair within the run) * D + local destination`` for
+        a packet bound for another board, ``-1 - destination node`` for a
+        same-board hand-off.
+        """
+        cfg = self.config
+        N, D, he = self.N, self.D, self.he
+        params = CapacityParams(
+            packet_bits=cfg.router.packet_bytes * 8,
+            optical_gbps=cfg.power_levels.highest.bit_rate_gbps,
+            electrical_gbps=cfg.router.port_gbps,
+            clock_ghz=cfg.router.clock_ghz,
+        )
+        rate = workload.injection_rate(cfg.topology, params)
+        pattern = workload.resolve_pattern(cfg.topology)
+        registry = RngRegistry(seed=workload.seed)
+        # One sized draw usually covers the horizon (mean gap 1/rate, so
+        # ~he*rate gaps reach he; the 6-sigma margin makes a top-up draw
+        # rare).  Chunking never changes the values drawn.
+        mean_gaps = he * rate
+        n0 = int(mean_gaps + 6.0 * math.sqrt(mean_gaps) + 16.0)
+        node_counts = np.zeros(N, dtype=np.int64)
+        times_parts: List[np.ndarray] = []
+        route_parts: List[np.ndarray] = []
+        lab_times: List[np.ndarray] = []
+        pre_wu = pre_me = 0
+        for n in range(N):
+            stream = registry.stream(f"inject.{n}")
+            if rate <= 0.0:
+                t = np.zeros(0, dtype=np.int64)
+            else:
+                g = geometric_gap_array(stream, rate, n0)
+                total = int(g.sum())
+                if total < he:
+                    gaps = [g]
+                    while total < he:
+                        g2 = geometric_gap_array(stream, rate, _GAP_DRAW_CHUNK)
+                        gaps.append(g2)
+                        total += int(g2.sum())
+                    g = np.concatenate(gaps)
+                t = np.cumsum(g)
+                t = t[: np.searchsorted(t, he)]
+            node_counts[n] = len(t)
+            times_parts.append(t)
+            lo = int(np.searchsorted(t, self.wu))
+            hi = int(np.searchsorted(t, self.me))
+            pre_wu += lo
+            pre_me += hi
+            lab_times.append(t[lo:hi])
+            if pattern.is_permutation:
+                d = np.full(len(t), pattern.dest(n), dtype=np.int64)
+            else:
+                d = integer_array(stream, 0, N - 1, len(t)).astype(np.int64)
+                d += d >= n
+            sb, db = n // D, d // D
+            route_parts.append(
+                np.where(db == sb, -1 - d, (sb * self.B + db) * D + d % D)
+            )
+        lab = np.sort(np.concatenate(lab_times))
+        prefix = np.zeros(len(lab) + 1)
+        np.cumsum(lab, out=prefix[1:])
+        return _Schedule(
+            node_counts,
+            np.concatenate(times_parts).astype(np.int64),
+            np.concatenate(route_parts).astype(np.int32),
+            pre_wu,
+            pre_me,
+            prefix,
         )
 
     # ------------------------------------------------------------------
@@ -636,12 +702,35 @@ class BatchEngine:
         self.base_last[run_idx] = t
 
     # ------------------------------------------------------------------
+    # Log reduction (see repro.core.reduce)
+    # ------------------------------------------------------------------
+    def _flush_acct(self) -> None:
+        """Replay the dispatch accounting log into busy_E/win_busy/win_carry."""
+        replay_accounting(
+            self._acct, self.CH, self.Wc, self.wu, self.me, self.P_mw,
+            self.busy_E, self.win_busy, self.win_carry,
+        )
+        self._acct.clear()
+
+    def _flush_logs(self, t: int, tel: BatchTelemetry) -> None:
+        """Reduce both logs up to cycle ``t``: afterwards every per-run
+        counter holds exactly what per-cycle bookkeeping would at ``t``."""
+        self._flush_acct()
+        landed, run, c = self.recv.flush(t)
+        # Local hand-offs land on the cycle that logs them, so all of
+        # them are among the landed arrivals; the rest came over fiber.
+        tel.deliveries += landed - self._local_logged
+        self._local_logged = 0
+        tel.recv_completions += len(run)
+        tally_completions(
+            run, c, self.wu, self.me, self.pre_wu_inj, self.lab_inj,
+            self.delivered_total, self.delivered_measure, self.lab_del,
+            self.sum_del_t,
+        )
+
+    # ------------------------------------------------------------------
     # Pair-queue helpers
     # ------------------------------------------------------------------
-    def _flush_occ(self, pqs: np.ndarray, t: int) -> None:
-        self.occ_acc[pqs] += self.tx_qlen[pqs] * (t - self.q_last[pqs])
-        self.q_last[pqs] = t
-
     def _push_pairs(
         self,
         pq: np.ndarray,
@@ -649,20 +738,38 @@ class BatchEngine:
         rn: np.ndarray,
         t: int,
         poked: List[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        tel: BatchTelemetry,
+    ) -> Optional[np.ndarray]:
         """Ranked admission of this cycle's packets into their pair queues.
 
-        Returns ``(admit, srn, order)``: the boolean admit mask aligned
-        with the *sorted* inputs, the sorted ``rn``, and the sort
-        permutation (so callers can carry per-packet side data through the
-        same ordering); blocked senders are exactly ``srn[~admit]``.
-        Admission rank within a pair follows caller order (the scalar
-        engine admits in event order — a same-cycle tie broken
-        differently, inside tolerance).  Pairs that received packets are
-        appended to ``poked`` so the dispatch phase can wake exactly their
-        channels.
+        ``rn``/``pq``/``loc`` are the fresh port exits bound for another
+        board (possibly none).  Parked senders of the pairs in
+        ``self._popped`` — the pairs a dispatch popped on the previous
+        executed cycle — retry ahead of them in ticket order, so they keep
+        their earlier admission priority; every other parked sender's pair
+        is still full (only a pop frees a slot), so retrying it would be
+        an exact no-op.  Admission rank within a pair follows that order
+        (the scalar engine admits in event order — a same-cycle tie broken
+        differently, inside tolerance).  Senders that do not fit are
+        parked; pairs that received packets are appended to ``poked`` so
+        the dispatch phase can wake exactly their channels.  Returns the
+        retried senders that were admitted (sorted by pair, then ticket).
         """
-        order = np.argsort(pq, kind="stable")
+        nblk = 0
+        retry = self._popped
+        if retry is not None:
+            self._popped = None
+            cand = ((retry // self.B) * self.D)[:, None] + self._iota_d
+            m = self.p_blocked[cand]
+            m &= self.park_pq[cand] == retry[:, None]
+            blk = cand[m]
+            blk = blk[self.park_tk[blk].argsort()]
+            nblk = len(blk)
+            tel.blocked_retries += nblk
+            pq = np.concatenate((self.park_pq[blk], pq))
+            loc = np.concatenate((self.park_loc[blk], loc))
+            rn = np.concatenate((blk, rn))
+        order = pq.argsort(kind="stable")
         spq = pq[order]
         sloc = loc[order]
         srn = rn[order]
@@ -696,7 +803,6 @@ class BatchEngine:
             np.not_equal(apq[1:], apq[:-1], out=neq[1:])
             cut = neq.nonzero()[0]
             upq = apq[cut]
-            self._flush_occ(upq, t)
             ri = self._rk2[:m]
             np.multiply(apq, self.CAP, out=ri)
             ri += slot
@@ -705,8 +811,36 @@ class BatchEngine:
             np.subtract(cut[1:], cut[:-1], out=cnt[:-1])
             cnt[-1] = m - cut[-1]
             self.tx_qlen[upq] += cnt
+            cnt *= t
+            self.q_mom[upq] += cnt
             poked.append(upq)
-        return admit, srn, order
+        if m == n and not nblk:
+            return None
+        # Park the fresh senders that did not fit; unpark the retried
+        # ones that did (the rest keep their ticket).
+        park = ~admit
+        freed = None
+        if nblk:
+            retried = order < nblk
+            unpark = admit & retried
+            freed = srn[unpark]
+            self.p_blocked[freed] = False
+            np.subtract.at(self.park_cnt, spq[unpark], 1)
+            self.n_parked -= len(freed)
+            park &= ~retried
+        newly = srn[park]
+        k = len(newly)
+        if k:
+            self.p_blocked[newly] = True
+            self.park_pq[newly] = spq[park]
+            self.park_loc[newly] = sloc[park]
+            self.park_tk[newly] = np.arange(
+                self._ticket, self._ticket + k, dtype=np.int64
+            )
+            self._ticket += k
+            np.add.at(self.park_cnt, spq[park], 1)
+            self.n_parked += k
+        return freed
 
     # ------------------------------------------------------------------
     # Control plane
@@ -714,9 +848,12 @@ class BatchEngine:
     def _window_boundary(self, t: int) -> None:
         k = t // self.Wc
         # Freeze the LC hardware counters (the lockstep snapshot).
-        self._flush_occ(np.arange(len(self.tx_qlen), dtype=np.int64), t)
+        self._flush_acct()
+        occ = self.tx_qlen * t
+        occ -= self.q_mom
+        occ -= self.occ_base
         util = np.minimum(1.0, self.win_busy / self.Wc)
-        buf_p = np.minimum(1.0, self.occ_acc / (self.Wc * self.CAP))
+        buf_p = np.minimum(1.0, occ / (self.Wc * self.CAP))
         qe_p = self.tx_qlen == 0
         owned = self.c_owner >= 0
         bu_rc = np.where(owned, buf_p[self.c_pq], 0.0)
@@ -737,7 +874,7 @@ class BatchEngine:
         # next window; queue-occupancy integrals restart.
         np.copyto(self.win_busy, self.win_carry)
         self.win_carry.fill(0.0)
-        self.occ_acc.fill(0.0)
+        self.occ_base += occ
 
     def _plan_dbr(
         self,
@@ -898,29 +1035,31 @@ class BatchEngine:
 
         Every phase is event-driven: the only indices examined each cycle
         are the ones carried by the event rings (injections, port exits,
-        deliveries, service ends) plus the compact blocked-sender list, so
+        service ends) plus the parked senders of just-popped pairs, so
         per-cycle cost scales with actual activity, not with slab size.
-        With ``time_skip`` (the default) the loop additionally jumps over
+        The loop simulates only what decides future events; receive ports
+        and dispatch accounting are logged and reduced on the ``chunk``
+        grid and wherever a counter is read (:meth:`_flush_logs`).  With
+        ``time_skip`` (the default) the loop additionally jumps over
         cycles that provably execute no event — see
         :func:`repro.core.skip.next_event_time` — so wall-clock cost
         scales with events executed, not cycles simulated.  Runs that
         drain mid-slab are compacted away (:meth:`_compact`), never
-        re-masked.  Neither mechanism changes a result bit: the batch
-        benchmark gates ``time_skip=True`` against ``time_skip=False``
-        fingerprints at every grid size.
+        re-masked.  None of these mechanisms changes a result bit: the
+        batch benchmark gates ``time_skip=True`` against
+        ``time_skip=False`` fingerprints at every grid size, and tier-1
+        pins payload digests recorded before the loop was restructured.
         """
-        SEND, SER = self.SEND, self.SER
-        N, B, D = self.N, self.B, self.D
-        wu, me, he, Wc = self.wu, self.me, self.he, self.Wc
+        SEND = self.SEND
+        N, D, BB = self.N, self.D, self.B * self.B
+        me, he, Wc, chunk = self.me, self.he, self.Wc, self.chunk
+        arr_w = self.recv.horizon
         evt_rn, evt_off = self.evt_rn, self.evt_off
-        flat_dest, p_off = self.flat_dest, self.p_off
+        flat_route, p_off = self.flat_route, self.p_off
         p_started, p_injcnt = self.p_started, self.p_injcnt
         p_busy, p_blocked = self.p_busy, self.p_blocked
-        r_qlen, r_busy = self.r_qlen, self.r_busy
-        ring_deliv, ring_pexit = self.ring_deliv, self.ring_pexit
-        ring_rexit, ring_cend = self.ring_rexit, self.ring_cend
+        ring_pexit, ring_cend = self.ring_pexit, self.ring_cend
         ring_occ = self.ring_occ
-        bm1 = self._bm1
         push = self._push_pairs
         lockstep = self.lockstep_on
         time_skip = self.time_skip
@@ -928,17 +1067,15 @@ class BatchEngine:
         inj_ptr = 0
         tel = BatchTelemetry(horizon=he + 1)
         self.telemetry = tel
-        lab_cur = np.empty(self.R, dtype=np.int64)
+        flush_at = chunk
         t = 0
         while t <= he:
             tel.cycles_executed += 1
             slot_i = t % _RING
             ring_occ[slot_i] = 0
             send_cand: List[np.ndarray] = []
-            recv_cand: List[np.ndarray] = []
             disp_cand = ring_cend[slot_i]
             poked: List[np.ndarray] = []
-            served = 0
             # (0) Control plane: window boundaries and pending applies.
             if lockstep:
                 if t and t % Wc == 0:
@@ -969,18 +1106,11 @@ class BatchEngine:
                 inj_f = inj[m]
                 if len(inj_f):
                     send_cand.append(inj_f)
-            # (2) Optical deliveries landing this cycle.
-            slot = ring_deliv[slot_i]
-            if slot:
-                arr = _cat(slot, self._st_deliv)
-                slot.clear()
-                tel.deliveries += len(arr)
-                np.add.at(r_qlen, arr, 1)
-                recv_cand.append(arr)
-            # (3) Send-port exits route their packet; blocked senders
-            # retry in the same ranked push (blocked first, so they keep
-            # their earlier admission priority).
-            rn_e = None
+            # (2) Send-port exits follow their packet's precomputed route:
+            # same-board packets are handed to the destination's receive
+            # port (logged, this cycle), the rest compete for their pair
+            # queue.
+            rem_rn = rem_pq = rem_loc = _NO_IDX
             slot = ring_pexit[slot_i]
             if slot:
                 rn_e = _cat(slot, self._st_pexit)
@@ -988,61 +1118,27 @@ class BatchEngine:
                 tel.port_exits += len(rn_e)
                 p_busy[rn_e] = False
                 send_cand.append(rn_e)
-            rem_rn = None
-            if rn_e is not None:
-                dest_e = flat_dest[p_off[rn_e] + p_started[rn_e] - 1].astype(
-                    np.int64
-                )
-                runs_e = rn_e // N
-                sb_e = (rn_e % N) // D
-                db_e = dest_e // D
-                local = db_e == sb_e
-                if local.any():
-                    lrn = runs_e[local] * N + dest_e[local]
-                    np.add.at(r_qlen, lrn, 1)
-                    recv_cand.append(lrn)
-                rem = ~local
-                if rem.any():
-                    rem_rn = rn_e[rem]
-                    rem_pq = (runs_e[rem] * B + sb_e[rem]) * B + db_e[rem]
-                    rem_loc = dest_e[rem] % D
-            nblk = len(self.blk)
-            if nblk or rem_rn is not None:
-                if nblk:
-                    tel.blocked_retries += nblk
-                    blk = self.blk
-                    dest_b = flat_dest[
-                        p_off[blk] + p_started[blk] - 1
-                    ].astype(np.int64)
-                    blk_pq = ((blk // N) * B + (blk % N) // D) * B + dest_b // D
-                    if rem_rn is not None:
-                        rn_p = _cat([blk, rem_rn], self._st_prn)
-                        pq_p = _cat([blk_pq, rem_pq], self._st_ppq)
-                        loc_p = _cat([dest_b % D, rem_loc], self._st_ploc)
-                    else:
-                        rn_p, pq_p, loc_p = blk, blk_pq, dest_b % D
-                else:
-                    rn_p, pq_p, loc_p = rem_rn, rem_pq, rem_loc
-                admit, srn, order = push(pq_p, loc_p, rn_p, t, poked)
-                if nblk:
-                    if rem_rn is not None:
-                        sfresh = order >= nblk
-                        freed = srn[admit & ~sfresh]
-                        newly = srn[~admit & sfresh]
-                        if len(newly):
-                            p_blocked[newly] = True
-                    else:
-                        freed = srn[admit]
-                    if len(freed):
-                        p_blocked[freed] = False
-                        send_cand.append(freed)
-                    self.blk = srn[~admit]
-                else:
-                    newly = srn[~admit]
-                    if len(newly):
-                        p_blocked[newly] = True
-                        self.blk = newly
-            # (5) Send-port starts (same-cycle turnaround): candidates are
+                route = flat_route[p_off[rn_e] + p_started[rn_e] - 1]
+                remote = route >= 0
+                n_local = len(rn_e) - int(np.count_nonzero(remote))
+                if n_local:
+                    local = ~remote
+                    lrn = rn_e[local] // N * N - 1 - route[local]
+                    lrn *= arr_w
+                    lrn += t
+                    self.recv.vector.append(lrn)
+                    self._local_logged += n_local
+                    rn_e, route = rn_e[remote], route[remote]
+                rem_rn = rn_e
+                rem_pq, rem_loc = np.divmod(route.astype(np.int64), D)
+                rem_pq += rem_rn // N * BB
+            # (3) Ranked push: parked senders of the pairs popped on the
+            # previous executed cycle retry ahead of the fresh exits.
+            if len(rem_rn) or self._popped is not None:
+                freed = push(rem_pq, rem_loc, rem_rn, t, poked, tel)
+                if freed is not None and len(freed):
+                    send_cand.append(freed)
+            # (4) Send-port starts (same-cycle turnaround): candidates are
             # exactly the nodes whose state changed this cycle.
             if send_cand:
                 cand = _cat(send_cand, self._st_send)
@@ -1060,11 +1156,10 @@ class BatchEngine:
                     s = (t + SEND) % _RING
                     ring_pexit[s].append(idx)
                     ring_occ[s] += 1
-            # (6) Channel dispatch: channels whose service just ended, plus
+            # (5) Channel dispatch: channels whose service just ended, plus
             # channels of pairs that were pushed to, plus fresh grants.
             if poked:
-                pqu = poked[0] if len(poked) == 1 else np.concatenate(poked)
-                chs = self.pair_ch[pqu].ravel()
+                chs = self.pair_ch[poked[0]].ravel()
                 chs = chs[chs >= 0]
                 if len(chs):
                     disp_cand.append(chs)
@@ -1072,46 +1167,16 @@ class BatchEngine:
                 rcs = _cat(disp_cand, self._st_disp)
                 disp_cand.clear()
                 rcs.sort()
-                served = self._dispatch(t, rcs)
-                tel.dispatches += served
-            # (7) Receive ports: completions then starts.
-            slot = ring_rexit[slot_i]
-            if slot:
-                rn_c = _cat(slot, self._st_rexit)
-                slot.clear()
-                tel.recv_completions += len(rn_c)
-                r_busy[rn_c] = False
-                add = np.bincount(rn_c // N, minlength=self.R)
-                self.delivered_total += add
-                if wu <= t < me:
-                    self.delivered_measure += add
-                np.subtract(self.delivered_total, self.pre_wu_inj, out=lab_cur)
-                np.maximum(lab_cur, 0, out=lab_cur)
-                np.minimum(lab_cur, self.lab_inj, out=lab_cur)
-                d = self._rk1[: self.R]
-                np.subtract(lab_cur, self.lab_del, out=d)
-                d *= t
-                self.sum_del_t += d
-                self.lab_del[:] = lab_cur
-                recv_cand.append(rn_c)
-            if recv_cand:
-                cand = _cat(recv_cand, self._st_recv)
-                cand.sort()
-                k = len(cand)
-                m = bm1[:k]
-                m[0] = True
-                np.not_equal(cand[1:], cand[:-1], out=m[1:])
-                m &= ~r_busy[cand] & (r_qlen[cand] > 0)
-                idx = cand[m]
-                if len(idx):
-                    r_busy[idx] = True
-                    r_qlen[idx] -= 1
-                    s = (t + SER) % _RING
-                    ring_rexit[s].append(idx)
-                    ring_occ[s] += 1
-            # (8) Drain checks on the scalar engine's chunk grid; drained
-            # runs are compacted out of the live state entirely.
-            if t >= me and (t - me) % self.chunk == 0:
+                tel.dispatches += self._dispatch(t, rcs)
+            # (6) Reduce the logs on the chunk grid (bounds their size) and
+            # at every drain check, which reads the delivery counters on
+            # the scalar engine's chunk grid; drained runs are compacted
+            # out of the live state entirely.
+            drain = t >= me and (t - me) % chunk == 0
+            if drain or t >= flush_at:
+                self._flush_logs(t, tel)
+                flush_at = (t // chunk + 1) * chunk
+            if drain:
                 tel.drain_checks += 1
                 done = self.lab_del == self.lab_inj
                 if done.any():
@@ -1121,21 +1186,20 @@ class BatchEngine:
                         break
                     p_started, p_injcnt = self.p_started, self.p_injcnt
                     p_busy, p_blocked = self.p_busy, self.p_blocked
-                    r_qlen, r_busy = self.r_qlen, self.r_busy
                     evt_rn, evt_off = self.evt_rn, self.evt_off
-                    flat_dest, p_off = self.flat_dest, self.p_off
+                    flat_route, p_off = self.flat_route, self.p_off
                     lockstep = self.lockstep_on
                     inj_cycles = self.inj_cycles
                     inj_ptr = 0
-                    lab_cur = np.empty(self.R, dtype=np.int64)
             # Advance: one grid cycle in always-step mode, or jump to the
             # next cycle that can observably do something.  The two
             # mandatory-stop conditions that fire on nearly every busy
-            # cycle (a freed queue slot with senders waiting, an occupied
-            # ring slot at t+1) are checked inline so the full next-event
-            # computation only runs when a jump is actually possible.
+            # cycle (a popped pair with parked senders, which retry on the
+            # next cycle; an occupied ring slot at t+1) are checked inline
+            # so the full next-event computation only runs when a jump is
+            # actually possible.
             if time_skip:
-                if (served and len(self.blk)) or ring_occ[(t + 1) % _RING]:
+                if self._popped is not None or ring_occ[(t + 1) % _RING]:
                     t += 1
                 else:
                     pend_min = None
@@ -1145,32 +1209,28 @@ class BatchEngine:
                             min(self._pend_dbr, default=he + 1),
                         )
                     t2, inj_ptr = next_event_time(
-                        t,
-                        he,
-                        ring_occ,
-                        inj_cycles,
-                        inj_ptr,
-                        lockstep,
-                        Wc,
-                        me,
-                        self.chunk,
-                        pend_min,
-                        False,
+                        t, he, ring_occ, inj_cycles, inj_ptr, lockstep, Wc,
+                        me, chunk, pend_min,
                     )
                     tel.cycles_skipped += t2 - t - 1
                     t = t2
             else:
                 t += 1
+        self._flush_logs(he, tel)
         self._flush_base(np.arange(self.R, dtype=np.int64), he)
         return self._payload()
 
     def _dispatch(self, t: int, cand: np.ndarray) -> int:
         """Serve the candidate channels (sorted, possibly repeated) at ``t``.
 
-        Returns the number of packets taken off pair queues — the signal
-        the time-skip loop uses to force a stop at ``t + 1`` while any
-        sender sits blocked (a freed queue slot admits a blocked sender on
-        the following cycle in the always-step engine).
+        Returns the number of packets taken off pair queues, and leaves
+        the popped pairs that have parked senders in ``self._popped``:
+        those senders retry on the next cycle (a freed queue slot admits a
+        blocked sender on the following cycle), which is also the one
+        blocked-sender condition that stops the time-skip loop at
+        ``t + 1``.  What a dispatch contributes to the energy and
+        utilisation integrals and when its packet reaches the receive
+        port are appended to the accounting and arrival logs.
 
         Small candidate sets (the common case outside saturation) take a
         scalar per-channel path that mirrors the vectorized arithmetic
@@ -1185,10 +1245,13 @@ class BatchEngine:
             served = 0
             prev = -1
             one = self._dispatch_one
+            popped: List[int] = []
             for rc in cand.tolist():
                 if rc != prev:
                     prev = rc
-                    served += one(t, rc)
+                    served += one(t, rc, popped)
+            if popped:
+                self._popped = np.unique(popped)
             return served
         keep = self._bm1[:n]
         keep[0] = True
@@ -1207,12 +1270,12 @@ class BatchEngine:
         CAP, B, D, N, CH = self.CAP, self.B, self.D, self.N, self.CH
         # Rank same-pair channels by ascending wavelength (cand is sorted
         # rc-ascending = wavelength-ascending within a pair).
-        order = np.argsort(pqs, kind="stable")
+        order = pqs.argsort(kind="stable")
         spq = pqs[order]
         # O(n) group-rank scan (see _push_pairs): identical integer ranks
         # without searchsorted's n·log n binary searches.  Temporaries
         # live in the shared scratch pools — _push_pairs's slices are dead
-        # by dispatch time (phase 4 completes before phase 6).
+        # by dispatch time (the push completes before the dispatch).
         idx = self._iota[:n]
         sneq = self._bm2[:n]
         sneq[0] = True
@@ -1241,60 +1304,47 @@ class BatchEngine:
         np.not_equal(cpq[1:], cpq[:-1], out=neq[1:])
         cut = neq.nonzero()[0]
         upq = cpq[cut]
-        self._flush_occ(upq, t)
         counts = np.empty(len(cut), dtype=np.int64)
         np.subtract(cut[1:], cut[:-1], out=counts[:-1])
         counts[-1] = m - cut[-1]
         self.tx_qlen[upq] -= counts
         self.tx_head[upq] = (self.tx_head[upq] + counts) % CAP
+        counts *= t
+        self.q_mom[upq] -= counts
+        if self.n_parked:
+            waiting = upq[self.park_cnt[upq] > 0]
+            if len(waiting):
+                self._popped = waiting
         runs = chosen // CH
         # Wake DPM-slept lasers (the packet pays wake_cycles; the laser
         # starts drawing idle power immediately).
         slp = self.c_sleep[chosen]
-        if slp.any():
+        if np.count_nonzero(slp):
             widx = chosen[slp]
             wruns = runs[slp]
             self._flush_base(np.unique(wruns), t)
             np.add.at(self.base_A, wruns, self.P_mw[self.c_level[widx]])
             self.c_sleep[widx] = False
-        # From here on the float temporaries chain through the scratch
-        # pools with ``out=``; every arithmetic op, and the order of the
-        # unbuffered ``np.add.at`` accumulations, is unchanged — the
-        # results are bit-identical, only the allocator traffic is gone.
         k2 = len(chosen)
         wake = self._rk1[:k2]  # rank/slot_base storage, dead here
         np.multiply(slp, self.WAKE, out=wake)
         wake += t
         start = self.c_stall[chosen].astype(float)
         np.maximum(start, wake, out=start)
-        lvl = self.c_level[chosen].astype(np.int64)
+        lvl = self.c_level[chosen]
         end = self.svc_by_level[lvl]
         end += start
         self.c_busy_until[chosen] = end
-        # Busy energy over the measurement window.
-        ov = self._fp1[:k2]
-        np.minimum(end, self.me, out=ov)
-        hi = self._fp2[:k2]
-        np.maximum(start, self.wu, out=hi)
-        ov -= hi
-        np.maximum(ov, 0.0, out=ov)
-        pw = hi  # reuse: the window-clip bound is dead
-        np.multiply(self.P_mw[lvl], ov, out=pw)
-        np.add.at(self.busy_E, runs, pw)
-        # Link_util busy time, split at the next window boundary.
-        wend = (t // self.Wc + 1) * self.Wc
-        wb = ov  # reuse: the energy overlap is dead
-        np.minimum(end, wend, out=wb)
-        wb -= start
-        np.maximum(wb, 0.0, out=wb)
-        self.win_busy[chosen] += wb
-        wc = pw  # reuse: the power weights are dead
-        np.maximum(start, wend, out=wc)
-        np.subtract(end, wc, out=wc)
-        np.maximum(wc, 0.0, out=wc)
-        self.win_carry[chosen] += wc
-        # Deliveries (fiber + destination pipeline after service) and the
-        # channel's own re-dispatch moment, grouped by completion cycle.
+        # Accounting records (t, channel, start, end, level), row-major.
+        rec = np.empty((k2, ACCT_FIELDS))
+        rec[:, 0] = t
+        rec[:, 1] = chosen
+        rec[:, 2] = start
+        rec[:, 3] = end
+        rec[:, 4] = lvl
+        self._acct.extend(rec.ravel().tolist())
+        # The packet reaches its receive port after fiber + destination
+        # pipeline; the channel may re-dispatch at its completion cycle.
         np.ceil(end, out=end)
         end_i = end.astype(np.int64)
         rn_dest = self._rk2[:k2]  # ring-slot indices, dead here
@@ -1303,9 +1353,13 @@ class BatchEngine:
         rn_dest += loc
         runs *= N
         rn_dest += runs
-        order2 = np.argsort(end_i, kind="stable")
+        arrive = rn_dest * self.recv.horizon
+        arrive += end_i
+        arrive += self.DELIV
+        self.recv.vector.append(arrive)
+        # Group the re-dispatch moments by completion cycle.
+        order2 = end_i.argsort(kind="stable")
         end_s = end_i[order2]
-        rn_s = rn_dest[order2]
         ch_s = chosen[order2]
         k = len(end_s)
         neq2 = np.empty(k, dtype=bool)
@@ -1315,25 +1369,20 @@ class BatchEngine:
         bounds = cut2.tolist()
         bounds.append(k)
         times = end_s[cut2].tolist()
-        ring_deliv, ring_cend = self.ring_deliv, self.ring_cend
+        ring_cend = self.ring_cend
         ring_occ = self.ring_occ
-        deliv = self.DELIV
         for i, et in enumerate(times):
-            lo = bounds[i]
-            hi = bounds[i + 1]
             s1 = et % _RING
-            ring_cend[s1].append(ch_s[lo:hi])
+            ring_cend[s1].append(ch_s[bounds[i] : bounds[i + 1]])
             ring_occ[s1] += 1
-            s2 = (et + deliv) % _RING
-            ring_deliv[s2].append(rn_s[lo:hi])
-            ring_occ[s2] += 1
         return len(chosen)
 
-    def _dispatch_one(self, t: int, rc: int) -> int:
+    def _dispatch_one(self, t: int, rc: int, popped: List[int]) -> int:
         """Scalar dispatch of a single candidate channel (see _dispatch).
 
         Every expression mirrors the vectorized path's elementwise
-        arithmetic exactly; only the array machinery is gone.
+        arithmetic exactly; only the array machinery is gone.  A popped
+        pair with parked senders is appended to ``popped``.
         """
         if self.c_busy_until[rc] > t:
             return 0
@@ -1344,10 +1393,11 @@ class BatchEngine:
         CAP = self.CAP
         head = int(self.tx_head[pq])
         loc = int(self.tx_ring[pq * CAP + head % CAP])
-        self.occ_acc[pq] += qlen * (t - int(self.q_last[pq]))
-        self.q_last[pq] = t
+        self.q_mom[pq] -= t
         self.tx_qlen[pq] = qlen - 1
         self.tx_head[pq] = (head + 1) % CAP
+        if self.n_parked and self.park_cnt[pq]:
+            popped.append(pq)
         run = rc // self.CH
         lvl = int(self.c_level[rc])
         slp = bool(self.c_sleep[rc])
@@ -1361,19 +1411,15 @@ class BatchEngine:
         start = float(max(t + self.WAKE * slp, int(self.c_stall[rc])))
         end = start + float(self.svc_by_level[lvl])
         self.c_busy_until[rc] = end
-        ov = max(min(end, self.me) - max(start, self.wu), 0.0)
-        self.busy_E[run] += float(self.P_mw[lvl]) * ov
-        wend = (t // self.Wc + 1) * self.Wc
-        self.win_busy[rc] += max(min(end, wend) - start, 0.0)
-        self.win_carry[rc] += max(end - max(start, wend), 0.0)
+        self._acct.extend((t, rc, start, end, lvl))
         end_i = math.ceil(end)
         rn_dest = run * self.N + (pq % self.B) * self.D + loc
+        self.recv.scalar.append(
+            rn_dest * self.recv.horizon + end_i + self.DELIV
+        )
         s1 = end_i % _RING
         self.ring_cend[s1].append(np.array([rc], dtype=np.int64))
         self.ring_occ[s1] += 1
-        s2 = (end_i + self.DELIV) % _RING
-        self.ring_deliv[s2].append(np.array([rn_dest], dtype=np.int64))
-        self.ring_occ[s2] += 1
         return 1
 
     def _scatter(self, rows: np.ndarray) -> None:
@@ -1413,13 +1459,14 @@ class BatchEngine:
 
         Scatters their final metrics into the original-index output
         arrays, then compacts every run/node/pair/channel array and remaps
-        every stored index (ring events, blocked senders, injection CSR,
-        channel<->pair cross-references, pending control-plane plans).
+        every stored index (ring events, parked senders, carried receive
+        arrivals/completions, injection CSR, channel<->pair
+        cross-references, pending control-plane plans).  The caller has
+        just reduced both logs (:meth:`_flush_logs`), so the counters
+        scattered here are current and no accounting record is pending.
         The remap preserves relative order, so every later stable sort
         produces the same permutation of the surviving rows — compaction
-        is bit-invisible to the results.  Replaces the old per-phase
-        active-mask filtering: the loop pays for drained runs exactly
-        once, here.
+        is bit-invisible to the results.
         """
         R, N, B, CH, CAP = self.R, self.N, self.B, self.CH, self.CAP
         BB = B * B
@@ -1441,20 +1488,31 @@ class BatchEngine:
         self.lab_prefix = [p for p, k in zip(self.lab_prefix, keep_list) if k]
         self._policies = [p for p, k in zip(self._policies, keep_list) if k]
         self._workloads = [w for w, k in zip(self._workloads, keep_list) if k]
-        # Node-major arrays + the blocked-sender list.
+        # Node-major arrays (parked senders name their pair) and the
+        # receive log's carried state.
         keep_n = np.repeat(keep_r, N)
         for name in (
-            "p_injcnt", "p_started", "p_busy", "p_blocked", "r_qlen", "r_busy",
+            "p_injcnt", "p_started", "p_busy", "p_blocked", "park_loc",
+            "park_tk",
         ):
             setattr(self, name, getattr(self, name)[keep_n])
-        if len(self.blk):
-            blk = self.blk[keep_n[self.blk]]
-            self.blk = new_of_old[blk // N] * N + blk % N
-        # Pair-major arrays (tx_ring is CAP-wide per pair) and the
-        # pair -> channels reverse index (values are channel ids).
+        ppq = self.park_pq[keep_n]
+        self.park_pq = new_of_old[ppq // BB] * BB + ppq % BB
+        self.recv.compact(keep_r)
+        # Pair-major arrays (tx_ring is CAP-wide per pair), the pairs
+        # awaiting a retry, and the pair -> channels reverse index
+        # (values are channel ids).
         keep_pq = np.repeat(keep_r, BB)
-        for name in ("tx_head", "tx_qlen", "occ_acc", "q_last", "pair_nch"):
+        for name in (
+            "tx_head", "tx_qlen", "q_mom", "occ_base", "pair_nch", "park_cnt",
+        ):
             setattr(self, name, getattr(self, name)[keep_pq])
+        self.n_parked = int(self.park_cnt.sum())
+        if self._popped is not None:
+            pp = self._popped[keep_pq[self._popped]]
+            self._popped = (
+                new_of_old[pp // BB] * BB + pp % BB if len(pp) else None
+            )
         self.tx_ring = self.tx_ring.reshape(R, BB * CAP)[keep_r].ravel()
         pc = self.pair_ch[keep_pq]
         pos = pc >= 0
@@ -1487,16 +1545,14 @@ class BatchEngine:
         # Destination streams.
         node_counts = np.diff(self.p_off)
         el_keep = np.repeat(keep_n, node_counts)
-        self.flat_dest = self.flat_dest[el_keep]
+        self.flat_route = self.flat_route[el_keep]
         kept_counts = node_counts[keep_n]
         self.p_off = np.zeros(len(kept_counts) + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=self.p_off[1:])
         # Event rings: filter each slot's arrays, remap, recount occupancy.
         self.ring_occ.fill(0)
         for ring, div, keep_i in (
-            (self.ring_deliv, N, keep_n),
             (self.ring_pexit, N, keep_n),
-            (self.ring_rexit, N, keep_n),
             (self.ring_cend, CH, keep_rc),
         ):
             for s, slot in enumerate(ring):

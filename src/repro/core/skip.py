@@ -4,11 +4,12 @@
 shared integer cycle grid.  At the low-load end of the paper's sweep —
 exactly where the DPM/Lock-Step savings the paper cares about live —
 most grid cycles execute no event at all: no injection arrives, no ring
-slot holds a delivery/port-exit/service-end, no Lock-Step boundary or
-pending control-plane apply or drain check falls on the cycle, and no
-blocked sender can possibly be admitted.  Such a cycle is an exact no-op
-on the engine state (the energy and queue-occupancy integrals are lazy),
-so the loop may jump straight to the next cycle that can observably do
+slot holds a port-exit/service-end, no Lock-Step boundary or pending
+control-plane apply or drain check falls on the cycle, and no parked
+sender can possibly be admitted.  Such a cycle is an exact no-op on the
+engine state (the energy and queue-occupancy integrals are lazy, and the
+receive side is reduced from a log — see :mod:`repro.core.reduce`), so
+the loop may jump straight to the next cycle that can observably do
 something without changing a single result bit.
 
 This module holds the two pieces of that machinery that are independent
@@ -18,8 +19,10 @@ of the engine's array layout:
   the occupied ring slots (per-slot occupancy counters maintained by the
   engine), the next nonempty injection cycle (a compressed index over
   the precomputed injection CSR), the next Lock-Step window boundary and
-  earliest pending ``_pend_dpm``/``_pend_dbr`` apply, the drain-check
-  grid, and the blocked-sender retry condition.
+  earliest pending ``_pend_dpm``/``_pend_dbr`` apply, and the drain-check
+  grid.  The one blocked-sender stop — a popped pair with parked senders
+  retries on the very next cycle — is checked inline by the loop before
+  it calls here.
 * :class:`BatchTelemetry` — per-slab counters (cycles executed/skipped,
   events per phase) surfaced through ``erapid profile --engine batch``,
   shard reports, and the ``skip`` dimension of ``BENCH_batch.json``.
@@ -51,6 +54,13 @@ class BatchTelemetry:
     counters are phase totals across all runs in the slab, so they are
     layout-dependent diagnostics — never part of the result payload,
     which stays bit-identical across skip modes and shard layouts.
+
+    ``deliveries`` (optical arrivals at receive ports) and
+    ``recv_completions`` are counted when the receive log is reduced, not
+    on the cycle they happen; their totals are those of a per-cycle
+    receive phase.  ``blocked_retries`` counts the parked senders actually
+    retried (those of a pair popped on the previous executed cycle), not
+    every blocked sender on every cycle.
     """
 
     horizon: int = 0
@@ -101,7 +111,6 @@ def next_event_time(
     measure_end: int,
     chunk: int,
     pend_min: Optional[int],
-    retry_pending: bool,
 ) -> Tuple[int, int]:
     """Earliest cycle after ``t`` at which the batch loop must execute.
 
@@ -111,8 +120,10 @@ def next_event_time(
     fire on it:
 
     * an occupied ring slot — ``ring_occ[s] > 0`` means slot ``s`` holds
-      at least one scheduled delivery/port-exit/recv-exit/service-end
-      array.  All scheduled times live in ``(t, t + ring_len)`` (the
+      at least one scheduled port-exit (``ring_pexit``) or service-end
+      (``ring_cend``) array; deliveries and receive completions are
+      logged, never scheduled.  All scheduled times live in ``(t, t +
+      ring_len)`` (the
       coverage gate bounds every lead below the ring length), so slot
       ``s`` denotes absolute cycle ``t+1 + ((s - t - 1) mod ring_len)``
       without aliasing.
@@ -122,16 +133,12 @@ def next_event_time(
     * a drain-check grid point ``measure_end + k * chunk`` — mandatory
       even though no packet moves, because *when* a run freezes gates
       which control-plane updates still touch its counters.
-    * ``t + 1`` itself when a dispatch served packets this cycle while
-      senders sit blocked (``retry_pending``): a freed queue slot admits
-      a blocked sender on the very next cycle in the unskipped engine.
-      While no pop occurs, a blocked sender's pair queue stays full and
-      every retry is an exact no-op, so blocked senders alone never
-      force single-stepping.
+
+    Parked senders are not an input: while no pop occurs a parked
+    sender's pair queue stays full, so it cannot be admitted, and after a
+    pop the loop steps to ``t + 1`` without calling here.
     """
     t1 = t + 1
-    if retry_pending:
-        return t1, inj_ptr
     n = len(inj_cycles)
     while inj_ptr < n and inj_cycles[inj_ptr] <= t:
         inj_ptr += 1

@@ -129,6 +129,24 @@ def test_skip_module_is_in_the_vector_engine_lint_scope():
     )
 
 
+def test_reduce_module_shares_the_skip_module_contract():
+    # The batch engine's log reducers, like the next-event helper, are
+    # pure array arithmetic: empty import budget, vectorized-engine lint
+    # scope (SIM007/SIM008).
+    from repro.analysis.rules import VECTOR_ENGINE_PREFIXES
+
+    module = "repro.core.reduce"
+    assert MODULE_LAYERS[module] == frozenset()
+    for dst in ("repro.core.batch", "repro.core.skip", "repro.sim.rng"):
+        violations = check_layering([edge(module, dst)])
+        assert [v.kind for v in violations] == ["module"], dst
+    assert check_layering([edge("repro.core.batch", module)]) == []
+    assert any(
+        module == p or module.startswith(p + ".")
+        for p in VECTOR_ENGINE_PREFIXES
+    )
+
+
 def test_module_budget_overrides_only_the_declared_module():
     # Sibling core modules keep the package-level budget.
     assert check_layering([edge("repro.core.engine", "repro.network.router")]) == []
