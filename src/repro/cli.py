@@ -486,9 +486,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.action == "path":
             print(cache.root)
             return 0
+        stages = cache.stages()
         if args.action == "clear":
-            removed = cache.clear()
+            removed = cache.clear() + stages.clear()
             cache.reset_counters()
+            stages.reset_counters()
             print(f"cleared {removed} entries from {cache.root}")
             return 0
         counters = cache.persistent_stats()
@@ -505,6 +507,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "batched gets": counters["batched_gets"],
             "batched puts": counters["batched_puts"],
         }
+        staged = stages.persistent_stats()
+        rows["stages (fig3 + ablations)"] = (
+            f"{stages.entry_count()} entries, {stages.disk_bytes()} bytes, "
+            f"{staged['hits']} hits, {staged['misses']} misses, "
+            f"{staged['puts']} puts"
+        )
         if args.by_engine:
             for engine_name, bucket in cache.by_engine_stats().items():
                 rows[f"{engine_name} entries"] = bucket["entries"]

@@ -15,28 +15,33 @@ quarter-window.  The four corners then show exactly the paper's story:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+import hashlib
+import json
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ERapidConfig
 from repro.core.engine import FastEngine
 from repro.core.policies import POLICIES
 from repro.metrics.collector import MeasurementPlan
-from repro.metrics.timeseries import ProbeSample
+from repro.metrics.timeseries import ChannelProbe, ProbeSample
 from repro.network.packet import PacketFactory
 from repro.network.topology import ERapidTopology
+from repro.perf.cache import RunCache, canonical_payload
 from repro.sim.rng import RngRegistry
 from repro.traffic.injection import ProfiledBernoulliProcess, TrafficSource
-from repro.traffic.patterns import complement
 from repro.traffic.workload import WorkloadSpec
 
-__all__ = ["DesignSpaceResult", "run_fig3", "render_fig3"]
+__all__ = ["DesignSpaceResult", "ProbedRun", "run_fig3", "render_fig3"]
 
-#: Offered-load profile (cycles, packets/node/cycle): low -> high -> low.
+#: ``(start cycle, packets/node/cycle)`` steps of an offered-load profile.
+Profile = Sequence[Tuple[float, float]]
+
+#: Offered-load profile: low -> high -> low.
 #: The high phase oversubscribes one channel (~0.006 pkt/node/cyc for the
 #: hot pair) but fits in two, so the bandwidth-reconfigured corners absorb
 #: it and the backlog drains quickly once the load drops.
-DEFAULT_PROFILE = [(0.0, 0.002), (8000.0, 0.008), (18000.0, 0.002)]
+DEFAULT_PROFILE: Profile = ((0.0, 0.002), (8000.0, 0.008), (18000.0, 0.002))
 
 
 @dataclass
@@ -48,63 +53,138 @@ class DesignSpaceResult:
     pair_channels: List[int]
     times: List[float]
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain data whose JSON round trip is exact (a cache entry's value)."""
+        return asdict(self)
 
-def run_fig3(
-    boards: int = 4,
-    nodes_per_board: int = 4,
-    profile: List = None,
-    horizon: float = 28000.0,
-    sample_period: float = 500.0,
-) -> Dict[str, DesignSpaceResult]:
-    """Run the staged-traffic experiment for all four configurations."""
-    profile = profile if profile is not None else list(DEFAULT_PROFILE)
-    topo = ERapidTopology(boards=boards, nodes_per_board=nodes_per_board)
-    pattern = complement(topo.total_nodes)
-    out: Dict[str, DesignSpaceResult] = {}
-    # The probed channel: board 0's static wavelength toward its complement
-    # board (the hot pair under complement traffic).
-    hot_dst = boards - 1
-    for name, policy in POLICIES.items():
-        config = ERapidConfig(topology=topo, policy=policy)
-        hot_w = None
-        plan = MeasurementPlan(warmup=1000, measure=horizon - 1000, drain_limit=0)
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "DesignSpaceResult":
+        return cls(
+            policy=data["policy"],
+            samples=[ProbeSample(**s) for s in data["samples"]],
+            pair_channels=data["pair_channels"],
+            times=data["times"],
+        )
+
+
+@dataclass(frozen=True)
+class ProbedRun:
+    """One corner of the figure, described declaratively: a fast-engine
+    run under a load ``profile``, probed every ``sample_period`` up to
+    ``horizon``.  Next to :class:`repro.perf.executor.RunTask`, the second
+    shape of run that reaches the cache."""
+
+    config: ERapidConfig
+    workload: WorkloadSpec
+    plan: MeasurementPlan
+    profile: Profile
+    horizon: float
+    sample_period: float
+    #: ``(source board, destination board)`` of the sampled channel.
+    probe: Tuple[int, int]
+
+    def cache_key(self) -> str:
+        """Content address over every field.  The run description (with
+        ``KERNEL_VERSION`` and ``CACHE_FORMAT``) is
+        :func:`repro.perf.cache.canonical_payload`'s; the ``stage`` field
+        keeps the payload apart from every plain run's."""
+        payload = canonical_payload(self.config, self.workload, self.plan)
+        payload["stage"] = "fig3"
+        payload["profile"] = [[float(t), float(rate)] for t, rate in self.profile]
+        payload["horizon"] = float(self.horizon)
+        payload["sample_period"] = float(self.sample_period)
+        payload["probe"] = list(self.probe)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def execute(self) -> DesignSpaceResult:
+        """Simulate to ``horizon``, sampling the ``probe`` pair's static
+        channel and its channel count."""
+        topo = self.config.topology
+        src, dst = self.probe
+        pattern = self.workload.resolve_pattern(topo)
         factory = PacketFactory()
-        registry = RngRegistry(seed=3)
+        registry = RngRegistry(seed=self.workload.seed)
         sources = [
             TrafficSource(
                 node,
                 pattern,
-                ProfiledBernoulliProcess(list(profile)),
+                ProfiledBernoulliProcess(list(self.profile)),
                 factory=factory,
                 rng=registry.stream(f"fig3.{node}"),
             )
             for node in range(topo.total_nodes)
         ]
-        engine = FastEngine(config, WorkloadSpec(pattern="complement"), plan,
-                            sources=sources)
-        hot_w = engine.srs.rwa.wavelength_for(0, hot_dst)
-        from repro.metrics.timeseries import ChannelProbe
-
-        probe = ChannelProbe(engine, hot_w, hot_dst, period=sample_period)
+        engine = FastEngine(self.config, self.workload, self.plan, sources=sources)
+        channel = ChannelProbe(
+            engine,
+            engine.srs.rwa.wavelength_for(src, dst),
+            dst,
+            period=self.sample_period,
+        )
         pair_counts: List[int] = []
         times: List[float] = []
 
-        def sampler(engine=engine, pair_counts=pair_counts, times=times):
+        def sampler():
             while True:
-                yield engine.sim.timeout(sample_period)
+                yield engine.sim.timeout(self.sample_period)
                 times.append(engine.sim.now)
-                pair_counts.append(len(engine.srs.channels_from(0, hot_dst)))
+                pair_counts.append(len(engine.srs.channels_from(src, dst)))
 
         engine.start()
-        probe.start()
+        channel.start()
         engine.sim.process(sampler(), name="pair-count-probe")
-        engine.sim.run(until=horizon)
-        out[name] = DesignSpaceResult(
-            policy=name,
-            samples=list(probe.samples),
+        engine.sim.run(until=self.horizon)
+        return DesignSpaceResult(
+            policy=self.config.policy.name,
+            samples=list(channel.samples),
             pair_channels=pair_counts,
             times=times,
         )
+
+
+def run_fig3(
+    boards: int = 4,
+    nodes_per_board: int = 4,
+    profile: Optional[Profile] = None,
+    horizon: float = 28000.0,
+    sample_period: float = 500.0,
+    cache: Optional[RunCache] = None,
+) -> Dict[str, DesignSpaceResult]:
+    """Run the staged-traffic experiment for all four configurations.
+
+    With a ``cache``, each corner is one entry under its
+    :meth:`ProbedRun.cache_key` holding its whole
+    :class:`DesignSpaceResult`; only the corners that miss are simulated
+    (and stored).
+    """
+    topo = ERapidTopology(boards=boards, nodes_per_board=nodes_per_board)
+    runs = [
+        ProbedRun(
+            config=ERapidConfig(topology=topo, policy=policy),
+            workload=WorkloadSpec(pattern="complement", seed=3),
+            plan=MeasurementPlan(warmup=1000, measure=horizon - 1000, drain_limit=0),
+            profile=DEFAULT_PROFILE if profile is None else profile,
+            horizon=horizon,
+            sample_period=sample_period,
+            # Board 0's static wavelength toward its complement board (the
+            # hot pair under complement traffic).
+            probe=(0, boards - 1),
+        )
+        for policy in POLICIES.values()
+    ]
+    if cache is None:
+        return {name: run.execute() for name, run in zip(POLICIES, runs)}
+    keys = [run.cache_key() for run in runs]
+    found = cache.get_many(keys, decode=DesignSpaceResult.from_dict)
+    out: Dict[str, DesignSpaceResult] = {}
+    fresh: List[Tuple[str, DesignSpaceResult, str]] = []
+    for name, run, key, result in zip(POLICIES, runs, keys, found):
+        if result is None:
+            result = run.execute()
+            fresh.append((key, result, "fast"))
+        out[name] = result
+    cache.put_many(fresh)
     return out
 
 

@@ -6,12 +6,14 @@ writes text renderings plus CSVs into the output directory.  This is the
 programmatic equivalent of running the full bench suite.
 
 The dominant cost is stage 3, the Figure 5/6 load sweeps: a (4 patterns ×
-4 policies × loads) matrix of independent runs.  That stage fans out to a
-process pool (``jobs=N`` / ``erapid reproduce --jobs N``) and is backed by
-the content-addressed run cache (:mod:`repro.perf.cache`), so a repeated
-invocation replays the sweep stage entirely from disk.  Stage timings are
-measured with ``time.perf_counter`` and reported per stage in the final
-log line.
+4 policies × loads) matrix of independent runs.  That stage and the
+ablation points fan out to a process pool (``jobs=N`` / ``erapid
+reproduce --jobs N``), and every simulated stage is backed by the
+content-addressed run cache (:mod:`repro.perf.cache`): sweep runs at the
+cache root, Figure 3's probed runs and the ablation points in its
+``stages/`` store.  A repeated invocation therefore simulates nothing —
+it reads entries and renders.  Stage timings are measured with
+``time.perf_counter`` and reported per stage in the final log line.
 """
 
 from __future__ import annotations
@@ -68,12 +70,14 @@ def reproduce_all(
     Parameters
     ----------
     jobs:
-        Process-pool width for the sweep stage (``1`` = serial).  Output
-        is bit-identical for every value.
+        Process-pool width for the sweep and ablation stages (``1`` =
+        serial).  Output is bit-identical for every value.
     cache:
-        ``True`` (default) memoizes sweep runs in the default run cache
-        (``$ERAPID_CACHE_DIR`` or ``~/.cache/erapid/runs``); pass a
-        :class:`RunCache` to choose the store, or ``False`` to disable.
+        ``True`` (default) memoizes every simulated stage — sweep runs,
+        Figure 3's probed runs, ablation points — in the default run
+        cache (``$ERAPID_CACHE_DIR`` or ``~/.cache/erapid/runs``); pass a
+        :class:`RunCache` to choose the store, or ``False`` to simulate
+        everything directly.  Artifacts are byte-identical either way.
     engine:
         Sweep-stage engine: ``"fast"`` (scalar, default) or ``"batch"``
         (vectorized slabs with scalar fallback; statistically equivalent
@@ -83,6 +87,8 @@ def reproduce_all(
     out.mkdir(parents=True, exist_ok=True)
     plan = plan or MeasurementPlan(warmup=8000, measure=10000, drain_limit=16000)
     run_cache = _resolve_cache(cache)
+    # Scalar-stage traffic is accounted apart from the sweep's.
+    stage_cache = run_cache.stages() if run_cache is not None else None
     written: Dict[str, Path] = {}
 
     def save(name: str, text: str) -> None:
@@ -90,6 +96,19 @@ def reproduce_all(
         path.write_text(text + "\n")
         written[name] = path
         log(f"  wrote {path}")
+
+    def account(label: str, store: Optional[RunCache]) -> None:
+        if store is None:
+            return
+        stats = store.stats()
+        total = stats["hits"] + stats["misses"]
+        log(
+            f"  {label} cache: {stats['hits']}/{total} hits "
+            f"({stats['puts']} stored) in {store.root}"
+        )
+        # Fold this invocation into the store's cumulative counters so
+        # `erapid cache stats` reflects harness traffic too.
+        store.flush_counters()
 
     start = perf_counter()
     log("[1/4] Table 1 + Figure 1 ...")
@@ -104,7 +123,7 @@ def reproduce_all(
 
     start = perf_counter()
     log("[2/4] Figure 3 design-space time series ...")
-    save("fig3_design_space", render_fig3(run_fig3()))
+    save("fig3_design_space", render_fig3(run_fig3(cache=stage_cache)))
     fig3_s = perf_counter() - start
 
     start = perf_counter()
@@ -137,16 +156,7 @@ def reproduce_all(
         csv_path = write_csv(out / f"{name}.csv", sweep_rows(panel.results))
         written[f"{name}.csv"] = csv_path
         log(f"  wrote {csv_path}")
-    if run_cache is not None:
-        stats = run_cache.stats()
-        total = stats["hits"] + stats["misses"]
-        log(
-            f"  sweep cache: {stats['hits']}/{total} hits "
-            f"({stats['puts']} stored) in {run_cache.root}"
-        )
-        # Fold this invocation into the store's cumulative counters so
-        # `erapid cache stats` reflects harness traffic too.
-        run_cache.flush_counters()
+    account("sweep", run_cache)
     sweeps_s = perf_counter() - start
 
     start = perf_counter()
@@ -157,8 +167,9 @@ def reproduce_all(
         ("ablation_power_levels", ablate_power_levels),
         ("ablation_limited_dbr", ablate_limited_dbr),
     ):
-        _, table = fn()
+        _, table = fn(cache=stage_cache, jobs=jobs)
         save(name, table)
+    account("stage", stage_cache)
     ablations_s = perf_counter() - start
 
     total_s = table_s + fig3_s + sweeps_s + ablations_s

@@ -54,9 +54,6 @@ PAPER_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 #: ``progress(policy, load, result)`` — per-run completion hook.
 SweepProgress = Callable[[str, float, RunResult], None]
 
-#: Fresh results buffered per batched cache write (see
-#: :meth:`repro.perf.cache.RunCache.put_many`).
-_PUT_CHUNK = 32
 #: ``progress(panel, policy, load, result, cached)`` — matrix-wide hook.
 MatrixProgress = Callable[[str, str, float, RunResult, bool], None]
 
@@ -89,10 +86,9 @@ class SweepSpec:
     ) -> List["RunTask"]:
         """The exact run-task list :func:`run_sweep` executes, in order.
 
-        Exposed so callers (the CLI's verbose shard-plan output, the
-        shard planner) can reason about a sweep's layout without running
-        it; kept in lock-step with :func:`run_sweep_matrix`'s cell
-        construction by test.
+        :func:`run_sweep_matrix` builds its batch from it; also exposed so
+        callers (the CLI's verbose shard-plan output, the shard planner)
+        can reason about a sweep's layout without running it.
         """
         from repro.perf.executor import RunTask
 
@@ -206,94 +202,37 @@ def run_sweep_matrix(
 
     Returns ``{panel: {policy: [RunResult per load]}}``.
     """
-    from repro.perf.executor import RunTask, execute_tasks, run_sweep_batched
+    from repro.perf.executor import run_cached
 
     if engine not in ("fast", "batch"):
         raise ConfigurationError(
             f"unknown sweep engine {engine!r}; expected 'fast' or 'batch'"
         )
-    batch_covers: Optional[Callable[..., Optional[str]]] = None
-    if engine == "batch":
-        from repro.core.batch import coverage_gap
-
-        batch_covers = coverage_gap
-
     results: Dict[str, Dict[str, List[Optional[RunResult]]]] = {
         name: {p: [None] * len(spec.loads) for p in spec.policies}
         for name, spec in specs.items()
     }
-    #: Every (panel, policy, load, slot, config, workload, plan, key,
-    #: point engine) cell in deterministic spec order.
-    cells: List[Tuple] = []
-    for name, spec in specs.items():
-        base = (base_configs or {}).get(name) or _default_config(spec)
-        for policy_name in spec.policies:
-            config = base.with_policy(POLICIES[policy_name])
-            for li, load in enumerate(spec.loads):
-                workload = WorkloadSpec(
-                    pattern=spec.pattern, load=load, seed=spec.seed
-                )
-                point_engine = "fast"
-                if batch_covers is not None and (
-                    batch_covers(config, workload, spec.plan) is None
-                ):
-                    point_engine = "batch"
-                key: Optional[str] = None
-                if cache is not None:
-                    key = cache.key_for(
-                        config, workload, spec.plan, engine=point_engine
-                    )
-                cells.append(
-                    (name, policy_name, load, li, config, workload,
-                     spec.plan, key, point_engine)
-                )
-
-    # One batched lookup answers every cache-addressable cell up front;
-    # hits report in deterministic spec order, exactly as before.
-    cached: List[Optional[RunResult]] = (
-        cache.get_many([c[7] for c in cells])
-        if cache is not None
-        else [None] * len(cells)
-    )
-
     tasks: List[RunTask] = []
-    #: Parallel to ``tasks``: (panel, policy, load, slot index, cache key,
-    #: engine keyspace of the point).
-    meta: List[Tuple[str, str, float, int, Optional[str], str]] = []
-    for cell, hit in zip(cells, cached):
-        name, policy_name, load, li, config, workload, plan, key, pe = cell
-        if hit is not None:
-            results[name][policy_name][li] = hit
-            if progress is not None:
-                progress(name, policy_name, load, hit, True)
-            continue
-        tasks.append(RunTask(config, workload, plan))
-        meta.append((name, policy_name, load, li, key, pe))
-
-    put_buffer: List[Tuple] = []
-
-    def flush_puts() -> None:
-        if cache is not None and put_buffer:
-            cache.put_many(put_buffer)
-            put_buffer.clear()
-
-    def on_result(index: int, result: RunResult) -> None:
-        name, policy_name, load, li, key, point_engine = meta[index]
-        results[name][policy_name][li] = result
-        if cache is not None and key is not None:
-            put_buffer.append((key, result, point_engine))
-            if len(put_buffer) >= _PUT_CHUNK:
-                flush_puts()
-        if progress is not None:
-            progress(name, policy_name, load, result, False)
-
-    if engine == "batch":
-        run_sweep_batched(
-            tasks, jobs=jobs, on_result=on_result, slab_shard=slab_shard
+    #: Parallel to ``tasks``: (panel, policy, load slot) in spec order.
+    cells: List[Tuple[str, str, int]] = []
+    for name, spec in specs.items():
+        tasks.extend(spec.tasks((base_configs or {}).get(name)))
+        cells.extend(
+            (name, policy_name, li)
+            for policy_name in spec.policies
+            for li in range(len(spec.loads))
         )
-    else:
-        execute_tasks(tasks, jobs=jobs, on_result=on_result)
-    flush_puts()
+
+    def on_result(index: int, result: RunResult, cached: bool) -> None:
+        name, policy_name, li = cells[index]
+        results[name][policy_name][li] = result
+        if progress is not None:
+            progress(name, policy_name, specs[name].loads[li], result, cached)
+
+    run_cached(
+        tasks, cache=cache, jobs=jobs, engine=engine, on_result=on_result,
+        slab_shard=slab_shard,
+    )
 
     # All slots are filled now; narrow Optional away for callers.
     return {

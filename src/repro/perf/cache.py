@@ -19,6 +19,16 @@ The store location is ``$ERAPID_CACHE_DIR`` when set, else
 ``~/.cache/erapid/runs``.  Entries are one JSON file per key, written
 atomically (tmp file + rename) so concurrent workers can share a cache
 directory.
+
+An entry's value is whatever ``to_dict()`` of the stored object returned;
+two shapes exist.  A plain run stores its ``RunResult``.  Each of Figure
+3's probed runs stores its whole probe series
+(:class:`repro.experiments.fig3.DesignSpaceResult`, keyed by
+:meth:`repro.experiments.fig3.ProbedRun.cache_key` and read back with
+``get_many(keys, decode=...)``).  ``erapid reproduce`` keeps its scalar
+stages — those four entries and the ablation points, which are plain runs
+— in the :meth:`RunCache.stages` store, ``<root>/stages/``, with its own
+counter sidecar, so the root's entries and counters are the sweep's alone.
 """
 
 from __future__ import annotations
@@ -30,7 +40,18 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.core.config import ERapidConfig
 from repro.errors import CacheError
@@ -161,6 +182,57 @@ def run_cache_key(
 _STATS_NAME = "_stats.json"
 
 
+#: Sub-directory holding ``reproduce``'s scalar stages (Figure 3 and the
+#: ablations) as a store of its own — see :meth:`RunCache.stages`.
+_STAGES_DIR = "stages"
+
+
+def _atomic_write(
+    root: Path,
+    files: Sequence[Tuple[str, str]],
+    fsync: bool = True,
+    published: Optional[List[str]] = None,
+) -> None:
+    """Write ``(file name, text)`` pairs into ``root``, each whole or not
+    at all.
+
+    Two phases: every text is **staged** in a uniquely named temp file in
+    ``root`` (``mkstemp`` — unique even across threads sharing a PID)
+    and, unless ``fsync`` is off, synced to disk; only then is each temp
+    ``os.replace``d into place, in order, and its name appended to
+    ``published``.  A failure while staging publishes nothing; a failure
+    while publishing leaves a prefix of complete files.  Either way no
+    temp file survives and the exception propagates.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    staged: List[Tuple[str, str]] = []
+    try:
+        for name, text in files:
+            fd, tmp_name = tempfile.mkstemp(
+                dir=root, prefix=f".{name[:20]}-", suffix=".tmp"
+            )
+            staged.append((tmp_name, name))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if fsync:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+        staged.reverse()
+        while staged:
+            tmp_name, name = staged[-1]
+            os.replace(tmp_name, root / name)
+            staged.pop()  # renamed: nothing left to clean up for it
+            if published is not None:
+                published.append(name)
+    except BaseException:
+        for tmp_name, _ in staged:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+        raise
+
+
 class RunCache:
     """On-disk run store with hit/miss/put counters.
 
@@ -201,172 +273,115 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    def stages(self) -> "RunCache":
+        """The store for ``reproduce``'s scalar stages (Figure 3 probed
+        runs and ablation points): its own directory and counter sidecar
+        under this root, so this store's entries, bytes and hit/miss/put
+        accounting stay exactly the sweep's."""
+        return RunCache(self.root / _STAGES_DIR)
+
+    def _load(self, key: str, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        """The decoded value of ``key``'s entry, or None: a missing,
+        corrupt or truncated entry is a miss, never an error."""
+        try:
+            data = json.loads(self._path(key).read_text(encoding="utf-8"))
+            return decode(data["result"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or None (counts a hit/miss)."""
-        path = self._path(key)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            result = RunResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, corrupt or truncated entry: a miss, never an error.
-            with self._lock:
-                self.misses += 1
-            return None
+        result = self._load(key, RunResult.from_dict)
         with self._lock:
-            self.hits += 1
-        return result
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return cast(Optional[RunResult], result)
 
-    def put(self, key: str, result: RunResult, engine: str = "fast") -> None:
+    def put(self, key: str, result: Any, engine: str = "fast") -> None:
         """Store ``result`` under ``key``, crash- and race-safe.
 
-        The payload goes to a uniquely-named temp file in the cache
-        directory (``mkstemp`` — unique even across threads sharing a
-        PID), is flushed to disk, and is then ``os.replace``d into place.
-        A crash mid-write leaves only a stray ``*.tmp`` file, never a torn
-        entry; concurrent writers of the same key each publish a complete
-        entry and the last replace wins (all writers of one key carry
-        bit-identical payloads by construction).  ``engine`` tags the
-        entry for :meth:`by_engine_stats`; it does not affect the key
-        (callers derive engine-aware keys via :meth:`key_for`).
+        One entry through :func:`_atomic_write`: a crash mid-write leaves
+        only a stray ``*.tmp`` file, never a torn entry; concurrent
+        writers of the same key each publish a complete entry and the
+        last replace wins (all writers of one key carry bit-identical
+        payloads by construction).  ``engine`` tags the entry for
+        :meth:`by_engine_stats`; it does not affect the key (callers
+        derive engine-aware keys via :meth:`key_for`).
         """
-        if engine not in ENGINES:
-            raise CacheError(f"unknown engine keyspace {engine!r}")
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        payload = json.dumps(
-            {
-                "cache_format": CACHE_FORMAT,
-                "engine": engine,
-                "result": result.to_dict(),
-            },
-            sort_keys=True,
-        )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".put-{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            # Never leave the temp file behind on a failed publish.
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        with self._lock:
-            self.puts += 1
+        self._store([(key, result, engine)], batched=False)
 
     # ------------------------------------------------------------------
     # Batched I/O (slab-granular)
     # ------------------------------------------------------------------
-    def get_many(self, keys: Sequence[str]) -> List[Optional[RunResult]]:
+    def get_many(
+        self,
+        keys: Sequence[str],
+        decode: Callable[[Dict[str, Any]], Any] = RunResult.from_dict,
+    ) -> List[Any]:
         """Look up many keys; one counter update for the whole batch.
 
         Results are positional (``None`` per miss).  Semantically
         identical to ``[self.get(k) for k in keys]`` but takes the
         counter lock once instead of ``len(keys)`` times and bumps
         ``batched_gets`` so ``erapid cache stats`` can show how much
-        traffic goes through the batched path.
+        traffic goes through the batched path.  ``decode`` rebuilds the
+        value from its stored ``to_dict()`` form: a :class:`RunResult`
+        by default, Figure 3's probe series for its entries.
         """
-        out: List[Optional[RunResult]] = []
-        hits = misses = 0
-        for key in keys:
-            try:
-                data = json.loads(self._path(key).read_text(encoding="utf-8"))
-                result = RunResult.from_dict(data["result"])
-            except (OSError, ValueError, KeyError, TypeError):
-                # Missing, corrupt or truncated entry: a miss, never an
-                # error (same contract as :meth:`get`).
-                misses += 1
-                out.append(None)
-                continue
-            hits += 1
-            out.append(result)
+        out = [self._load(key, decode) for key in keys]
+        misses = out.count(None)
         with self._lock:
-            self.hits += hits
+            self.hits += len(out) - misses
             self.misses += misses
             self.batched_gets += 1
         return out
 
-    def put_many(
-        self, items: Sequence[Tuple[str, RunResult, str]]
-    ) -> int:
+    def put_many(self, items: Sequence[Tuple[str, Any, str]]) -> int:
         """Store ``(key, result, engine)`` triples; returns the count.
 
-        Two-phase publish with a batched fsync policy:
-
-        1. **Stage** — every payload is written to its own ``mkstemp``
-           temp file, flushed and fsynced (the slow, coalescible I/O all
-           happens before anything becomes visible);
-        2. **Publish** — each staged file is ``os.replace``d into place.
-
-        PR 7's crash-safety invariant is preserved *per entry*: an entry
-        is only ever observable as a complete, fsynced file, because the
-        only publish operation is the atomic rename of a fully-synced
-        temp.  A failure anywhere during staging unlinks every temp file
-        and publishes nothing; a crash mid-publish leaves a prefix of
-        complete entries (each individually valid) and no torn ones.
-        Counters are updated once for the whole batch.
+        ``result`` is anything with a ``to_dict()`` whose JSON round trip
+        is exact (see :meth:`get_many`'s ``decode``).  The batch goes
+        through one two-phase :func:`_atomic_write`, so PR 7's
+        crash-safety invariant holds *per entry*: an entry is only ever
+        observable as a complete, fsynced file.  A failure anywhere
+        during staging publishes nothing; a crash mid-publish leaves a
+        prefix of complete entries (each individually valid) and no torn
+        ones.  Counters are updated once for the whole batch.
         """
+        return self._store(items, batched=True)
+
+    def _store(self, items: Sequence[Tuple[str, Any, str]], batched: bool) -> int:
         for _, _, engine in items:
             if engine not in ENGINES:
                 raise CacheError(f"unknown engine keyspace {engine!r}")
         if not items:
             return 0
-        self.root.mkdir(parents=True, exist_ok=True)
-        staged: List[Tuple[str, Path]] = []
-        try:
-            for key, result, engine in items:
-                payload = json.dumps(
+        files = [
+            (
+                self._path(key).name,
+                json.dumps(
                     {
                         "cache_format": CACHE_FORMAT,
                         "engine": engine,
                         "result": result.to_dict(),
                     },
                     sort_keys=True,
-                )
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=self.root, prefix=f".put-{key[:16]}-", suffix=".tmp"
-                )
-                staged.append((tmp_name, self._path(key)))
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-        except BaseException:
-            # Staging failed: publish nothing, leave no temp files.
-            for tmp_name, _ in staged:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            raise
-        published = 0
+                ),
+            )
+            for key, result, engine in items
+        ]
+        published: List[str] = []
         try:
-            for tmp_name, path in staged:
-                os.replace(tmp_name, path)
-                published += 1
-        except BaseException:
-            for tmp_name, _ in staged[published + 1 :]:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            # The entry whose replace failed still has its temp on disk.
-            try:
-                os.unlink(staged[published][0])
-            except OSError:
-                pass
-            raise
+            _atomic_write(self.root, files, published=published)
         finally:
+            # Count only what was actually published.
             with self._lock:
-                self.puts += published
-                self.batched_puts += 1
-        return published
+                self.puts += len(published)
+                if batched:
+                    self.batched_puts += 1
+        return len(published)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -467,8 +482,8 @@ class RunCache:
         """Merge session counters into the sidecar; returns the totals.
 
         Session counters reset to zero after the merge so repeated flushes
-        never double-count.  The sidecar write is tmp-file + replace like
-        :meth:`put`.
+        never double-count.  The sidecar is replaced atomically, like an
+        entry.
         """
         with self._lock:
             session = {
@@ -483,13 +498,10 @@ class RunCache:
         totals = self.persistent_stats()
         for k, v in sorted(session.items()):
             totals[k] += v
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".stats-", suffix=".tmp"
+        # Telemetry, not correctness state: atomic but not fsynced.
+        _atomic_write(
+            self.root, [(_STATS_NAME, json.dumps(totals, sort_keys=True))], fsync=False
         )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(totals, sort_keys=True))
-        os.replace(tmp_name, self._stats_path)
         return totals
 
     def reset_counters(self) -> None:

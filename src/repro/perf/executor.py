@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, cast
 
 from repro.core.config import ERapidConfig
 from repro.metrics.collector import MeasurementPlan, RunResult
+from repro.perf.cache import RunCache
 from repro.perf.shards import SLAB_CAP, ShardReport, ShardSpec, plan_shards
 from repro.traffic.workload import WorkloadSpec
 
@@ -44,6 +45,8 @@ __all__ = [
     "execute_run",
     "execute_tasks",
     "run_sweep_batched",
+    "run_cached",
+    "PUT_CHUNK",
     "SLAB_CAP",
 ]
 
@@ -54,6 +57,14 @@ ResultHook = Callable[[int, RunResult], None]
 #: ``on_shard(report)`` — invoked once per shard as it finishes; the
 #: service layer collects these into the job manifest.
 ShardHook = Callable[[ShardReport], None]
+
+#: ``on_result(index, result, cached)`` — :func:`run_cached`'s per-run hook.
+CachedHook = Callable[[int, RunResult, bool], None]
+
+#: Fresh results buffered per :meth:`~repro.perf.cache.RunCache.put_many`
+#: flush.  Bounds how many completed runs a crash could lose from the
+#: cache (never from the caller's results) while batching the fsyncs.
+PUT_CHUNK = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,3 +346,82 @@ def run_sweep_batched(
                                 perf_counter() - started,
                             )
     return cast(List[RunResult], results)
+
+
+def run_cached(
+    tasks: Sequence[RunTask],
+    cache: Optional[RunCache] = None,
+    jobs: int = 1,
+    engine: str = "fast",
+    on_result: Optional[CachedHook] = None,
+    slab_shard: Optional[int] = None,
+    on_shard: Optional[ShardHook] = None,
+    execute: Optional[Callable[..., List[RunResult]]] = None,
+) -> Tuple[List[RunResult], List[Optional[str]]]:
+    """Answer ``tasks`` from ``cache``, execute the rest, store what ran.
+
+    The one copy of the cached-run loop (load sweeps, ablation stages and
+    service jobs all call it): every task's content address, one batched
+    :meth:`~repro.perf.cache.RunCache.get_many`, the misses through
+    :func:`execute_tasks` — or, for ``engine="batch"``,
+    :func:`run_sweep_batched` with ``slab_shard``/``on_shard`` — and the
+    fresh results back through ``put_many`` in chunks of
+    :data:`PUT_CHUNK`.  Keys are engine-aware per task: a point the batch
+    model covers is keyed (and tagged) in the batch keyspace, a fallback
+    point keeps its scalar key — its result *is* a scalar result.
+
+    ``on_result(index, result, cached)`` fires once per task: hits first,
+    in task order, then live runs as they complete.  ``execute`` replaces
+    the executor (``execute(tasks, jobs=, on_result=)``; the service's
+    test seam).  ``cache=None`` only executes.  Returns ``(results,
+    keys)`` in task order; keys are ``None`` without a cache.
+    """
+    engines = ["fast"] * len(tasks)
+    if engine == "batch":
+        from repro.core.batch import coverage_gap
+
+        engines = [
+            "batch" if coverage_gap(t.config, t.workload, t.plan) is None else "fast"
+            for t in tasks
+        ]
+    keys: List[Optional[str]] = [None] * len(tasks)
+    results: List[Optional[RunResult]] = [None] * len(tasks)
+    if cache is not None:
+        keys = [
+            cache.key_for(t.config, t.workload, t.plan, engine=e)
+            for t, e in zip(tasks, engines)
+        ]
+        results = cache.get_many(cast(List[str], keys))
+    missing: List[int] = []
+    for i, hit in enumerate(results):
+        if hit is None:
+            missing.append(i)
+        elif on_result is not None:
+            on_result(i, hit, True)
+
+    put_buffer: List[Tuple[str, RunResult, str]] = []
+
+    def fresh(position: int, result: RunResult) -> None:
+        i = missing[position]
+        results[i] = result
+        if cache is not None:
+            put_buffer.append((cast(str, keys[i]), result, engines[i]))
+            if len(put_buffer) >= PUT_CHUNK:
+                cache.put_many(put_buffer)
+                put_buffer.clear()
+        if on_result is not None:
+            on_result(i, result, False)
+
+    todo = [tasks[i] for i in missing]
+    if execute is not None:
+        execute(todo, jobs=jobs, on_result=fresh)
+    elif engine == "batch":
+        run_sweep_batched(
+            todo, jobs=jobs, on_result=fresh, slab_shard=slab_shard,
+            on_shard=on_shard,
+        )
+    else:
+        execute_tasks(todo, jobs=jobs, on_result=fresh)
+    if cache is not None:
+        cache.put_many(put_buffer)  # the last, partial chunk (no-op if empty)
+    return cast(List[RunResult], results), keys

@@ -2,12 +2,13 @@
 
 :func:`execute_job` is the service's unit of work.  It expands a
 :class:`~repro.service.spec.JobSpec` into run descriptions in the exact
-task order of :func:`repro.experiments.sweep.run_sweep`, answers every
-run it can from the content-addressed :class:`~repro.perf.cache.RunCache`,
-fans the remainder out to the bounded process-pool shard
-(:func:`repro.perf.executor.execute_tasks`), and stores every fresh
-result back.  Because the task list, seeding, and reassembly are
-identical to the direct sweep path, a job's results — and therefore its
+task order of :func:`repro.experiments.sweep.run_sweep` and hands them
+to :func:`repro.perf.executor.run_cached` — the loop the direct sweep
+path uses — which answers every run it can from the content-addressed
+:class:`~repro.perf.cache.RunCache`, fans the remainder out to the
+bounded process pool, and stores every fresh result back.  Because the
+task list, seeding, and reassembly are the direct sweep path's, a job's
+results — and therefore its
 :func:`~repro.analysis.determinism.sweep_fingerprint` — are bit-identical
 to ``run_sweep`` on the same spec, at any ``jobs`` width and any cache
 hit pattern.
@@ -26,17 +27,11 @@ from typing import Callable, Dict, List, Optional, Tuple, cast
 from repro.analysis.determinism import sweep_fingerprint
 from repro.metrics.collector import RunResult
 from repro.perf.cache import RunCache
-from repro.perf.executor import RunTask, execute_tasks
+from repro.perf.executor import RunTask, run_cached
 from repro.perf.shards import ShardReport
 from repro.service.spec import JobSpec
 
 __all__ = ["RunRecord", "JobExecution", "execute_job", "EventHook", "ExecuteFn"]
-
-#: Fresh results buffered per :meth:`~repro.perf.cache.RunCache.put_many`
-#: flush.  Bounds how many completed runs a crash could lose from the
-#: cache (they are never lost from the job itself) while still batching
-#: the fsync traffic.
-PUT_CHUNK = 32
 
 #: ``on_event(kind, policy, load, result)`` with kind in
 #: {"run_cached", "run_done"} — invoked per run (deterministic spec order
@@ -105,110 +100,56 @@ def execute_job(
     points the vectorized model covers, scalar keyspace for fallback
     points.
 
-    Cache I/O is slab-granular: one :meth:`~repro.perf.cache.RunCache.
+    Cache I/O is slab-granular (:func:`repro.perf.executor.run_cached`,
+    the loop the load sweeps use): one :meth:`~repro.perf.cache.RunCache.
     get_many` answers every lookup up front (an all-hit replay costs one
     counter flush, not one per run), and fresh results are stored through
-    :meth:`~repro.perf.cache.RunCache.put_many` in chunks of
-    :data:`PUT_CHUNK`.
+    chunked :meth:`~repro.perf.cache.RunCache.put_many` writes.
     """
-    batch_covers: Optional[Callable[..., Optional[str]]] = None
     shard_reports: List[ShardReport] = []
-    if spec.engine == "batch":
-        from repro.core.batch import coverage_gap
-        from repro.perf.executor import run_sweep_batched
-
-        batch_covers = coverage_gap
-        run_execute = run_sweep_batched if execute is None else execute
-    else:
-        run_execute = execute_tasks if execute is None else execute
     plan = spec.plan()
     descriptions = spec.run_descriptions()
+    load_index = {load: li for li, load in enumerate(spec.loads)}
     results: Dict[str, List[Optional[RunResult]]] = {
         p: [None] * len(spec.loads) for p in spec.policies
     }
-    records: List[Optional[RunRecord]] = [None] * len(descriptions)
-    tasks: List[RunTask] = []
-    #: Parallel to ``tasks``: (description index, policy, load slot, key,
-    #: engine keyspace of the point).
-    meta: List[tuple] = []
+    hit_flags: List[bool] = [False] * len(descriptions)
     start = time.perf_counter()
 
-    # One batched lookup for the whole job, in deterministic spec order.
-    point_engines: List[str] = []
-    keys: List[Optional[str]] = []
-    for desc in descriptions:
-        point_engine = "fast"
-        if batch_covers is not None and (
-            batch_covers(desc.config, desc.workload, plan) is None
-        ):
-            point_engine = "batch"
-        point_engines.append(point_engine)
-        keys.append(
-            cache.key_for(desc.config, desc.workload, plan, engine=point_engine)
-            if cache is not None
-            else None
-        )
-    cached: List[Optional[RunResult]] = (
-        cache.get_many(cast(List[str], keys))
-        if cache is not None
-        else [None] * len(descriptions)
-    )
-
-    load_index = {load: li for li, load in enumerate(spec.loads)}
-    for di, desc in enumerate(descriptions):
-        key = keys[di]
-        hit = cached[di]
-        if hit is not None:
-            records[di] = RunRecord(desc.policy, desc.load, key, hit=True)
-            results[desc.policy][load_index[desc.load]] = hit
-            if on_event is not None:
-                on_event("run_cached", desc.policy, desc.load, hit)
-            continue
-        records[di] = RunRecord(desc.policy, desc.load, key, hit=False)
-        tasks.append(RunTask(desc.config, desc.workload, plan))
-        meta.append(
-            (di, desc.policy, load_index[desc.load], key, point_engines[di])
-        )
-
-    put_buffer: List[tuple] = []
-
-    def flush_puts() -> None:
-        if cache is not None and put_buffer:
-            cache.put_many(put_buffer)
-            put_buffer.clear()
-
-    def on_result(index: int, result: RunResult) -> None:
-        _, policy, li, key, point_engine = meta[index]
-        results[policy][li] = result
-        if cache is not None and key is not None:
-            put_buffer.append((key, result, point_engine))
-            if len(put_buffer) >= PUT_CHUNK:
-                flush_puts()
+    def on_result(index: int, result: RunResult, cached: bool) -> None:
+        desc = descriptions[index]
+        hit_flags[index] = cached
+        results[desc.policy][load_index[desc.load]] = result
         if on_event is not None:
-            on_event("run_done", policy, spec.loads[li], result)
+            on_event(
+                "run_cached" if cached else "run_done",
+                desc.policy, desc.load, result,
+            )
 
-    if execute is None and spec.engine == "batch":
-        run_execute(
-            tasks,
-            jobs=jobs,
-            on_result=on_result,
-            slab_shard=slab_shard,
-            on_shard=shard_reports.append,
-        )
-    else:
-        run_execute(tasks, jobs=jobs, on_result=on_result)
-    flush_puts()
+    _, keys = run_cached(
+        [RunTask(d.config, d.workload, plan) for d in descriptions],
+        cache=cache,
+        jobs=jobs,
+        engine=spec.engine,
+        on_result=on_result,
+        slab_shard=slab_shard,
+        on_shard=shard_reports.append,
+        execute=execute,
+    )
     if cache is not None:
         cache.flush_counters()
 
     full = {p: cast(List[RunResult], list(rs)) for p, rs in results.items()}
-    done_records = cast(List[RunRecord], records)
-    hits = sum(1 for r in done_records if r.hit)
+    done_records = [
+        RunRecord(d.policy, d.load, key, hit=hit)
+        for d, key, hit in zip(descriptions, keys, hit_flags)
+    ]
+    hits = sum(hit_flags)
     return JobExecution(
         results=full,
         records=done_records,
         hits=hits,
-        executed=len(tasks),
+        executed=len(done_records) - hits,
         fingerprint=sweep_fingerprint(full),
         execute_seconds=time.perf_counter() - start,
         shards=tuple(shard_reports),

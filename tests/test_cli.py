@@ -196,6 +196,24 @@ def test_cli_cache_stats_by_engine(tmp_path, capsys):
     assert "batch entries" not in capsys.readouterr().out
 
 
+def test_cli_cache_stats_and_clear_cover_the_stage_store(tmp_path, capsys):
+    from repro.experiments.ablations import ablate_limited_dbr
+    from repro.perf.cache import RunCache
+
+    stages = RunCache(tmp_path).stages()
+    ablate_limited_dbr(caps=(1,), cache=stages)
+    stages.flush_counters()
+    assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+    row = next(
+        line for line in capsys.readouterr().out.splitlines() if "stages" in line
+    )
+    assert "1 entries" in row and "0 hits, 1 misses, 1 puts" in row
+    assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+    assert "cleared 1 entries" in capsys.readouterr().out
+    assert stages.entry_count() == 0
+    assert stages.persistent_stats()["puts"] == 0
+
+
 def test_cli_engine_flags_parse():
     parser = build_parser()
     assert parser.parse_args(["sweep"]).engine == "fast"

@@ -340,6 +340,42 @@ def test_persistent_counters_accumulate_across_instances(tmp_path, run_desc):
     assert other.persistent_stats() == {"hits": 2, "misses": 1, "puts": 1, **base}
 
 
+def test_flush_counters_failure_leaves_no_temp_file(tmp_path, run_desc, monkeypatch):
+    """The sidecar goes through the same atomic write as an entry: an
+    injected failure leaves the old totals readable and no ``*.tmp``."""
+    cache = RunCache(tmp_path)
+    cache.put(cache.key_for(*run_desc), fake_result())
+    assert cache.flush_counters()["puts"] == 1
+    cache.get(cache.key_for(*run_desc))
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.perf.cache.os.replace", boom)
+    with pytest.raises(OSError):
+        cache.flush_counters()
+    monkeypatch.undo()
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert cache.persistent_stats()["puts"] == 1
+    assert cache.persistent_stats()["hits"] == 0
+
+
+def test_stage_store_is_accounted_apart_from_the_root(tmp_path, run_desc):
+    cache = RunCache(tmp_path)
+    stages = cache.stages()
+    key = cache.key_for(*run_desc)
+    stages.put(key, fake_result())
+    assert stages.get(key) is not None
+    stages.flush_counters()
+    assert stages.root.parent == cache.root
+    assert (stages.entry_count(), stages.persistent_stats()["puts"]) == (1, 1)
+    assert (cache.entry_count(), cache.disk_bytes()) == (0, 0)
+    assert cache.get(key) is None
+    assert cache.persistent_stats() == dict.fromkeys(
+        ("hits", "misses", "puts", "batched_gets", "batched_puts"), 0
+    )
+
+
 def test_entries_and_size_exclude_stats_sidecar(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)

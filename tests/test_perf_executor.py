@@ -127,6 +127,43 @@ def test_sweepspec_tasks_matches_executed_task_list(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# run_cached: the one cached-run loop
+# ----------------------------------------------------------------------
+def test_run_cached_reports_hits_first_and_stores_misses_in_chunks(
+    tmp_path, monkeypatch
+):
+    import repro.perf.executor as executor_mod
+    from repro.perf.cache import RunCache
+
+    monkeypatch.setattr(executor_mod, "PUT_CHUNK", 2)
+    tasks = tiny_spec(loads=(0.2, 0.3, 0.4)).tasks()  # 2 policies x 3 loads
+    cache = RunCache(tmp_path)
+    warm, warm_keys = executor_mod.run_cached(tasks[1::2], cache=cache)
+    assert cache.stats()["batched_puts"] == 2  # 3 fresh results, chunks of 2
+
+    seen = []
+    results, keys = executor_mod.run_cached(
+        tasks, cache=cache,
+        on_result=lambda i, result, cached: seen.append((i, cached)),
+    )
+    # Hits report first, in task order; then the live runs.
+    assert seen == [(1, True), (3, True), (5, True),
+                    (0, False), (2, False), (4, False)]
+    assert keys[1::2] == warm_keys
+    assert keys == [cache.key_for(t.config, t.workload, t.plan) for t in tasks]
+    assert [r.to_dict() for r in results[1::2]] == [r.to_dict() for r in warm]
+    assert [r.to_dict() for r in results] == [
+        execute_run(t).to_dict() for t in tasks
+    ]
+    assert cache.stats()["puts"] == 6 and cache.entry_count() == 6
+
+    # Without a cache it only executes: no keys, nothing on disk.
+    bare, no_keys = executor_mod.run_cached(tasks[:1])
+    assert no_keys == [None]
+    assert bare[0].to_dict() == results[0].to_dict()
+
+
+# ----------------------------------------------------------------------
 # Sharded batch execution: hooks and error paths
 # ----------------------------------------------------------------------
 def mixed_tasks():
