@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint layering frozen determinism typecheck baseline bench bench-detailed bench-batch bench-ledger
+.PHONY: check test lint layering frozen determinism typecheck baseline bench-ledger
 
 # The single correctness gate: tier-1 tests, the simulation-invariant
 # linter (ratcheted against analysis-baseline.json), the import-layering
@@ -40,33 +40,6 @@ typecheck:
 # Re-ratchet the lint baseline (the file may only ever shrink).
 baseline:
 	$(PYTHON) -m repro.analysis lint src tests benchmarks examples --write-baseline
-
-# Regenerate the tracked performance reports (BENCH_*.json at repo root).
-bench:
-	$(PYTHON) -m repro.perf bench
-
-# Just the detailed-engine benchmark: cycle-synchronous vs frozen legacy
-# engine, with the bit-identity gate (non-zero exit on any fingerprint
-# mismatch).  Rewrites BENCH_detailed.json at the repo root.
-bench-detailed:
-	$(PYTHON) -m repro.perf bench --only detailed
-
-# Just the batch-engine benchmark: vectorized struct-of-arrays sweep vs
-# the scalar process pool on the paper's 144-point grid, gated on the
-# statistical-equivalence tolerances, the permutation-subset bit-identity
-# fingerprint, the shard-layout fingerprint-identity check, the >=5x
-# single-process speedup bar, (on hosts with >=2 cores) the >=2x sharded
-# jobs-scaling bar, and the time-skipping gates: skip/no-skip
-# fingerprint identity at every size, cycles_executed < horizon on the
-# load-0.1 slabs (the skip machinery actually engages — asserted in
-# quick mode too), and in full mode the low-load (<=0.3) subgrid running
-# at >=2x the batch rate of the high-load (>=0.7) subgrid on same-width
-# single-load slabs (non-zero exit on any failure).
-# JOBS= sets the top pool width, e.g. `make bench-batch JOBS=8`.
-# Rewrites BENCH_batch.json at the repo root.
-JOBS ?= 4
-bench-batch:
-	$(PYTHON) -m repro.perf bench --only batch --jobs $(JOBS)
 
 # The performance ledger (BENCHMARK.json's command): every workload of
 # benchmarks/ledger untraced + traced, end-to-end and per-layer metrics,

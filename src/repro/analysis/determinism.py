@@ -263,10 +263,7 @@ def simulate_detailed_fingerprint(
     return fingerprint_parts((), metrics)
 
 
-def sweep_fingerprint(
-    results: Dict[str, List[RunResult]],
-    exclude_extra: Sequence[str] = (),
-) -> str:
+def sweep_fingerprint(results: Dict[str, List[RunResult]]) -> str:
     """SHA-256 over a ``{policy: [RunResult, ...]}`` sweep outcome.
 
     The digest covers every scalar metric and ``extra`` entry of every
@@ -274,25 +271,10 @@ def sweep_fingerprint(
     two sweeps fingerprint equal iff they are bit-identical.  Used to
     assert that parallel (``jobs=N``) and cached sweep execution
     reproduce serial output exactly.
-
-    ``exclude_extra`` drops the named ``extra`` entries before hashing.
-    The engine benchmark uses ``("events",)`` to assert the callback
-    engine's metrics against the frozen coroutine engine: every metric
-    must match bit-for-bit, but the executed-event count is the one
-    quantity the rewrite legitimately changes.
     """
-
-    def _encoded(r: RunResult) -> Dict[str, object]:
-        d = r.to_dict()
-        extra = d.get("extra")
-        if isinstance(extra, dict):
-            for key in exclude_extra:
-                extra.pop(key, None)
-        return d
-
     payload = json.dumps(
         {
-            policy: [_encoded(r) for r in runs]
+            policy: [r.to_dict() for r in runs]
             for policy, runs in sorted(results.items())
         },
         sort_keys=True,

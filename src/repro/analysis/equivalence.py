@@ -21,10 +21,10 @@ and gated:
 * :func:`bit_identity_fingerprint` hashes the stream-identical fields so
   the bit-identical subset is asserted exactly, not approximately.
 
-The batch benchmark (``BENCH_batch.json``) embeds a report over the full
-144-point grid and CI hard-gates on ``report.ok``; the harness's own
-failure modes are pinned by tests that perturb each metric past its
-tolerance and require the gate to trip.
+``tests/test_core_batch.py`` gates the batch engine on ``report.ok``
+against the scalar engine; the harness's own failure modes are pinned by
+``tests/analysis/test_equivalence.py``, which perturbs each metric past
+its tolerance and requires the gate to trip.
 """
 
 from __future__ import annotations

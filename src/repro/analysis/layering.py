@@ -4,9 +4,9 @@ The repo's packages form a layered architecture that PRs 1–4 made
 load-bearing: the kernel (``repro.sim``) knows nothing above it, the
 network substrate rides on the kernel, the optical plane rides on the
 network, and the engines (``repro.core``) compose all of them.  The frozen
-bit-identity oracles (``repro.perf.legacy*``) sit apart: **nothing outside
-``repro.perf`` and ``tests/`` may import them**, so production code can
-never grow a dependency on a module whose whole value is standing still.
+bit-identity oracles (``repro.perf.legacy*``) sit apart: **nothing in
+``src/`` may import them, only ``tests/``**, so production code can never
+grow a dependency on a module whose whole value is standing still.
 
 This module checks that discipline from the *real* import graph, parsed
 with :mod:`ast` (the code under analysis is never imported):
@@ -20,8 +20,8 @@ with :mod:`ast` (the code under analysis is never imported):
   ``core`` as a whole may (the vectorized model is analytic by design).
 * :data:`EDGE_ALLOWLIST` holds the few deliberate module-level exceptions
   (today: one type-only edge), each carrying a rationale.
-* Any import of a ``repro.perf.legacy*`` module from outside
-  ``repro.perf`` is a violation regardless of the DAG.
+* Any import of a ``repro.perf.legacy*`` module is a violation
+  regardless of the DAG.
 
 Run it with ``python -m repro.analysis layering`` (text/json/sarif).
 """
@@ -277,10 +277,7 @@ def check_layering(
     for edge in edges:
         src_pkg = package_of(edge.src_module)
         dst_pkg = package_of(edge.dst_module)
-        if edge.dst_module.startswith(_LEGACY_PREFIX) and not (
-            edge.src_module == "repro.perf"
-            or edge.src_module.startswith("repro.perf.")
-        ):
+        if edge.dst_module.startswith(_LEGACY_PREFIX):
             violations.append(
                 LayerViolation(
                     path=edge.path,
@@ -290,8 +287,8 @@ def check_layering(
                     kind="legacy",
                     message=(
                         f"`{edge.src_module}` imports frozen oracle "
-                        f"`{edge.dst_module}`; only repro.perf and tests/ "
-                        "may touch legacy_* modules"
+                        f"`{edge.dst_module}`; only tests/ may touch "
+                        "legacy* modules"
                     ),
                 )
             )
@@ -379,7 +376,7 @@ def format_dag() -> str:
             f"{', '.join(sorted(allowed)) or 'nothing'}"
         )
     lines.append(
-        "  legacy rule: only repro.perf and tests/ may import "
-        "repro.perf.legacy* (frozen oracles)"
+        "  legacy rule: only tests/ may import repro.perf.legacy* "
+        "(frozen oracles)"
     )
     return "\n".join(lines)

@@ -38,10 +38,10 @@ _EXTRA_RULES: Dict[str, Dict[str, str]] = {
     },
     "LEGACY": {
         "name": "frozen-legacy-import",
-        "shortDescription": "frozen legacy oracle imported outside repro.perf",
+        "shortDescription": "frozen legacy oracle imported from src/",
         "help": (
-            "Only repro.perf and tests/ may import repro.perf.legacy* "
-            "modules; production code must never depend on a frozen oracle."
+            "Only tests/ may import repro.perf.legacy* modules; "
+            "production code must never depend on a frozen oracle."
         ),
     },
     "UNDECLARED": {

@@ -30,7 +30,7 @@ plans with the real :func:`repro.core.dbr.dbr_plan`) runs at the same
 window boundaries and protocol latencies as the fast engine.
 
 Fidelity contract (enforced by the statistical-equivalence harness in
-:mod:`repro.analysis.equivalence` and the batch benchmark gate):
+:mod:`repro.analysis.equivalence` through ``tests/test_core_batch.py``):
 
 * **Bit-identical where streams allow**: injection gap draws go through
   :func:`repro.sim.rng.geometric_gap_array`, which consumes the PCG64
@@ -342,8 +342,8 @@ class BatchEngine:
     """Advance a slab of run points simultaneously in numpy.
 
     ``time_skip`` (default on) lets the cycle loop jump over spans that
-    provably execute no event; results are bit-identical either way (the
-    batch benchmark gates the fingerprints against each other), so
+    provably execute no event; results are bit-identical either way
+    (``tests/test_core_batch.py`` compares the payload bytes), so
     ``time_skip=False`` exists as the always-step reference and for
     debugging.  After :meth:`run_payload` the engine exposes a
     :class:`~repro.core.skip.BatchTelemetry` on ``self.telemetry``.
@@ -1045,10 +1045,10 @@ class BatchEngine:
         :func:`repro.core.skip.next_event_time` — so wall-clock cost
         scales with events executed, not cycles simulated.  Runs that
         drain mid-slab are compacted away (:meth:`_compact`), never
-        re-masked.  None of these mechanisms changes a result bit: the
-        batch benchmark gates ``time_skip=True`` against
-        ``time_skip=False`` fingerprints at every grid size, and tier-1
-        pins payload digests recorded before the loop was restructured.
+        re-masked.  None of these mechanisms changes a result bit:
+        ``tests/test_core_batch.py`` compares ``time_skip=True`` against
+        ``time_skip=False`` payload bytes and pins payload digests
+        recorded before the loop was restructured.
         """
         SEND = self.SEND
         N, D, BB = self.N, self.D, self.B * self.B

@@ -35,7 +35,8 @@ engine-side registry of backpressured senders, and
 ``SuperHighway.owned_wavelengths`` makes ``_poke_pair`` /
 ``channels_owned_by`` owner-index hits instead of channel scans.  The
 pre-rewrite coroutine engine is frozen in
-:mod:`repro.perf.legacy_engine` as the benchmark baseline; every
+:mod:`repro.perf.legacy_engine` as the oracle of
+``tests/test_engine_equivalence.py``; every
 :class:`~repro.metrics.collector.RunResult` metric except the executed
 ``events`` count is bit-identical between the two.
 """

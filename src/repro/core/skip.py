@@ -25,7 +25,7 @@ of the engine's array layout:
   it calls here.
 * :class:`BatchTelemetry` — per-slab counters (cycles executed/skipped,
   events per phase) surfaced through ``erapid profile --engine batch``,
-  shard reports, and the ``skip`` dimension of ``BENCH_batch.json``.
+  shard reports, and the ledger's ``core.batch.*`` counters.
 
 Both are covered by the same linter/layering scope as the engine itself
 (``MODULE_LAYERS['repro.core.skip']``, SIM007's vectorized-engine scope).

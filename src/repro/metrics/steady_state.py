@@ -19,12 +19,25 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from scipy import stats as sps
-
 from repro.errors import MeasurementError
 from repro.metrics.collector import RunResult
 
 __all__ = ["batch_means", "mser_truncation", "ReplicationSummary", "replicate"]
+
+
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value.
+
+    The one place scipy is needed; imported here so that importing the
+    engines (which re-export this package) stays numpy-only.
+    """
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise MeasurementError(
+            "confidence intervals need scipy (pip install repro[stats])"
+        ) from exc
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
 
 
 def batch_means(
@@ -52,7 +65,7 @@ def batch_means(
     ]
     grand = sum(means) / n_batches
     var = sum((m - grand) ** 2 for m in means) / (n_batches - 1)
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
+    t = _t_quantile(confidence, n_batches - 1)
     half = t * math.sqrt(var / n_batches)
     return grand, half
 
@@ -116,7 +129,7 @@ class ReplicationSummary:
         n = len(values)
         mean = sum(values) / n
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        t = float(sps.t.ppf(0.5 + self.confidence / 2.0, df=n - 1))
+        t = _t_quantile(self.confidence, n - 1)
         return MetricSummary(mean, t * math.sqrt(var / n), n)
 
     def summary(self) -> Dict[str, MetricSummary]:

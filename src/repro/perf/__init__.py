@@ -1,4 +1,4 @@
-"""Performance layer: parallel sweep execution, run caching, benchmarks.
+"""Performance layer: parallel sweep execution, shard planning, run caching.
 
 The paper's evaluation is a (pattern × policy × load) matrix of
 *independent* simulation runs; this package makes that matrix cheap:
@@ -21,17 +21,18 @@ The paper's evaluation is a (pattern × policy × load) matrix of
 ``repro.perf.cache``
     A content-addressed on-disk store keyed on the full run description
     ``(ERapidConfig, WorkloadSpec, MeasurementPlan, kernel version)``;
-    repeated ``reproduce_all``/bench invocations skip already-computed
+    repeated ``reproduce_all`` invocations skip already-computed
     runs.  ``get_many``/``put_many`` batch whole-job lookups and
     crash-safe writes into one counter flush each.
 
-``repro.perf.bench``
-    The tracked benchmark harness (``python -m repro.perf bench``): kernel
-    events/sec against the frozen pre-optimization reference kernel
-    (:mod:`repro.perf.legacy`), end-to-end sweep wall time serial vs
-    parallel vs cached, and the batch-tier report with its sharded
-    jobs-scaling and transport dimensions.  Writes the ``BENCH_*.json``
-    reports at the repo root.
+``repro.perf.legacy``, ``legacy_engine``, ``legacy_detailed``
+    Frozen pre-rewrite kernel and engines: the bit-identity oracles of
+    ``tests/test_sim_kernel.py``, ``tests/test_engine_equivalence.py`` and
+    ``tests/test_detailed_equivalence.py``.  Nothing in ``src/`` imports
+    them.
+
+Timing lives outside the package: ``benchmarks/ledger`` is the only
+performance instrument.
 """
 
 from repro.perf.cache import RunCache, default_cache_dir, run_cache_key

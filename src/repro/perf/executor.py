@@ -34,6 +34,13 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, cast
 
+# numpy >= 2 loads these submodules on first use, and every run uses both
+# (RngRegistry streams; np.unique reaches numpy.ma).  Load them here, once,
+# so that pool workers forked below inherit them instead of paying the
+# ~20 ms import in every worker of every pool.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from repro.core.config import ERapidConfig
 from repro.metrics.collector import MeasurementPlan, RunResult
 from repro.perf.cache import RunCache
@@ -137,7 +144,7 @@ def _shard_runs(
 
 
 def _execute_batch_shard(
-    args: Tuple[int, Tuple[RunTask, ...], bool],
+    args: Tuple[int, Tuple[RunTask, ...]],
 ) -> Tuple[int, float, object, Optional[dict]]:
     """Worker entry point for one batch shard (module-level: picklable).
 
@@ -149,12 +156,9 @@ def _execute_batch_shard(
     """
     from repro.core.batch import BatchEngine
 
-    shard_id, shard_tasks, time_skip = args
+    shard_id, shard_tasks = args
     start = perf_counter()
-    engine = BatchEngine(
-        [(t.config, t.workload, t.plan) for t in shard_tasks],
-        time_skip=time_skip,
-    )
+    engine = BatchEngine([(t.config, t.workload, t.plan) for t in shard_tasks])
     payload = engine.run_payload()
     telemetry = (
         engine.telemetry.to_dict() if engine.telemetry is not None else None
@@ -168,7 +172,6 @@ def run_sweep_batched(
     on_result: Optional[ResultHook] = None,
     slab_shard: Optional[int] = None,
     on_shard: Optional[ShardHook] = None,
-    time_skip: bool = True,
 ) -> List[RunResult]:
     """Execute ``tasks`` on the vectorized batch engine where possible.
 
@@ -187,18 +190,13 @@ def run_sweep_batched(
     order within a shard as that shard completes, shard completion order
     across shards.  Shard layout never changes a run's result: every
     run's state rows are independent, so partitioning is purely a
-    throughput concern (the batch benchmark gates fingerprint identity
-    across ``jobs`` and ``slab_shard`` permutations).
+    throughput concern (``tests/service/test_batch_jobs.py`` pins equal
+    fingerprints across ``jobs`` and ``slab_shard`` layouts).
 
     A batch shard that raises is not fatal: its indices are re-routed to
     the scalar engine (same pool) and the shard is reported with
     ``kind="fallback"`` via ``on_shard``; a scalar run's exception
     propagates, as in :func:`execute_tasks`.
-
-    ``time_skip=False`` forces every batch shard onto the engine's
-    unskipped cycle-by-cycle loop — results are bit-identical either way
-    (the benchmark gates it); the flag exists for A/B timing and for the
-    identity gate itself.
     """
     from repro.core.batch import BatchEngine, decode_payload
 
@@ -248,7 +246,7 @@ def run_sweep_batched(
             runs = _shard_runs(tasks, shard)
             start = perf_counter()
             try:
-                engine = BatchEngine(runs, time_skip=time_skip)
+                engine = BatchEngine(runs)
                 payload = engine.run_payload()
             except Exception as exc:  # noqa: BLE001 - re-routed, not dropped
                 for i in shard.indices:
@@ -291,11 +289,7 @@ def run_sweep_batched(
         for shard in plan.batch_shards:
             fut = pool.submit(
                 _execute_batch_shard,
-                (
-                    shard.shard_id,
-                    tuple(tasks[i] for i in shard.indices),
-                    time_skip,
-                ),
+                (shard.shard_id, tuple(tasks[i] for i in shard.indices)),
             )
             pending[fut] = ("batch", shard)
         if scalar_shard is not None:

@@ -11,8 +11,9 @@ out next to the scalar-fallback indices as one unified work queue for the
 Sharding is sound because every run's state rows in a
 :class:`~repro.core.batch.BatchEngine` slab are independent —
 partitioning is purely a throughput concern, never a semantics one — so a
-shard layout can change wall-clock time but not a single result bit (the
-batch benchmark gates fingerprint identity across layouts).
+shard layout can change wall-clock time but not a single result bit
+(``tests/service/test_batch_jobs.py`` pins equal fingerprints across
+layouts).
 
 Shard-size heuristic (:func:`effective_shard_size`):
 
@@ -27,7 +28,8 @@ Shard-size heuristic (:func:`effective_shard_size`):
   idling at the tail; :data:`MIN_SHARD` keeps the per-shard
   struct-of-arrays setup amortized over enough runs to stay noise.
 * ``slab_shard=N`` overrides the target outright (clamped to
-  ``[1, SLAB_CAP]``) for benchmarking and layout-permutation gating.
+  ``[1, SLAB_CAP]``) for timing experiments and the layout-identity
+  tests.
 
 Shards never cross slab boundaries (a :class:`~repro.core.batch.
 BatchEngine` holds exactly one slab), and within a slab the indices keep

@@ -160,13 +160,17 @@ def test_legacy_import_outside_perf_is_forbidden():
     assert "frozen oracle" in violations[0].message
 
 
-def test_legacy_import_inside_perf_is_allowed():
-    assert check_layering([edge("repro.perf.bench", "repro.perf.legacy")]) == []
+def test_legacy_import_inside_perf_is_forbidden():
+    # No src/ module is exempt: the oracles serve tests/ only.
+    violations = check_layering(
+        [edge("repro.perf.executor", "repro.perf.legacy")]
+    )
+    assert [v.kind for v in violations] == ["legacy"]
 
 
 def test_perf_wildcard_does_not_cover_legacy():
     # `perf -> anything` is about the harness importing engines; the
-    # legacy prohibition is evaluated first and binds everyone else.
+    # legacy prohibition is evaluated first and binds everyone.
     violations = check_layering([edge("repro.cli", "repro.perf.legacy_detailed")])
     assert [v.kind for v in violations] == ["legacy"]
 

@@ -288,7 +288,7 @@ def test_sim008_vectorized_draw_scope_is_the_engine_tier():
             ("SIM008", 2)
         ], module
     # ... the registry itself and harness layers are not.
-    for module in ("repro.sim.rng", "repro.perf.bench", "repro.traffic.x",
+    for module in ("repro.sim.rng", "repro.perf.cache", "repro.traffic.x",
                    "repro.experiments.x"):
         assert lint_source(snippet, module=module) == [], module
 

@@ -382,19 +382,6 @@ def test_time_skip_identity_with_zero_injections():
         assert telemetry.cycles_executed <= 8
 
 
-def test_time_skip_identity_across_shard_layouts(small_grid):
-    """run_sweep_batched(time_skip=...) must not change a result bit
-    under any jobs layout (the bench enforces the same on the full
-    grid)."""
-    from repro.analysis.determinism import sweep_fingerprint
-
-    tasks, batch, _ = small_grid
-    base = sweep_fingerprint({"grid": batch})
-    for jobs in (1, 2):
-        res = run_sweep_batched(tasks, jobs=jobs, time_skip=False)
-        assert sweep_fingerprint({"grid": res}) == base, jobs
-
-
 def test_engine_exposes_telemetry_in_both_modes():
     runs = [
         (

@@ -5,10 +5,10 @@ idle-skip, due-queues for flit deliveries and credit returns, request-driven
 VC allocation) is only admissible because it changes *nothing* observable:
 every :class:`RunResult` field except the executed-event count must match
 the frozen process-based engine (``repro.perf.legacy_detailed``)
-bit-for-bit.  These are the CI-sized cells of the matrix; ``python -m
-repro.perf bench --only detailed`` runs the full panel and records the
-fingerprints.
+bit-for-bit, on the full (pattern x policy x load) matrix below.
 """
+
+from itertools import product
 
 import pytest
 
@@ -40,11 +40,16 @@ def _comparable(engine_cls, pattern, policy, load, boards=2,
     return d
 
 
-@pytest.mark.parametrize("pattern,policy,load", [
-    ("uniform", "NP-NB", 0.2),       # static network, light load
-    ("uniform", "P-NB", 0.5),        # DPM windows + DVS stalls
-    ("complement", "P-NB", 0.8),     # saturating pair load, queue backlog
-    ("perfect_shuffle", "NP-NB", 0.4),  # permutation routing
+# The non-DBR half of the 2x2 (the detailed engine rejects DBR): static
+# and DPM-windowed links, from a light load to a saturating backlog ...
+MATRIX = list(product(
+    ("uniform", "complement"), ("NP-NB", "P-NB"), (0.2, 0.5, 0.8)
+))
+
+
+@pytest.mark.parametrize("pattern,policy,load", MATRIX + [
+    # ... plus one more permutation routing.
+    ("perfect_shuffle", "NP-NB", 0.4),
 ])
 def test_clocked_rewrite_is_bit_identical(pattern, policy, load):
     new = _comparable(DetailedEngine, pattern, policy, load)

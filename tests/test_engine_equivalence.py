@@ -3,10 +3,11 @@
 The hot-path rewrite (callback state machines, fused timed holds, batched
 gap sampling, owner-indexed channel lookups) is only admissible because it
 changes *nothing* observable: every :class:`RunResult` field except the
-executed-event count must match the coroutine engine bit-for-bit.  These
-are the CI-sized cells of the matrix; ``python -m repro.perf bench --only
-engine`` runs the full panel and records the fingerprints.
+executed-event count must match the coroutine engine bit-for-bit, on the
+full (pattern x policy x load) matrix below.
 """
+
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.network.topology import ERapidTopology
 from repro.perf.legacy_engine import LegacyFastEngine
 from repro.traffic.workload import WorkloadSpec
 
-PLAN = MeasurementPlan(warmup=200.0, measure=600.0, drain_limit=1500.0)
+PLAN = MeasurementPlan(warmup=500.0, measure=1500.0, drain_limit=3000.0)
 
 
 def _comparable(engine_cls, pattern, policy, load, seed=1, failure=None):
@@ -39,10 +40,19 @@ def _comparable(engine_cls, pattern, policy, load, seed=1, failure=None):
     return d
 
 
-@pytest.mark.parametrize("pattern,policy,load", [
-    ("uniform", "NP-NB", 0.2),       # scalar gap path, static network
-    ("uniform", "P-B", 0.5),         # scalar gap path, DPM + DBR
-    ("complement", "P-B", 0.9),      # batched gap path, saturating pair load
+# One non-permutation and one permutation panel (scalar and batched gap
+# sampling), every policy, from a static light load to saturation.  PLAN
+# is long enough that fusing the send port's two holds (DESIGN.md §5)
+# swaps a same-time delivery in two of these cells ...
+MATRIX = list(product(
+    ("uniform", "complement"),
+    ("NP-NB", "P-NB", "NP-B", "P-B"),
+    (0.2, 0.5, 0.9),
+))
+
+
+@pytest.mark.parametrize("pattern,policy,load", MATRIX + [
+    # ... plus two patterns off the paper's grid.
     ("bit_reverse", "P-NB", 0.4),    # batched gap path, DPM only
     ("hotspot", "NP-B", 0.5),        # random dests, DBR-driven grants
 ])

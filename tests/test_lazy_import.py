@@ -41,6 +41,22 @@ def test_import_repro_is_numpy_free():
     assert proc.stdout.strip() == "1.0.0"
 
 
+def test_engine_imports_are_scipy_free():
+    """scipy is an optional extra (``repro[stats]``): only the Student-t
+    helper in ``repro.metrics.steady_state`` may import it, at call time."""
+    proc = run_snippet(
+        "import sys\n"
+        "import repro.core.engine, repro.core.batch\n"
+        "import repro.perf.executor, repro.service\n"
+        "leaked = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not leaked, leaked\n"
+        # ... and what scipy used to drag in is loaded before any pool
+        # forks, not lazily inside every worker.
+        "assert {'numpy.random', 'numpy.ma'} <= set(sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_attribute_access_resolves_lazily():
     proc = run_snippet(
         "import sys\n"

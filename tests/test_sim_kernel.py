@@ -281,3 +281,34 @@ def test_instrumented_and_fast_paths_agree():
         return fired, sim.now, sim.event_count
 
     assert build(True) == build(False)
+
+
+def storm(sim):
+    """64 interleaved self-rescheduling chains, every third hop scheduling
+    and cancelling a decoy: the push/pop/dispatch loop plus the
+    cancellation/compaction path.  Returns what fired, when."""
+    fired = []
+
+    def hop(chain, remaining):
+        fired.append((sim.now, chain))
+        if remaining <= 0:
+            return
+        if remaining % 3 == 0:
+            sim.schedule(2.0, fired.append, "decoy").cancel()
+        sim.schedule(1.0 + (chain % 7) * 0.125, hop, chain, remaining - 1)
+
+    for c in range(64):
+        sim.schedule((c % 13) * 0.0625, hop, c, 40)
+    sim.run()
+    return fired, sim.event_count, sim.now
+
+
+def test_event_storm_matches_frozen_legacy_kernel():
+    """The tuple-keyed kernel fires the same events at the same times, in
+    the same order, as the frozen object-heap kernel it replaced."""
+    from repro.perf.legacy import LegacySimulator
+
+    current = storm(Simulator())
+    assert current == storm(LegacySimulator())
+    assert current[1] == 64 * 41
+    assert "decoy" not in current[0]
