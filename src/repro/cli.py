@@ -4,7 +4,7 @@
 
     erapid run       --pattern complement --policy P-B --load 0.5
     erapid profile   --pattern uniform --load 0.4 [--engine fast|detailed|batch] [--top 25]
-    erapid sweep     --pattern uniform --loads 0.1,0.3,0.5 [--jobs N] [--engine fast|batch] [--slab-shard N] [-v] [--csv out.csv]
+    erapid sweep     --pattern uniform --loads 0.1,0.3,0.5 [--jobs N] [--engine fast|batch] [-v] [--csv out.csv]
     erapid reproduce --out results/ [--jobs N] [--no-cache] [--engine fast|batch]
     erapid fig3
     erapid table1
@@ -29,6 +29,7 @@ from repro.core.erapid import ERapidSystem
 from repro.core.policies import POLICIES
 from repro.metrics.collector import MeasurementPlan
 from repro.metrics.report import format_kv
+from repro.perf.cache import ENGINES
 from repro.traffic.patterns import PATTERNS
 from repro.traffic.workload import WorkloadSpec
 
@@ -89,15 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical to serial)",
     )
     sweep.add_argument(
-        "--engine", default="fast", choices=("fast", "batch"),
+        "--engine", default="fast", choices=ENGINES,
         help="sweep engine: scalar fast engine (default) or the vectorized "
         "batch engine (statistically equivalent, order-of-magnitude faster "
         "on large grids; --jobs shards covered slabs across workers)",
-    )
-    sweep.add_argument(
-        "--slab-shard", type=int, default=None, metavar="N",
-        help="batch engine: override the shard-size heuristic with N runs "
-        "per sub-slab (layout never changes results, only wall-clock time)",
     )
     sweep.add_argument(
         "-v", "--verbose", action="store_true",
@@ -125,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "($ERAPID_CACHE_DIR or ~/.cache/erapid/runs)",
     )
     repro_cmd.add_argument(
-        "--engine", default="fast", choices=("fast", "batch"),
+        "--engine", default="fast", choices=ENGINES,
         help="sweep-stage engine: scalar fast engine (default) or the "
         "vectorized batch engine with scalar fallback",
     )
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue priority (default: interactive for run, bulk for sweep)",
     )
     submit.add_argument(
-        "--engine", default="fast", choices=("fast", "batch"),
+        "--engine", default="fast", choices=ENGINES,
         help="execution engine for the job's runs (default: fast)",
     )
 
@@ -419,14 +415,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.engine == "batch" and args.verbose:
             from repro.perf.shards import plan_shards
 
-            print(
-                plan_shards(
-                    spec.tasks(), jobs=args.jobs, slab_shard=args.slab_shard
-                ).describe()
-            )
+            print(plan_shards(spec.tasks(), jobs=args.jobs).describe())
         panel = FigurePanel.run(
-            spec, progress=sweep_progress, jobs=args.jobs, engine=args.engine,
-            slab_shard=args.slab_shard,
+            spec, progress=sweep_progress, jobs=args.jobs, engine=args.engine
         )
         print(panel.render())
         if args.csv:

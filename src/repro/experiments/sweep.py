@@ -37,7 +37,6 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
-from repro.traffic.workload import WorkloadSpec
 
 __all__ = [
     "SweepSpec",
@@ -84,29 +83,19 @@ class SweepSpec:
     def tasks(
         self, base_config: Optional[ERapidConfig] = None
     ) -> List["RunTask"]:
-        """The exact run-task list :func:`run_sweep` executes, in order.
+        """The exact run-task list :func:`run_sweep` executes, in order
+        (:func:`repro.perf.executor.grid_tasks`).
 
         :func:`run_sweep_matrix` builds its batch from it; also exposed so
         callers (the CLI's verbose shard-plan output, the shard planner)
         can reason about a sweep's layout without running it.
         """
-        from repro.perf.executor import RunTask
+        from repro.perf.executor import grid_tasks
 
-        base = base_config or _default_config(self)
-        out: List[RunTask] = []
-        for policy_name in self.policies:
-            config = base.with_policy(POLICIES[policy_name])
-            for load in self.loads:
-                out.append(
-                    RunTask(
-                        config,
-                        WorkloadSpec(
-                            pattern=self.pattern, load=load, seed=self.seed
-                        ),
-                        self.plan,
-                    )
-                )
-        return out
+        return grid_tasks(
+            base_config or _default_config(self),
+            self.pattern, self.policies, self.loads, self.seed, self.plan,
+        )
 
 
 def _default_config(spec: SweepSpec) -> ERapidConfig:
@@ -126,15 +115,14 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
     engine: str = "fast",
-    slab_shard: Optional[int] = None,
 ) -> Dict[str, List[RunResult]]:
     """Run the full (policy × load) matrix; returns {policy: [results]}.
 
     ``progress(policy, load, result)`` is invoked after each run when
     given (the CLI uses it for live output).  ``jobs``/``cache``/
-    ``engine``/``slab_shard`` behave as documented on
-    :func:`run_sweep_matrix`; outputs are bit-identical for every
-    ``jobs`` value, every shard layout, and across cache hits.
+    ``engine`` behave as documented on :func:`run_sweep_matrix`; outputs
+    are bit-identical for every ``jobs`` value, every shard layout, and
+    across cache hits.
     """
     matrix_progress: Optional[MatrixProgress] = None
     if progress is not None:
@@ -152,7 +140,6 @@ def run_sweep(
         jobs=jobs,
         cache=cache,
         engine=engine,
-        slab_shard=slab_shard,
     )["sweep"]
 
 
@@ -163,7 +150,6 @@ def run_sweep_matrix(
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
     engine: str = "fast",
-    slab_shard: Optional[int] = None,
 ) -> Dict[str, Dict[str, List[RunResult]]]:
     """Run several sweep panels as one flat (panel × policy × load) batch.
 
@@ -187,7 +173,9 @@ def run_sweep_matrix(
         get_many` lookup), misses are stored after running through
         chunked :meth:`~repro.perf.cache.RunCache.put_many` writes.
     engine:
-        ``"fast"`` (default) runs every point on the scalar
+        One of :data:`repro.perf.cache.ENGINES` (anything else raises
+        :class:`~repro.errors.ConfigurationError`).  ``"fast"`` (default)
+        runs every point on the scalar
         :class:`~repro.core.engine.FastEngine`; ``"batch"`` routes points
         the vectorized model covers through the sharded
         :func:`repro.perf.executor.run_sweep_batched` path — under
@@ -196,18 +184,11 @@ def run_sweep_matrix(
         engine-aware per point: a point the batch engine executes is
         keyed in the batch keyspace, a fallback point keeps its scalar
         key (its result *is* a scalar result).
-    slab_shard:
-        Batch-engine shard-size override (see :mod:`repro.perf.shards`);
-        layout never changes results, only wall-clock time.
 
     Returns ``{panel: {policy: [RunResult per load]}}``.
     """
     from repro.perf.executor import run_cached
 
-    if engine not in ("fast", "batch"):
-        raise ConfigurationError(
-            f"unknown sweep engine {engine!r}; expected 'fast' or 'batch'"
-        )
     results: Dict[str, Dict[str, List[Optional[RunResult]]]] = {
         name: {p: [None] * len(spec.loads) for p in spec.policies}
         for name, spec in specs.items()
@@ -230,8 +211,7 @@ def run_sweep_matrix(
             progress(name, policy_name, specs[name].loads[li], result, cached)
 
     run_cached(
-        tasks, cache=cache, jobs=jobs, engine=engine, on_result=on_result,
-        slab_shard=slab_shard,
+        tasks, cache=cache, jobs=jobs, engine=engine, on_result=on_result
     )
 
     # All slots are filled now; narrow Optional away for callers.

@@ -4,19 +4,23 @@ The paper's evaluation is a (pattern × policy × load) matrix of
 *independent* simulation runs; this package makes that matrix cheap:
 
 ``repro.perf.executor``
-    Fans runs out to a process pool with picklable task/result transport.
-    Results are bit-identical to serial execution — each run seeds its own
+    One scheduling loop runs every shard plan, inline or on one process
+    pool, with picklable task/result transport.  Results are
+    bit-identical to serial execution — each run seeds its own
     :class:`~repro.sim.rng.RngRegistry` from the workload seed via
     ``SeedSequence`` spawn keys, so worker scheduling cannot perturb any
     stream (the common-random-numbers contract survives parallelism).
-    ``run_sweep_batched`` routes batch-covered runs through the vectorized
-    engine as per-worker sub-slab shards next to scalar fallback on one
-    unified pool queue, with struct-of-arrays result transport.
+    ``execute_tasks`` is that loop over one scalar shard;
+    ``run_sweep_batched`` routes batch-covered runs through the
+    vectorized engine as per-worker sub-slab shards next to scalar
+    fallback, with struct-of-arrays result transport and scalar rescue of
+    a shard that raises.  ``run_cached`` puts the run cache in front and
+    is the one place an engine name picks between them.
 
 ``repro.perf.shards``
     Shard planning for the sharded batch path: the deterministic
-    ``(tasks, jobs, slab_shard) -> ShardPlan`` layout, the shard-size
-    heuristic, and the ``ShardReport`` timings that land in job manifests.
+    ``(tasks, jobs) -> ShardPlan`` layout, the shard-size heuristic, and
+    the ``ShardReport`` timings that land in job manifests.
 
 ``repro.perf.cache``
     A content-addressed on-disk store keyed on the full run description

@@ -50,7 +50,6 @@ from typing import (
     Sequence,
     Tuple,
     Union,
-    cast,
 )
 
 from repro.core.config import ERapidConfig
@@ -72,12 +71,14 @@ __all__ = [
 #: semantics.
 CACHE_FORMAT = 1
 
-#: Engine keyspaces the cache knows about.  "fast" is the default and its
+#: The engines a run can go through the cache on — the one engine list
+#: (``run_cached``, ``JobSpec`` and the ``--engine`` flags of ``sweep``,
+#: ``reproduce`` and ``submit`` read it).  "fast" is the default and its
 #: keys are byte-for-byte what they were before engines existed (so every
-#: pre-existing entry stays addressable); other engines fold their name —
-#: and any engine-specific kernel version — into the payload, so a batch
-#: result can never alias a scalar entry.
-ENGINES = ("fast", "detailed", "batch")
+#: pre-existing entry stays addressable); "batch" folds its name and its
+#: kernel version into the payload, so a batch result can never alias a
+#: scalar entry.
+ENGINES = ("fast", "batch")
 
 _ENV_VAR = "ERAPID_CACHE_DIR"
 
@@ -133,10 +134,10 @@ def canonical_payload(
 
     ``engine="fast"`` produces *exactly* the historical payload (no
     ``engine`` field), so scalar keys — and every entry already on disk —
-    are stable across this parameter's introduction.  Any other engine
-    adds its name, and ``"batch"`` additionally folds in
-    :data:`repro.core.batch.BATCH_KERNEL_VERSION` so vectorized-kernel
-    changes invalidate batch entries without touching scalar ones.
+    are stable across this parameter's introduction.  ``"batch"`` adds
+    its name and :data:`repro.core.batch.BATCH_KERNEL_VERSION` so
+    vectorized-kernel changes invalidate batch entries without touching
+    scalar ones.
     """
     from repro.sim.kernel import KERNEL_VERSION
 
@@ -149,11 +150,10 @@ def canonical_payload(
         "workload": _canonical(workload),
         "plan": _canonical(plan),
     }
-    if engine != "fast":
-        payload["engine"] = engine
     if engine == "batch":
         from repro.core.batch import BATCH_KERNEL_VERSION
 
+        payload["engine"] = engine
         payload["batch_kernel_version"] = BATCH_KERNEL_VERSION
     return payload
 
@@ -248,7 +248,7 @@ class RunCache:
     ----------
     root:
         Cache directory; defaults to :func:`default_cache_dir`.  Created
-        lazily on the first :meth:`put`.
+        lazily on the first :meth:`put_many`.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
@@ -289,32 +289,6 @@ class RunCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def get(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or None (counts a hit/miss)."""
-        result = self._load(key, RunResult.from_dict)
-        with self._lock:
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return cast(Optional[RunResult], result)
-
-    def put(self, key: str, result: Any, engine: str = "fast") -> None:
-        """Store ``result`` under ``key``, crash- and race-safe.
-
-        One entry through :func:`_atomic_write`: a crash mid-write leaves
-        only a stray ``*.tmp`` file, never a torn entry; concurrent
-        writers of the same key each publish a complete entry and the
-        last replace wins (all writers of one key carry bit-identical
-        payloads by construction).  ``engine`` tags the entry for
-        :meth:`by_engine_stats`; it does not affect the key (callers
-        derive engine-aware keys via :meth:`key_for`).
-        """
-        self._store([(key, result, engine)], batched=False)
-
-    # ------------------------------------------------------------------
-    # Batched I/O (slab-granular)
-    # ------------------------------------------------------------------
     def get_many(
         self,
         keys: Sequence[str],
@@ -322,13 +296,12 @@ class RunCache:
     ) -> List[Any]:
         """Look up many keys; one counter update for the whole batch.
 
-        Results are positional (``None`` per miss).  Semantically
-        identical to ``[self.get(k) for k in keys]`` but takes the
-        counter lock once instead of ``len(keys)`` times and bumps
-        ``batched_gets`` so ``erapid cache stats`` can show how much
-        traffic goes through the batched path.  ``decode`` rebuilds the
-        value from its stored ``to_dict()`` form: a :class:`RunResult`
-        by default, Figure 3's probe series for its entries.
+        Results are positional (``None`` per miss: a missing, corrupt or
+        truncated entry is a miss, never an error).  Counts a hit or miss
+        per key under one lock acquisition and bumps ``batched_gets``.
+        ``decode`` rebuilds the value from its stored ``to_dict()`` form:
+        a :class:`RunResult` by default, Figure 3's probe series for its
+        entries.
         """
         out = [self._load(key, decode) for key in keys]
         misses = out.count(None)
@@ -345,14 +318,16 @@ class RunCache:
         is exact (see :meth:`get_many`'s ``decode``).  The batch goes
         through one two-phase :func:`_atomic_write`, so PR 7's
         crash-safety invariant holds *per entry*: an entry is only ever
-        observable as a complete, fsynced file.  A failure anywhere
-        during staging publishes nothing; a crash mid-publish leaves a
-        prefix of complete entries (each individually valid) and no torn
-        ones.  Counters are updated once for the whole batch.
+        observable as a complete, fsynced file, and concurrent writers of
+        one key each publish a complete entry (the last replace wins; all
+        carry bit-identical payloads by construction).  A failure
+        anywhere during staging publishes nothing; a crash mid-publish
+        leaves a prefix of complete entries (each individually valid) and
+        no torn ones.  Counters are updated once for the whole batch.
+        ``engine`` tags each entry for :meth:`by_engine_stats`; it does
+        not affect the key (callers derive engine-aware keys via
+        :meth:`key_for`).
         """
-        return self._store(items, batched=True)
-
-    def _store(self, items: Sequence[Tuple[str, Any, str]], batched: bool) -> int:
         for _, _, engine in items:
             if engine not in ENGINES:
                 raise CacheError(f"unknown engine keyspace {engine!r}")
@@ -379,8 +354,7 @@ class RunCache:
             # Count only what was actually published.
             with self._lock:
                 self.puts += len(published)
-                if batched:
-                    self.batched_puts += 1
+                self.batched_puts += 1
         return len(published)
 
     # ------------------------------------------------------------------
@@ -416,8 +390,9 @@ class RunCache:
 
         Reads each entry's ``engine`` tag; entries written before tagging
         existed (or whose tag is unreadable) count as ``"fast"`` — exactly
-        the keyspace they were written from.  The three known engines are
-        always present in the result so callers can render a stable table.
+        the keyspace they were written from.  Every engine of
+        :data:`ENGINES` is always present in the result so callers can
+        render a stable table.
         """
         out: Dict[str, Dict[str, int]] = {
             e: {"entries": 0, "bytes": 0} for e in ENGINES

@@ -25,14 +25,32 @@ thing to get right is determinism:
 
 * **Assembly.**  Results are reassembled by task index, so the output
   sequence never depends on completion order.
+
+One scheduling loop (:func:`_execute_plan`) runs every
+:class:`~repro.perf.shards.ShardPlan`: :func:`execute_tasks` is a plan
+with one scalar shard, :func:`run_sweep_batched` the planner's batch
+shards plus their scalar fallback, and a batch shard that raises is
+rescued on the scalar engine inside the same loop.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple, cast
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 # numpy >= 2 loads these submodules on first use, and every run uses both
 # (RngRegistry streams; np.unique reaches numpy.ma).  Load them here, once,
@@ -42,23 +60,25 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from repro.core.config import ERapidConfig
+from repro.core.policies import POLICIES
+from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
-from repro.perf.cache import RunCache
-from repro.perf.shards import SLAB_CAP, ShardReport, ShardSpec, plan_shards
+from repro.perf.cache import ENGINES, RunCache
+from repro.perf.shards import ShardPlan, ShardReport, ShardSpec, plan_shards
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = [
     "RunTask",
+    "grid_tasks",
     "execute_run",
     "execute_tasks",
     "run_sweep_batched",
     "run_cached",
     "PUT_CHUNK",
-    "SLAB_CAP",
 ]
 
 #: ``on_result(index, result)`` — invoked as runs complete (completion
-#: order under ``jobs > 1``, task order serially).
+#: order under a pool, task order inline).
 ResultHook = Callable[[int, RunResult], None]
 
 #: ``on_shard(report)`` — invoked once per shard as it finishes; the
@@ -83,6 +103,30 @@ class RunTask:
     plan: MeasurementPlan
 
 
+def grid_tasks(
+    base: ERapidConfig,
+    pattern: str,
+    policies: Sequence[str],
+    loads: Sequence[float],
+    seed: int,
+    plan: MeasurementPlan,
+) -> List[RunTask]:
+    """Every run of one (policy × load) panel, policy-major then load order.
+
+    The one grid expansion: :meth:`repro.experiments.sweep.SweepSpec.tasks`
+    and :meth:`repro.service.spec.JobSpec.tasks` both call it, so a service
+    job's results are positionally comparable to a direct sweep.
+    """
+    out: List[RunTask] = []
+    for policy in policies:
+        config = base.with_policy(POLICIES[policy])
+        out.extend(
+            RunTask(config, WorkloadSpec(pattern, load, seed=seed), plan)
+            for load in loads
+        )
+    return out
+
+
 def execute_run(task: RunTask) -> RunResult:
     """Run one task to completion in the current process."""
     from repro.core.engine import FastEngine
@@ -94,53 +138,6 @@ def _execute_indexed(indexed: Tuple[int, RunTask]) -> Tuple[int, RunResult]:
     """Worker entry point (module-level so it pickles under spawn)."""
     index, task = indexed
     return index, execute_run(task)
-
-
-def execute_tasks(
-    tasks: Sequence[RunTask],
-    jobs: int = 1,
-    on_result: Optional[ResultHook] = None,
-) -> List[RunResult]:
-    """Execute ``tasks``; returns results in task order.
-
-    ``jobs <= 1`` runs inline (zero pool overhead); ``jobs > 1`` fans out
-    to a :class:`~concurrent.futures.ProcessPoolExecutor` of at most
-    ``min(jobs, len(tasks))`` workers.  The returned list is ordered by
-    task index either way, so callers observe identical output.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results: List[Optional[RunResult]] = [None] * len(tasks)
-    if jobs == 1 or len(tasks) <= 1:
-        for i, task in enumerate(tasks):
-            result = execute_run(task)
-            results[i] = result
-            if on_result is not None:
-                on_result(i, result)
-        return cast(List[RunResult], results)
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        pending = {
-            pool.submit(_execute_indexed, (i, task))
-            for i, task in enumerate(tasks)
-        }
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                index, result = fut.result()
-                results[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-    return cast(List[RunResult], results)
-
-
-def _shard_runs(
-    tasks: Sequence[RunTask], shard: ShardSpec
-) -> List[Tuple[ERapidConfig, WorkloadSpec, MeasurementPlan]]:
-    return [
-        (tasks[i].config, tasks[i].workload, tasks[i].plan)
-        for i in shard.indices
-    ]
 
 
 def _execute_batch_shard(
@@ -166,11 +163,141 @@ def _execute_batch_shard(
     return shard_id, perf_counter() - start, payload, telemetry
 
 
+class _Inline:
+    """Executor stand-in: ``submit`` runs the call in this process and
+    returns an already-completed future."""
+
+    def submit(self, fn: Callable[[Any], Any], arg: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(arg))
+        except Exception as exc:  # noqa: BLE001 - re-raised by result()
+            future.set_exception(exc)
+        return future
+
+
+def _execute_plan(
+    tasks: Sequence[RunTask],
+    plan: ShardPlan,
+    on_result: Optional[ResultHook],
+    on_shard: Optional[ShardHook],
+) -> List[RunResult]:
+    """The one scheduling loop: run every shard of ``plan``, results in
+    task order.
+
+    Batch shards go to :func:`_execute_batch_shard`, scalar runs to
+    :func:`_execute_indexed`.  The loop runs inline when ``plan.jobs`` is
+    1 or when the plan is at most one scalar run; otherwise everything is
+    submitted to one process pool of ``min(jobs, work items)`` workers as
+    a unified queue — a batch shard under ``jobs > 1`` always leaves this
+    process, even a lone one.  Inline, items run one at a time so results
+    stream out as they finish.  Done futures are handled in submission
+    order, so inline delivery is deterministic.
+
+    ``on_result`` fires once per index, in task order within a batch
+    shard.  ``on_shard`` gets one report per batch shard (``kind="batch"``,
+    or ``"fallback"`` when it raised: its indices are then re-queued on
+    the scalar engine) and one aggregate ``"scalar"`` report when the last
+    run of the scalar shard completes.  A scalar run's exception
+    propagates.
+    """
+    if plan.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {plan.jobs}")
+    scalar_shard = next((s for s in plan.shards if s.kind == "scalar"), None)
+    work: Deque[Tuple[str, Any]] = deque(
+        [("batch", s) for s in plan.batch_shards]
+        + [("scalar", i) for i in plan.scalar_indices]
+    )
+    results: List[Optional[RunResult]] = [None] * len(tasks)
+    scalar_open = len(plan.scalar_indices)
+    workers = min(plan.jobs, len(work))
+    pooled = workers > 1 or (plan.jobs > 1 and bool(plan.batch_shards))
+    started = perf_counter()
+
+    def report(shard: ShardSpec, kind: str, seconds: float, **extra: Any) -> None:
+        if on_shard is not None:
+            on_shard(
+                ShardReport(shard.shard_id, kind, shard.runs, seconds, **extra)
+            )
+
+    def deliver(indices: Sequence[int], decoded: Sequence[RunResult]) -> None:
+        for i, result in zip(indices, decoded):
+            results[i] = result
+            if on_result is not None:
+                on_result(i, result)
+
+    with ProcessPoolExecutor(workers) if pooled else nullcontext(_Inline()) as pool:
+        pending: Dict[Future, Tuple[str, Any]] = {}
+        while work or pending:
+            while work and (pooled or not pending):
+                kind, item = work.popleft()
+                if kind == "batch":
+                    shard_tasks = tuple(tasks[i] for i in item.indices)
+                    future = pool.submit(
+                        _execute_batch_shard, (item.shard_id, shard_tasks)
+                    )
+                else:
+                    future = pool.submit(_execute_indexed, (item, tasks[item]))
+                pending[future] = (kind, item)
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in [f for f in pending if f in done]:
+                kind, item = pending.pop(future)
+                if kind != "batch":
+                    index, result = future.result()
+                    deliver((index,), (result,))
+                    if kind == "scalar":
+                        scalar_open -= 1
+                        if scalar_open == 0:
+                            report(
+                                cast(ShardSpec, scalar_shard),
+                                "scalar",
+                                perf_counter() - started,
+                            )
+                    continue
+                try:
+                    _, seconds, payload, telemetry = future.result()
+                except Exception as exc:  # noqa: BLE001 - rescued, not dropped
+                    work.extendleft(("rescued", i) for i in reversed(item.indices))
+                    report(
+                        item, "fallback", perf_counter() - started,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                    continue
+                from repro.core.batch import decode_payload
+
+                runs = [
+                    (tasks[i].config, tasks[i].workload, tasks[i].plan)
+                    for i in item.indices
+                ]
+                deliver(item.indices, decode_payload(payload, runs))
+                report(
+                    item, "batch", seconds,
+                    payload_bytes=payload.nbytes, telemetry=telemetry,
+                )
+    return cast(List[RunResult], results)
+
+
+def execute_tasks(
+    tasks: Sequence[RunTask],
+    jobs: int = 1,
+    on_result: Optional[ResultHook] = None,
+) -> List[RunResult]:
+    """Execute ``tasks`` on the scalar engine; returns results in task order.
+
+    :func:`_execute_plan` over one scalar shard: inline for one job or
+    one task, else a pool of ``min(jobs, len(tasks))`` workers.
+    The returned list is ordered by task index either way, so callers
+    observe identical output.
+    """
+    scalar = ShardSpec(0, "scalar", tuple(range(len(tasks))))
+    plan = ShardPlan(jobs=jobs, shard_size=0, shards=(scalar,))
+    return _execute_plan(tasks, plan, on_result, None)
+
+
 def run_sweep_batched(
     tasks: Sequence[RunTask],
     jobs: int = 1,
     on_result: Optional[ResultHook] = None,
-    slab_shard: Optional[int] = None,
     on_shard: Optional[ShardHook] = None,
 ) -> List[RunResult]:
     """Execute ``tasks`` on the vectorized batch engine where possible.
@@ -178,12 +305,11 @@ def run_sweep_batched(
     Tasks the batch model covers (:func:`repro.core.batch.coverage_gap`
     returns None) are grouped by :func:`repro.core.batch.slab_key` and
     sharded into per-worker sub-slabs by :func:`repro.perf.shards.
-    plan_shards`; uncovered tasks fall back to the scalar engine.  Under
-    ``jobs > 1`` batch shards and scalar-fallback runs share **one**
-    process pool as a unified work queue, so ``jobs`` saturates the
-    machine regardless of the covered/fallback mix (``slab_shard``
-    overrides the shard-size heuristic; see :mod:`repro.perf.shards`).
-    ``jobs == 1`` executes everything inline with no transport at all.
+    plan_shards`; uncovered tasks fall back to the scalar engine.  The
+    plan runs through :func:`_execute_plan`: under ``jobs > 1`` batch
+    shards and scalar-fallback runs share **one** process pool as a
+    unified work queue, so ``jobs`` saturates the machine regardless of
+    the covered/fallback mix.
 
     The returned list is in task order, like :func:`execute_tasks`.
     ``on_result(index, result)`` fires exactly once per index — in task
@@ -191,155 +317,14 @@ def run_sweep_batched(
     across shards.  Shard layout never changes a run's result: every
     run's state rows are independent, so partitioning is purely a
     throughput concern (``tests/service/test_batch_jobs.py`` pins equal
-    fingerprints across ``jobs`` and ``slab_shard`` layouts).
+    fingerprints across layouts).
 
     A batch shard that raises is not fatal: its indices are re-routed to
     the scalar engine (same pool) and the shard is reported with
     ``kind="fallback"`` via ``on_shard``; a scalar run's exception
     propagates, as in :func:`execute_tasks`.
     """
-    from repro.core.batch import BatchEngine, decode_payload
-
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    plan = plan_shards(tasks, jobs=jobs, slab_shard=slab_shard)
-    results: List[Optional[RunResult]] = [None] * len(tasks)
-    started = perf_counter()
-
-    def report(
-        shard: ShardSpec,
-        kind: str,
-        seconds: float,
-        payload_bytes: int = 0,
-        error: Optional[str] = None,
-        telemetry: Optional[dict] = None,
-    ) -> None:
-        if on_shard is not None:
-            on_shard(
-                ShardReport(
-                    shard_id=shard.shard_id,
-                    kind=kind,
-                    runs=shard.runs,
-                    seconds=seconds,
-                    payload_bytes=payload_bytes,
-                    error=error,
-                    telemetry=telemetry,
-                )
-            )
-
-    def deliver(shard: ShardSpec, decoded: Sequence[RunResult]) -> None:
-        # Task order within the shard — the exactly-once, in-order
-        # contract the service's event stream relies on.
-        for i, result in zip(shard.indices, decoded):
-            results[i] = result
-            if on_result is not None:
-                on_result(i, result)
-
-    def run_scalar_inline(i: int) -> None:
-        result = execute_run(tasks[i])
-        results[i] = result
-        if on_result is not None:
-            on_result(i, result)
-
-    if jobs == 1:
-        for shard in plan.batch_shards:
-            runs = _shard_runs(tasks, shard)
-            start = perf_counter()
-            try:
-                engine = BatchEngine(runs)
-                payload = engine.run_payload()
-            except Exception as exc:  # noqa: BLE001 - re-routed, not dropped
-                for i in shard.indices:
-                    run_scalar_inline(i)
-                report(
-                    shard,
-                    "fallback",
-                    perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            deliver(shard, decode_payload(payload, runs))
-            report(
-                shard,
-                "batch",
-                perf_counter() - start,
-                payload.nbytes,
-                telemetry=(
-                    engine.telemetry.to_dict()
-                    if engine.telemetry is not None
-                    else None
-                ),
-            )
-        scalar_shard = next(
-            (s for s in plan.shards if s.kind == "scalar"), None
-        )
-        if scalar_shard is not None:
-            for i in scalar_shard.indices:
-                run_scalar_inline(i)
-            report(scalar_shard, "scalar", perf_counter() - started)
-        return cast(List[RunResult], results)
-
-    scalar_shard = next((s for s in plan.shards if s.kind == "scalar"), None)
-    n_items = len(plan.batch_shards) + (
-        scalar_shard.runs if scalar_shard is not None else 0
-    )
-    scalar_open = scalar_shard.runs if scalar_shard is not None else 0
-    with ProcessPoolExecutor(max_workers=min(jobs, max(n_items, 1))) as pool:
-        pending: dict[Future, Tuple[str, object]] = {}
-        for shard in plan.batch_shards:
-            fut = pool.submit(
-                _execute_batch_shard,
-                (shard.shard_id, tuple(tasks[i] for i in shard.indices)),
-            )
-            pending[fut] = ("batch", shard)
-        if scalar_shard is not None:
-            for i in scalar_shard.indices:
-                fut = pool.submit(_execute_indexed, (i, tasks[i]))
-                pending[fut] = ("scalar", i)
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                kind, obj = pending.pop(fut)
-                if kind == "batch":
-                    shard = cast(ShardSpec, obj)
-                    try:
-                        _, seconds, payload, telemetry = fut.result()
-                    except Exception as exc:  # noqa: BLE001 - re-route
-                        for i in shard.indices:
-                            f2 = pool.submit(_execute_indexed, (i, tasks[i]))
-                            pending[f2] = ("rescued", (i, shard))
-                        report(
-                            shard,
-                            "fallback",
-                            perf_counter() - started,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                        continue
-                    deliver(
-                        shard,
-                        decode_payload(payload, _shard_runs(tasks, shard)),
-                    )
-                    report(
-                        shard,
-                        "batch",
-                        seconds,
-                        payload.nbytes,  # type: ignore[attr-defined]
-                        telemetry=telemetry,
-                    )
-                else:
-                    index, result = fut.result()
-                    results[index] = result
-                    if on_result is not None:
-                        on_result(index, result)
-                    if kind == "scalar":
-                        scalar_open -= 1
-                        if scalar_open == 0 and scalar_shard is not None:
-                            report(
-                                scalar_shard,
-                                "scalar",
-                                perf_counter() - started,
-                            )
-    return cast(List[RunResult], results)
+    return _execute_plan(tasks, plan_shards(tasks, jobs=jobs), on_result, on_shard)
 
 
 def run_cached(
@@ -348,21 +333,23 @@ def run_cached(
     jobs: int = 1,
     engine: str = "fast",
     on_result: Optional[CachedHook] = None,
-    slab_shard: Optional[int] = None,
     on_shard: Optional[ShardHook] = None,
     execute: Optional[Callable[..., List[RunResult]]] = None,
 ) -> Tuple[List[RunResult], List[Optional[str]]]:
     """Answer ``tasks`` from ``cache``, execute the rest, store what ran.
 
     The one copy of the cached-run loop (load sweeps, ablation stages and
-    service jobs all call it): every task's content address, one batched
-    :meth:`~repro.perf.cache.RunCache.get_many`, the misses through
-    :func:`execute_tasks` — or, for ``engine="batch"``,
-    :func:`run_sweep_batched` with ``slab_shard``/``on_shard`` — and the
-    fresh results back through ``put_many`` in chunks of
-    :data:`PUT_CHUNK`.  Keys are engine-aware per task: a point the batch
-    model covers is keyed (and tagged) in the batch keyspace, a fallback
-    point keeps its scalar key — its result *is* a scalar result.
+    service jobs all call it), and the one place an engine name picks an
+    executor.  ``engine`` must be one of
+    :data:`repro.perf.cache.ENGINES`, else :class:`~repro.errors.
+    ConfigurationError` before any key or cache I/O.  Every task's content
+    address, one batched :meth:`~repro.perf.cache.RunCache.get_many`, the
+    misses through :func:`execute_tasks` — or, for ``engine="batch"``,
+    :func:`run_sweep_batched` with ``on_shard`` — and the fresh results
+    back through ``put_many`` in chunks of :data:`PUT_CHUNK`.  Keys are
+    engine-aware per task: a point the batch model covers is keyed (and
+    tagged) in the batch keyspace, a fallback point keeps its scalar key
+    — its result *is* a scalar result.
 
     ``on_result(index, result, cached)`` fires once per task: hits first,
     in task order, then live runs as they complete.  ``execute`` replaces
@@ -370,6 +357,10 @@ def run_cached(
     test seam).  ``cache=None`` only executes.  Returns ``(results,
     keys)`` in task order; keys are ``None`` without a cache.
     """
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
+        )
     engines = ["fast"] * len(tasks)
     if engine == "batch":
         from repro.core.batch import coverage_gap
@@ -407,15 +398,10 @@ def run_cached(
             on_result(i, result, False)
 
     todo = [tasks[i] for i in missing]
-    if execute is not None:
-        execute(todo, jobs=jobs, on_result=fresh)
-    elif engine == "batch":
-        run_sweep_batched(
-            todo, jobs=jobs, on_result=fresh, slab_shard=slab_shard,
-            on_shard=on_shard,
-        )
+    if execute is None and engine == "batch":
+        run_sweep_batched(todo, jobs=jobs, on_result=fresh, on_shard=on_shard)
     else:
-        execute_tasks(todo, jobs=jobs, on_result=fresh)
+        (execute or execute_tasks)(todo, jobs=jobs, on_result=fresh)
     if cache is not None:
         cache.put_many(put_buffer)  # the last, partial chunk (no-op if empty)
     return cast(List[RunResult], results), keys

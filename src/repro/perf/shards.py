@@ -5,8 +5,8 @@ process, so ``--engine batch --jobs N`` could only parallelize the scalar
 *fallback* — the fastest tier was the one tier that could not use the
 machine's cores.  This module fixes the planning half of that: it splits
 every covered slab into per-worker **shards** (sub-slabs) and lays them
-out next to the scalar-fallback indices as one unified work queue for the
-``repro.perf`` process pool.
+out next to the scalar-fallback indices as one unified work queue for
+the one scheduling loop of :mod:`repro.perf.executor`.
 
 Sharding is sound because every run's state rows in a
 :class:`~repro.core.batch.BatchEngine` slab are independent —
@@ -15,11 +15,12 @@ shard layout can change wall-clock time but not a single result bit
 (``tests/service/test_batch_jobs.py`` pins equal fingerprints across
 layouts).
 
-Shard-size heuristic (:func:`effective_shard_size`):
+Shard-size heuristic (:func:`effective_shard_size`), the only source of
+the shard size:
 
-* ``jobs == 1`` with no override → :data:`SLAB_CAP`.  There is no pool to
-  feed, so the only cost that matters is per-shard state construction —
-  make shards as wide as the engine allows.
+* ``jobs == 1`` → :data:`SLAB_CAP`.  There is no pool to feed, so the
+  only cost that matters is per-shard state construction — make shards
+  as wide as the engine allows.
 * ``jobs > 1`` → ``ceil(covered / (jobs * OVERSUBSCRIBE))`` clamped to
   ``[MIN_SHARD, SLAB_CAP]``.  Oversubscribing by
   :data:`OVERSUBSCRIBE` shards per worker keeps the queue deep enough
@@ -27,14 +28,12 @@ Shard-size heuristic (:func:`effective_shard_size`):
   straggler — immediately picks up remaining batch work instead of
   idling at the tail; :data:`MIN_SHARD` keeps the per-shard
   struct-of-arrays setup amortized over enough runs to stay noise.
-* ``slab_shard=N`` overrides the target outright (clamped to
-  ``[1, SLAB_CAP]``) for timing experiments and the layout-identity
-  tests.
 
-Shards never cross slab boundaries (a :class:`~repro.core.batch.
-BatchEngine` holds exactly one slab), and within a slab the indices keep
-task order, so the plan is a pure deterministic function of
-``(tasks, jobs, slab_shard)``.
+Tests that need a particular layout monkeypatch :data:`SLAB_CAP` and
+:data:`MIN_SHARD`.  Shards never cross slab boundaries (a
+:class:`~repro.core.batch.BatchEngine` holds exactly one slab), and
+within a slab the indices keep task order, so the plan is a pure
+deterministic function of ``(tasks, jobs)``.
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ class ShardPlan:
 
     jobs: int
     shard_size: int
-    requested_shard: Optional[int]
     shards: Tuple[ShardSpec, ...]
 
     @property
@@ -163,47 +161,22 @@ class ShardPlan:
         """One-line human summary (the CLI's verbose shard-plan output)."""
         batch = self.batch_shards
         scalar = len(self.scalar_indices)
-        origin = (
-            f"--slab-shard {self.requested_shard}"
-            if self.requested_shard is not None
-            else "heuristic"
-        )
         return (
             f"shard plan: {self.covered_runs} covered runs in {len(batch)} "
-            f"batch shard(s) of <= {self.shard_size} runs ({origin}) + "
+            f"batch shard(s) of <= {self.shard_size} runs + "
             f"{scalar} scalar fallback run(s) on jobs={self.jobs}"
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "jobs": self.jobs,
-            "shard_size": self.shard_size,
-            "requested_shard": self.requested_shard,
-            "batch_shards": len(self.batch_shards),
-            "scalar_runs": len(self.scalar_indices),
-            "covered_runs": self.covered_runs,
-        }
 
-
-def effective_shard_size(
-    covered: int, jobs: int, slab_shard: Optional[int] = None
-) -> int:
+def effective_shard_size(covered: int, jobs: int) -> int:
     """Target runs per batch shard (see the module heuristic notes)."""
-    if slab_shard is not None:
-        if slab_shard < 1:
-            raise ValueError(f"slab_shard must be >= 1, got {slab_shard}")
-        return min(slab_shard, SLAB_CAP)
     if jobs <= 1 or covered == 0:
         return SLAB_CAP
     target = math.ceil(covered / (jobs * OVERSUBSCRIBE))
     return max(MIN_SHARD, min(SLAB_CAP, target))
 
 
-def plan_shards(
-    tasks: Sequence[object],
-    jobs: int = 1,
-    slab_shard: Optional[int] = None,
-) -> ShardPlan:
+def plan_shards(tasks: Sequence[object], jobs: int = 1) -> ShardPlan:
     """Partition ``tasks`` into batch shards plus a scalar-fallback shard.
 
     ``tasks`` is a sequence of :class:`~repro.perf.executor.RunTask`;
@@ -227,7 +200,7 @@ def plan_shards(
             scalar_indices.append(i)
 
     covered = sum(len(v) for v in slabs.values())  # sim-lint: ignore[SIM007]
-    size = effective_shard_size(covered, jobs, slab_shard)
+    size = effective_shard_size(covered, jobs)
     shards: List[ShardSpec] = []
     # Slab order is immaterial: each run's result depends only on its own
     # (config, workload, plan) row and lands in its own results slot.
@@ -248,9 +221,4 @@ def plan_shards(
                 indices=tuple(scalar_indices),
             )
         )
-    return ShardPlan(
-        jobs=jobs,
-        shard_size=size,
-        requested_shard=slab_shard,
-        shards=tuple(shards),
-    )
+    return ShardPlan(jobs=jobs, shard_size=size, shards=tuple(shards))

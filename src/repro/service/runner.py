@@ -1,9 +1,9 @@
 """Single-job execution: cache dedup, worker-shard fan-out, run records.
 
 :func:`execute_job` is the service's unit of work.  It expands a
-:class:`~repro.service.spec.JobSpec` into run descriptions in the exact
-task order of :func:`repro.experiments.sweep.run_sweep` and hands them
-to :func:`repro.perf.executor.run_cached` — the loop the direct sweep
+:class:`~repro.service.spec.JobSpec` into run tasks in the exact task
+order of :func:`repro.experiments.sweep.run_sweep` (both call
+:func:`repro.perf.executor.grid_tasks`) and hands them to :func:`repro.perf.executor.run_cached` — the loop the direct sweep
 path uses — which answers every run it can from the content-addressed
 :class:`~repro.perf.cache.RunCache`, fans the remainder out to the
 bounded process pool, and stores every fresh result back.  Because the
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple, cast
 from repro.analysis.determinism import sweep_fingerprint
 from repro.metrics.collector import RunResult
 from repro.perf.cache import RunCache
-from repro.perf.executor import RunTask, run_cached
+from repro.perf.executor import run_cached
 from repro.perf.shards import ShardReport
 from repro.service.spec import JobSpec
 
@@ -86,19 +86,17 @@ def execute_job(
     jobs: int = 1,
     execute: Optional[ExecuteFn] = None,
     on_event: Optional[EventHook] = None,
-    slab_shard: Optional[int] = None,
 ) -> JobExecution:
     """Execute one job: cache lookups, pool fan-out, result storage.
 
     ``spec.engine == "batch"`` routes execution through the sharded
     :func:`repro.perf.executor.run_sweep_batched` path (unless
     ``execute`` is injected): covered runs are split into per-worker
-    sub-slabs scheduled next to scalar-fallback tasks on one pool, the
+    sub-slabs scheduled next to scalar-fallback tasks on one pool, and the
     resulting shard layout and per-shard timings land in
-    :attr:`JobExecution.shards`, and ``slab_shard`` overrides the shard
-    size.  Cache keys are engine-aware per run — batch keyspace for
-    points the vectorized model covers, scalar keyspace for fallback
-    points.
+    :attr:`JobExecution.shards`.  Cache keys are engine-aware per run —
+    batch keyspace for points the vectorized model covers, scalar
+    keyspace for fallback points.
 
     Cache I/O is slab-granular (:func:`repro.perf.executor.run_cached`,
     the loop the load sweeps use): one :meth:`~repro.perf.cache.RunCache.
@@ -107,32 +105,28 @@ def execute_job(
     chunked :meth:`~repro.perf.cache.RunCache.put_many` writes.
     """
     shard_reports: List[ShardReport] = []
-    plan = spec.plan()
-    descriptions = spec.run_descriptions()
+    tasks = spec.tasks()
     load_index = {load: li for li, load in enumerate(spec.loads)}
     results: Dict[str, List[Optional[RunResult]]] = {
         p: [None] * len(spec.loads) for p in spec.policies
     }
-    hit_flags: List[bool] = [False] * len(descriptions)
+    hit_flags: List[bool] = [False] * len(tasks)
     start = time.perf_counter()
 
     def on_result(index: int, result: RunResult, cached: bool) -> None:
-        desc = descriptions[index]
+        task = tasks[index]
+        policy, load = task.config.policy.name, task.workload.load
         hit_flags[index] = cached
-        results[desc.policy][load_index[desc.load]] = result
+        results[policy][load_index[load]] = result
         if on_event is not None:
-            on_event(
-                "run_cached" if cached else "run_done",
-                desc.policy, desc.load, result,
-            )
+            on_event("run_cached" if cached else "run_done", policy, load, result)
 
     _, keys = run_cached(
-        [RunTask(d.config, d.workload, plan) for d in descriptions],
+        tasks,
         cache=cache,
         jobs=jobs,
         engine=spec.engine,
         on_result=on_result,
-        slab_shard=slab_shard,
         on_shard=shard_reports.append,
         execute=execute,
     )
@@ -141,8 +135,8 @@ def execute_job(
 
     full = {p: cast(List[RunResult], list(rs)) for p, rs in results.items()}
     done_records = [
-        RunRecord(d.policy, d.load, key, hit=hit)
-        for d, key, hit in zip(descriptions, keys, hit_flags)
+        RunRecord(t.config.policy.name, t.workload.load, key, hit=hit)
+        for t, key, hit in zip(tasks, keys, hit_flags)
     ]
     hits = sum(hit_flags)
     return JobExecution(

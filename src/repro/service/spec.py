@@ -28,12 +28,12 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import JobSpecError
 from repro.metrics.collector import MeasurementPlan
+from repro.perf.cache import ENGINES
+from repro.perf.executor import RunTask, grid_tasks
 from repro.traffic.patterns import PATTERNS
-from repro.traffic.workload import WorkloadSpec
 
 __all__ = [
     "JobSpec",
-    "RunDescription",
     "JOB_KINDS",
     "PRIORITIES",
     "SERVICE_FORMAT",
@@ -54,16 +54,6 @@ _DEFAULT_PRIORITY = {"sweep": "bulk", "run": "interactive"}
 
 
 @dataclass(frozen=True)
-class RunDescription:
-    """One concrete run a job expands to, in deterministic spec order."""
-
-    policy: str
-    load: float
-    config: ERapidConfig
-    workload: WorkloadSpec
-
-
-@dataclass(frozen=True)
 class JobSpec:
     """Declarative description of one service job (picklable, JSON-able)."""
 
@@ -79,7 +69,8 @@ class JobSpec:
     drain_limit: float = 24000.0
     #: "interactive" | "bulk"; empty selects the kind's default.
     priority: str = ""
-    #: "fast" (scalar) or "batch" (vectorized slabs with scalar fallback).
+    #: One of :data:`repro.perf.cache.ENGINES`: "fast" (scalar) or
+    #: "batch" (vectorized slabs with scalar fallback).
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -116,14 +107,14 @@ class JobSpec:
             )
         if self.priority not in PRIORITIES:
             raise JobSpecError(f"unknown priority {self.priority!r}")
-        if self.engine not in ("fast", "batch"):
+        if self.engine not in ENGINES:
             raise JobSpecError(f"unknown engine {self.engine!r}")
         # Plan validation happens eagerly so a bad spec is rejected at
         # submission, not mid-execution.
         self.plan()
 
     # ------------------------------------------------------------------
-    # Derived run descriptions
+    # Derived runs
     # ------------------------------------------------------------------
     def plan(self) -> MeasurementPlan:
         try:
@@ -135,35 +126,21 @@ class JobSpec:
         except Exception as exc:
             raise JobSpecError(f"bad measurement plan: {exc}") from exc
 
-    def base_config(self) -> ERapidConfig:
+    def tasks(self) -> List[RunTask]:
+        """Every run of this job in :func:`repro.perf.executor.grid_tasks`
+        order — the task order of :func:`repro.experiments.sweep.run_sweep`,
+        so a job's results are positionally comparable to a direct sweep."""
         from repro.network.topology import ERapidTopology
 
-        return ERapidConfig(
+        base = ERapidConfig(
             topology=ERapidTopology(
                 boards=self.boards, nodes_per_board=self.nodes_per_board
             )
         )
-
-    def run_descriptions(self) -> List[RunDescription]:
-        """Every run of this job, policy-major then load order — exactly
-        the task order of :func:`repro.experiments.sweep.run_sweep`, so a
-        job's results are positionally comparable to a direct sweep."""
-        base = self.base_config()
-        out: List[RunDescription] = []
-        for policy in self.policies:
-            config = base.with_policy(POLICIES[policy])
-            for load in self.loads:
-                out.append(
-                    RunDescription(
-                        policy=policy,
-                        load=load,
-                        config=config,
-                        workload=WorkloadSpec(
-                            pattern=self.pattern, load=load, seed=self.seed
-                        ),
-                    )
-                )
-        return out
+        return grid_tasks(
+            base, self.pattern, self.policies, self.loads, self.seed,
+            self.plan(),
+        )
 
     @property
     def total_runs(self) -> int:

@@ -90,19 +90,25 @@ def test_injected_execute_overrides_batch_routing(tmp_path):
 # ----------------------------------------------------------------------
 # Sharded parallel execution
 # ----------------------------------------------------------------------
-def test_sharded_job_is_fingerprint_identical_across_layouts(tmp_path):
-    """jobs and slab_shard are pure scheduling: every layout must produce
-    the same sweep fingerprint as single-process execution."""
+def test_sharded_job_is_fingerprint_identical_across_layouts(
+    tmp_path, monkeypatch
+):
+    """jobs and the shard layout are pure scheduling: every layout must
+    produce the same sweep fingerprint as single-process execution."""
+    import repro.perf.shards as shards
+
     baseline = execute_job(batch_spec(), None, jobs=1)
     pooled = execute_job(batch_spec(), None, jobs=2)
-    resharded = execute_job(batch_spec(), None, jobs=2, slab_shard=1)
+    # One run per shard: four batch shards on a two-worker pool.
+    monkeypatch.setattr(shards, "MIN_SHARD", 1)
+    resharded = execute_job(batch_spec(), None, jobs=2)
     assert pooled.fingerprint == baseline.fingerprint
     assert resharded.fingerprint == baseline.fingerprint
 
     # The shard reports mirror the layout actually executed.
     assert all(s.kind == "batch" for s in baseline.shards)
     assert sum(s.runs for s in baseline.shards) == 4
-    assert len(resharded.shards) == 4  # slab_shard=1 -> one run per shard
+    assert len(resharded.shards) == 4
     for report in resharded.shards:
         assert report.runs == 1
         assert report.seconds > 0

@@ -114,17 +114,18 @@ def test_key_includes_kernel_version():
 
 def test_run_descriptions_are_policy_major_load_ordered():
     spec = JobSpec(loads=(0.2, 0.4), policies=("NP-NB", "P-B"))
-    descs = spec.run_descriptions()
-    assert [(d.policy, d.load) for d in descs] == [
+    tasks = spec.tasks()
+    assert [(t.config.policy.name, t.workload.load) for t in tasks] == [
         ("NP-NB", 0.2),
         ("NP-NB", 0.4),
         ("P-B", 0.2),
         ("P-B", 0.4),
     ]
-    for d in descs:
-        assert d.workload.pattern == spec.pattern
-        assert d.workload.seed == spec.seed
-        assert d.config.topology.boards == spec.boards
+    for t in tasks:
+        assert t.workload.pattern == spec.pattern
+        assert t.workload.seed == spec.seed
+        assert t.config.topology.boards == spec.boards
+        assert t.plan == spec.plan()
 
 
 def test_priority_rank_matches_registry():

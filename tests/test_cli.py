@@ -159,12 +159,11 @@ def test_cli_sweep_verbose_prints_effective_shard_plan(capsys):
     rc = main([
         "sweep", "--pattern", "complement", "--loads", "0.3",
         "--boards", "4", "--nodes", "4", "--engine", "batch",
-        "--jobs", "2", "--slab-shard", "1", "--verbose",
+        "--jobs", "2", "--verbose",
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "shard plan:" in out
-    assert "--slab-shard 1" in out and "jobs=2" in out
+    assert "shard plan:" in out and "jobs=2" in out
     # Without --verbose the plan stays out of the output.
     rc = main([
         "sweep", "--pattern", "complement", "--loads", "0.3",
@@ -176,21 +175,21 @@ def test_cli_sweep_verbose_prints_effective_shard_plan(capsys):
 
 def test_cli_sweep_shard_flags_parse():
     parser = build_parser()
-    args = parser.parse_args(["sweep", "--slab-shard", "16", "-v"])
-    assert args.slab_shard == 16
-    assert args.verbose is True
-    defaults = parser.parse_args(["sweep"])
-    assert defaults.slab_shard is None
-    assert defaults.verbose is False
+    assert parser.parse_args(["sweep", "-v"]).verbose is True
+    assert parser.parse_args(["sweep"]).verbose is False
+    # The shard size is always the planner's: there is no override flag.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "--slab-shard", "16"])
 
 
 def test_cli_cache_stats_by_engine(tmp_path, capsys):
     rc = main(["cache", "stats", "--by-engine", "--dir", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    for engine in ("fast", "detailed", "batch"):
+    for engine in ("fast", "batch"):
         assert f"{engine} entries" in out
         assert f"{engine} bytes" in out
+    assert "detailed entries" not in out  # no run is cached on it
     # Without the flag the breakdown stays out of the table.
     assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
     assert "batch entries" not in capsys.readouterr().out

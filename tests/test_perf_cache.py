@@ -89,41 +89,41 @@ def test_default_dir_honours_env(monkeypatch, tmp_path):
 def test_miss_then_hit_round_trips_exactly(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)
-    assert cache.get(key) is None
+    assert cache.get_many([key]) == [None]
     result = fake_result()
-    cache.put(key, result)
-    got = cache.get(key)
+    cache.put_many([(key, result, "fast")])
+    (got,) = cache.get_many([key])
     assert got is not None
     assert got.to_dict() == result.to_dict()
     assert cache.stats() == {
         "hits": 1,
         "misses": 1,
         "puts": 1,
-        "batched_gets": 0,
-        "batched_puts": 0,
+        "batched_gets": 2,
+        "batched_puts": 1,
     }
 
 
 def test_corrupt_entry_is_a_miss(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)
-    cache.put(key, fake_result())
+    cache.put_many([(key, fake_result(), "fast")])
     (tmp_path / f"{key}.json").write_text("{ truncated")
-    assert cache.get(key) is None
+    assert cache.get_many([key]) == [None]
 
 
 def test_clear_removes_entries(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)
-    cache.put(key, fake_result())
+    cache.put_many([(key, fake_result(), "fast")])
     assert cache.clear() == 1
-    assert cache.get(key) is None
+    assert cache.get_many([key]) == [None]
 
 
 def test_entry_file_is_json_with_format_tag(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)
-    cache.put(key, fake_result())
+    cache.put_many([(key, fake_result(), "fast")])
     payload = json.loads((tmp_path / f"{key}.json").read_text())
     assert payload["cache_format"] == 1
     assert payload["result"]["throughput"] == 0.5
@@ -147,11 +147,11 @@ def test_concurrent_writers_never_publish_a_torn_entry(tmp_path, run_desc):
 
     def writer():
         for _ in range(50):
-            cache.put(key, result)
+            cache.put_many([(key, result, "fast")])
 
     def reader():
         while not stop.is_set():
-            got = cache.get(key)
+            (got,) = cache.get_many([key])
             if got is not None and got.to_dict() != expected:
                 torn.append(got)
 
@@ -167,7 +167,7 @@ def test_concurrent_writers_never_publish_a_torn_entry(tmp_path, run_desc):
     assert torn == []
     # No stray temp files survive a clean run, and the entry is intact.
     assert list(tmp_path.glob("*.tmp")) == []
-    assert cache.get(key).to_dict() == expected
+    assert cache.get_many([key])[0].to_dict() == expected
     assert cache.stats()["puts"] == 200
 
 
@@ -181,10 +181,10 @@ def test_put_failure_leaves_no_temp_file(tmp_path, run_desc, monkeypatch):
 
     monkeypatch.setattr("repro.perf.cache.os.replace", boom)
     with pytest.raises(OSError):
-        cache.put(key, fake_result())
+        cache.put_many([(key, fake_result(), "fast")])
     monkeypatch.undo()
     assert list(tmp_path.glob("*.tmp")) == []
-    assert cache.get(key) is None  # nothing was published
+    assert cache.get_many([key]) == [None]  # nothing was published
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +204,7 @@ def test_get_many_is_positional_and_counts_once(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     keys = batch_keys(cache, run_desc, n=3)
     results = [fake_result(throughput=0.1 * (i + 1)) for i in range(3)]
-    cache.put(keys[0], results[0])
-    cache.put(keys[2], results[2])
+    cache.put_many([(keys[0], results[0], "fast"), (keys[2], results[2], "fast")])
 
     got = cache.get_many(keys)
     assert got[0].to_dict() == results[0].to_dict()
@@ -220,7 +219,7 @@ def test_get_many_is_positional_and_counts_once(tmp_path, run_desc):
 def test_get_many_treats_corrupt_entries_as_misses(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     keys = batch_keys(cache, run_desc, n=2)
-    cache.put(keys[0], fake_result())
+    cache.put_many([(keys[0], fake_result(), "fast")])
     (tmp_path / f"{keys[0]}.json").write_text("{ truncated")
     assert cache.get_many(keys) == [None, None]
 
@@ -233,8 +232,8 @@ def test_put_many_round_trips_and_counts_once(tmp_path, run_desc):
         for i in range(3)
     ]
     assert cache.put_many(items) == 3
-    for key, result, _ in items:
-        assert cache.get(key).to_dict() == result.to_dict()
+    for (key, result, _), got in zip(items, cache.get_many(keys)):
+        assert got.to_dict() == result.to_dict()
         assert json.loads((tmp_path / f"{key}.json").read_text())["engine"] == "batch"
     stats = cache.stats()
     assert stats["puts"] == 3
@@ -250,7 +249,7 @@ def test_put_many_rejects_unknown_engine_before_writing(tmp_path, run_desc):
         cache.put_many(
             [(keys[0], fake_result(), "fast"), (keys[1], fake_result(), "warp")]
         )
-    assert cache.get(keys[0]) is None  # validation precedes any I/O
+    assert cache.get_many(keys[:1]) == [None]  # validation precedes any I/O
     assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -308,9 +307,9 @@ def test_put_many_publish_failure_leaves_complete_prefix(
         cache.put_many(items)
     monkeypatch.undo()
     # Exactly the first entry was published, and it is complete.
-    assert cache.get(keys[0]).to_dict() == items[0][1].to_dict()
-    assert cache.get(keys[1]) is None
-    assert cache.get(keys[2]) is None
+    first, second, third = cache.get_many(keys)
+    assert first.to_dict() == items[0][1].to_dict()
+    assert second is None and third is None
     payload = json.loads((tmp_path / f"{keys[0]}.json").read_text())
     assert payload["cache_format"] == 1
     assert list(tmp_path.glob("*.tmp")) == []
@@ -325,28 +324,29 @@ def test_put_many_publish_failure_leaves_complete_prefix(
 def test_persistent_counters_accumulate_across_instances(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)
-    cache.get(key)  # miss
-    cache.put(key, fake_result())
-    cache.get(key)  # hit
+    cache.get_many([key])  # miss
+    cache.put_many([(key, fake_result(), "fast")])
+    cache.get_many([key])  # hit
     totals = cache.flush_counters()
-    base = {"batched_gets": 0, "batched_puts": 0}
-    assert totals == {"hits": 1, "misses": 1, "puts": 1, **base}
+    batched = {"batched_gets": 2, "batched_puts": 1}
+    assert totals == {"hits": 1, "misses": 1, "puts": 1, **batched}
     # Session counters reset: a second flush adds nothing.
     assert cache.flush_counters() == totals
     # A fresh instance sees the persisted totals and merges its own.
     other = RunCache(tmp_path)
-    other.get(key)  # hit
-    assert other.flush_counters() == {"hits": 2, "misses": 1, "puts": 1, **base}
-    assert other.persistent_stats() == {"hits": 2, "misses": 1, "puts": 1, **base}
+    other.get_many([key])  # hit
+    merged = {"hits": 2, "misses": 1, "puts": 1, **batched, "batched_gets": 3}
+    assert other.flush_counters() == merged
+    assert other.persistent_stats() == merged
 
 
 def test_flush_counters_failure_leaves_no_temp_file(tmp_path, run_desc, monkeypatch):
     """The sidecar goes through the same atomic write as an entry: an
     injected failure leaves the old totals readable and no ``*.tmp``."""
     cache = RunCache(tmp_path)
-    cache.put(cache.key_for(*run_desc), fake_result())
+    cache.put_many([(cache.key_for(*run_desc), fake_result(), "fast")])
     assert cache.flush_counters()["puts"] == 1
-    cache.get(cache.key_for(*run_desc))
+    cache.get_many([cache.key_for(*run_desc)])
 
     def boom(src, dst):
         raise OSError("disk full")
@@ -364,13 +364,13 @@ def test_stage_store_is_accounted_apart_from_the_root(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     stages = cache.stages()
     key = cache.key_for(*run_desc)
-    stages.put(key, fake_result())
-    assert stages.get(key) is not None
+    stages.put_many([(key, fake_result(), "fast")])
+    assert stages.get_many([key]) != [None]
     stages.flush_counters()
     assert stages.root.parent == cache.root
     assert (stages.entry_count(), stages.persistent_stats()["puts"]) == (1, 1)
     assert (cache.entry_count(), cache.disk_bytes()) == (0, 0)
-    assert cache.get(key) is None
+    assert cache.get_many([key]) == [None]
     assert cache.persistent_stats() == dict.fromkeys(
         ("hits", "misses", "puts", "batched_gets", "batched_puts"), 0
     )
@@ -379,7 +379,7 @@ def test_stage_store_is_accounted_apart_from_the_root(tmp_path, run_desc):
 def test_entries_and_size_exclude_stats_sidecar(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     key = cache.key_for(*run_desc)
-    cache.put(key, fake_result())
+    cache.put_many([(key, fake_result(), "fast")])
     cache.flush_counters()
     assert (tmp_path / "_stats.json").exists()
     assert cache.entry_count() == 1
@@ -463,12 +463,36 @@ def test_fast_payload_is_byte_stable_without_engine_fields(run_desc):
 
 
 def test_engine_keyspaces_are_disjoint(run_desc):
+    from repro.perf.cache import ENGINES
+
     config, workload, plan = run_desc
-    keys = {
-        run_cache_key(config, workload, plan, engine=e)
-        for e in ("fast", "detailed", "batch")
-    }
-    assert len(keys) == 3
+    assert ENGINES == ("fast", "batch")
+    keys = {run_cache_key(config, workload, plan, engine=e) for e in ENGINES}
+    assert len(keys) == len(ENGINES)
+    with pytest.raises(CacheError):  # no keyspace nothing writes to
+        run_cache_key(config, workload, plan, engine="detailed")
+
+
+def test_cache_and_job_keys_are_pinned():
+    """Literal content addresses: a change to key derivation, the
+    canonical encoding or the grid expansion shows up here, whatever the
+    cache on disk holds."""
+    from repro.service.spec import JobSpec
+
+    task = SweepSpec(pattern="uniform", loads=(0.5,), policies=("P-B",)).tasks()[0]
+    args = (task.config, task.workload, task.plan)
+    assert run_cache_key(*args) == (
+        "3cc1237353a3d772c7fd0d303c60f84fd317cd5a5cf1c94f17690bd2abf64566"
+    )
+    assert run_cache_key(*args, engine="batch") == (
+        "e2a14d2b087ab82ffb6d8735041bb83f70fd95fe03e00422409d95de76e90df4"
+    )
+    assert JobSpec().job_key() == (
+        "b36b3c474c6aa7737962e4d9bfbb768e6388ddd63579cd147b045e965598666c"
+    )
+    assert JobSpec(engine="batch").job_key() == (
+        "e3a40d07f0f7b3c01e784640520e32621c96fa997f6befee5c232ac36dce7bcb"
+    )
 
 
 def test_batch_key_tracks_batch_kernel_version(run_desc, monkeypatch):
@@ -486,7 +510,7 @@ def test_unknown_engine_raises(run_desc, tmp_path):
     with pytest.raises(CacheError):
         run_cache_key(config, workload, plan, engine="warp")
     with pytest.raises(CacheError):
-        RunCache(tmp_path).put("deadbeef", fake_result(), engine="warp")
+        RunCache(tmp_path).put_many([("deadbeef", fake_result(), "warp")])
 
 
 def test_by_engine_stats_breaks_down_entries(tmp_path, run_desc):
@@ -494,13 +518,12 @@ def test_by_engine_stats_breaks_down_entries(tmp_path, run_desc):
     cache = RunCache(tmp_path)
     fast_key = cache.key_for(config, workload, plan)
     batch_key = cache.key_for(config, workload, plan, engine="batch")
-    cache.put(fast_key, fake_result())
-    cache.put(batch_key, fake_result(), engine="batch")
+    cache.put_many([(fast_key, fake_result(), "fast")])
+    cache.put_many([(batch_key, fake_result(), "batch")])
     stats = cache.by_engine_stats()
-    assert set(stats) >= {"fast", "detailed", "batch"}
+    assert set(stats) == {"fast", "batch"}
     assert stats["fast"]["entries"] == 1 and stats["fast"]["bytes"] > 0
     assert stats["batch"]["entries"] == 1 and stats["batch"]["bytes"] > 0
-    assert stats["detailed"] == {"entries": 0, "bytes": 0}
 
 
 def test_by_engine_stats_counts_untagged_entries_as_fast(tmp_path):
@@ -516,6 +539,6 @@ def test_entry_files_carry_engine_tag(tmp_path, run_desc):
     config, workload, plan = run_desc
     cache = RunCache(tmp_path)
     key = cache.key_for(config, workload, plan, engine="batch")
-    cache.put(key, fake_result(), engine="batch")
+    cache.put_many([(key, fake_result(), "batch")])
     data = json.loads((tmp_path / f"{key}.json").read_text())
     assert data["engine"] == "batch"

@@ -163,6 +163,51 @@ def test_run_cached_reports_hits_first_and_stores_misses_in_chunks(
     assert bare[0].to_dict() == results[0].to_dict()
 
 
+@pytest.mark.parametrize("engine", ["fast", "batch"])
+def test_all_hit_run_cached_starts_no_pool_and_builds_no_engine(
+    tmp_path, monkeypatch, engine
+):
+    import repro.perf.executor as executor_mod
+    from repro.core.batch import BatchEngine
+    from repro.core.engine import FastEngine
+    from repro.perf.cache import RunCache
+
+    tasks = tiny_spec().tasks()
+    cache = RunCache(tmp_path)
+    warm, _ = executor_mod.run_cached(tasks, cache=cache, engine=engine)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an all-hit call started a pool or an engine")
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(FastEngine, "__init__", forbidden)
+    monkeypatch.setattr(BatchEngine, "__init__", forbidden)
+    replay, _ = executor_mod.run_cached(
+        tasks, cache=cache, jobs=2, engine=engine
+    )
+    assert [r.to_dict() for r in replay] == [r.to_dict() for r in warm]
+
+
+@pytest.mark.parametrize("engine", ["detailed", "bogus"])
+def test_run_cached_rejects_unknown_engine_before_any_cache_io(
+    tmp_path, engine
+):
+    """Only the engines of ``ENGINES`` reach an executor; anything else
+    raises before a key is computed, a lookup counted or an entry written
+    (it used to run the fast engine and store under the fast key)."""
+    from repro.errors import ConfigurationError
+    from repro.perf.cache import RunCache
+    from repro.perf.executor import run_cached
+
+    cache = RunCache(tmp_path)
+    with pytest.raises(ConfigurationError, match=engine):
+        run_cached(tiny_spec().tasks()[:1], cache=cache, engine=engine)
+    assert cache.entry_count() == 0
+    assert set(cache.stats().values()) == {0}
+    with pytest.raises(ConfigurationError):
+        run_sweep(tiny_spec(), engine=engine)
+
+
 # ----------------------------------------------------------------------
 # Sharded batch execution: hooks and error paths
 # ----------------------------------------------------------------------
@@ -185,33 +230,63 @@ def mixed_tasks():
     return tasks
 
 
-def test_on_result_fires_exactly_once_in_task_order_within_shard():
+@pytest.fixture()
+def three_run_shards(monkeypatch):
+    """Clamp the planner to 3-run batch shards at every ``jobs``."""
+    import repro.perf.shards as shards
+
+    monkeypatch.setattr(shards, "SLAB_CAP", 3)
+    monkeypatch.setattr(shards, "MIN_SHARD", 3)
+
+
+def one_run_reference(tasks):
+    """Each covered task on a one-run slab, each uncovered one scalar:
+    what every shard layout must reproduce row for row."""
+    from repro.core.batch import BatchEngine, coverage_gap
+
+    return [
+        BatchEngine([(t.config, t.workload, t.plan)]).run()[0]
+        if coverage_gap(t.config, t.workload, t.plan) is None
+        else execute_run(t)
+        for t in tasks
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_on_result_fires_exactly_once_in_task_order_within_shard(
+    jobs, three_run_shards
+):
     from repro.perf.executor import run_sweep_batched
     from repro.perf.shards import plan_shards
 
     tasks = mixed_tasks()
-    plan = plan_shards(tasks, jobs=1, slab_shard=3)
+    plan = plan_shards(tasks, jobs=jobs)
+    assert len(plan.batch_shards) >= 2 and plan.scalar_indices
     seen = []
     results = run_sweep_batched(
-        tasks, jobs=1, slab_shard=3, on_result=lambda i, r: seen.append(i)
+        tasks, jobs=jobs, on_result=lambda i, r: seen.append((i, r))
     )
-    assert sorted(seen) == list(range(len(tasks)))  # exactly once each
-    # Within every shard, delivery follows task order.
-    position = {index: pos for pos, index in enumerate(seen)}
-    for shard in plan.shards:
+    assert sorted(i for i, _ in seen) == list(range(len(tasks)))  # once each
+    # Within every batch shard, delivery follows task order.
+    position = {index: pos for pos, (index, _) in enumerate(seen)}
+    for shard in plan.batch_shards:
         shard_positions = [position[i] for i in shard.indices]
         assert shard_positions == sorted(shard_positions), shard
-    assert all(r is not None for r in results)
+    # Each result lands in its own slot, and the hook saw the same one.
+    expected = [r.to_dict() for r in one_run_reference(tasks)]
+    assert [r.to_dict() for r in results] == expected
+    assert [r.to_dict() for _, r in sorted(seen, key=lambda x: x[0])] == expected
 
 
-def test_on_shard_reports_layout_and_transport():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_on_shard_reports_layout_and_transport(jobs, three_run_shards):
     from repro.perf.executor import run_sweep_batched
     from repro.perf.shards import plan_shards
 
     tasks = mixed_tasks()
-    plan = plan_shards(tasks, jobs=1, slab_shard=3)
+    plan = plan_shards(tasks, jobs=jobs)
     reports = []
-    run_sweep_batched(tasks, jobs=1, slab_shard=3, on_shard=reports.append)
+    run_sweep_batched(tasks, jobs=jobs, on_shard=reports.append)
 
     batch_reports = [r for r in reports if r.kind == "batch"]
     scalar_reports = [r for r in reports if r.kind == "scalar"]
@@ -226,14 +301,12 @@ def test_on_shard_reports_layout_and_transport():
 
 def _check_fallback_rescues_shard(jobs):
     """A batch shard that raises must be transparently re-run scalar."""
-    import pytest
-
     from repro.core.batch import BatchEngine
     from repro.perf.executor import run_sweep_batched
     from repro.perf.shards import plan_shards
 
     tasks = mixed_tasks()
-    plan = plan_shards(tasks, jobs=jobs, slab_shard=3)
+    plan = plan_shards(tasks, jobs=jobs)
     # The failure is keyed on shard *content* (the shard holding the
     # uniform load=0.2 point) so it triggers deterministically in the
     # parent and in forked pool workers alike.
@@ -246,7 +319,7 @@ def _check_fallback_rescues_shard(jobs):
             for i in s.indices
         )
     ]
-    baseline = run_sweep_batched(tasks, jobs=1, slab_shard=3)
+    baseline = run_sweep_batched(tasks, jobs=1)
     expected = [
         execute_run(t) if i in doomed.indices else baseline[i]
         for i, t in enumerate(tasks)
@@ -275,7 +348,6 @@ def _check_fallback_rescues_shard(jobs):
         results = run_sweep_batched(
             tasks,
             jobs=jobs,
-            slab_shard=3,
             on_result=lambda i, r: seen.append(i),
             on_shard=reports.append,
         )
@@ -293,9 +365,9 @@ def _check_fallback_rescues_shard(jobs):
     assert "injected shard failure" in fallbacks[0].error
 
 
-def test_failed_shard_falls_back_to_scalar_inline():
+def test_failed_shard_falls_back_to_scalar_inline(three_run_shards):
     _check_fallback_rescues_shard(jobs=1)
 
 
-def test_failed_shard_falls_back_to_scalar_in_pool():
+def test_failed_shard_falls_back_to_scalar_in_pool(three_run_shards):
     _check_fallback_rescues_shard(jobs=2)

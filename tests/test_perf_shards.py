@@ -1,10 +1,11 @@
-"""Shard planning is a pure, deterministic function of (tasks, jobs, size).
+"""Shard planning is a pure, deterministic function of (tasks, jobs).
 
 The plan is scheduling metadata only — the executor and bench gate that
 layout never changes result bits — so these tests pin the planning
 contract itself: the shard-size heuristic's clamps, slab-boundary
 respect, task-order preservation within shards, and the stability of the
-plan across repeated calls.
+plan across repeated calls.  Tests that need narrow shards clamp the
+planner through its module constants, as any layout experiment must.
 """
 
 import pytest
@@ -25,6 +26,15 @@ from repro.perf.shards import (
 from repro.traffic.workload import WorkloadSpec
 
 TINY_PLAN = MeasurementPlan(warmup=200, measure=600, drain_limit=1500)
+
+
+@pytest.fixture()
+def two_run_shards(monkeypatch):
+    """Clamp the planner to 2-run batch shards at every ``jobs``."""
+    import repro.perf.shards as shards
+
+    monkeypatch.setattr(shards, "SLAB_CAP", 2)
+    monkeypatch.setattr(shards, "MIN_SHARD", 2)
 
 
 def make_tasks(loads=(0.2, 0.3, 0.4), policies=("NP-NB", "P-B"), patterns=("uniform",)):
@@ -69,33 +79,23 @@ def test_zero_covered_is_well_defined():
     assert effective_shard_size(covered=0, jobs=4) == SLAB_CAP
 
 
-def test_override_wins_and_is_clamped():
-    assert effective_shard_size(covered=144, jobs=4, slab_shard=3) == 3
-    assert effective_shard_size(covered=144, jobs=1, slab_shard=7) == 7
-    assert (
-        effective_shard_size(covered=144, jobs=4, slab_shard=SLAB_CAP * 10)
-        == SLAB_CAP
-    )
-    with pytest.raises(ValueError):
-        effective_shard_size(covered=144, jobs=4, slab_shard=0)
-
-
 # ----------------------------------------------------------------------
 # plan_shards
 # ----------------------------------------------------------------------
-def test_plan_covers_every_index_exactly_once():
+def test_plan_covers_every_index_exactly_once(two_run_shards):
     tasks = make_tasks(patterns=("uniform", "complement"))
-    plan = plan_shards(tasks, jobs=2, slab_shard=2)
+    plan = plan_shards(tasks, jobs=2)
+    assert plan.shard_size == 2
     seen = [i for shard in plan.shards for i in shard.indices]
     assert sorted(seen) == list(range(len(tasks)))
     assert plan.covered_runs + len(plan.scalar_indices) == len(tasks)
 
 
-def test_shards_never_cross_slab_boundaries():
+def test_shards_never_cross_slab_boundaries(two_run_shards):
     from repro.core.batch import slab_key
 
     tasks = make_tasks(patterns=("uniform", "complement"))
-    plan = plan_shards(tasks, jobs=4, slab_shard=2)
+    plan = plan_shards(tasks, jobs=4)
     for shard in plan.batch_shards:
         keys = {
             slab_key(tasks[i].config, tasks[i].workload, tasks[i].plan)
@@ -104,17 +104,17 @@ def test_shards_never_cross_slab_boundaries():
         assert len(keys) == 1, shard
 
 
-def test_shard_indices_keep_task_order():
+def test_shard_indices_keep_task_order(two_run_shards):
     tasks = make_tasks()
-    plan = plan_shards(tasks, jobs=2, slab_shard=2)
+    plan = plan_shards(tasks, jobs=2)
     for shard in plan.batch_shards:
         assert list(shard.indices) == sorted(shard.indices)
 
 
-def test_plan_is_deterministic():
+def test_plan_is_deterministic(two_run_shards):
     tasks = make_tasks(patterns=("uniform", "complement"))
-    a = plan_shards(tasks, jobs=3, slab_shard=2)
-    b = plan_shards(tasks, jobs=3, slab_shard=2)
+    a = plan_shards(tasks, jobs=3)
+    b = plan_shards(tasks, jobs=3)
     assert a == b
 
 
@@ -139,20 +139,13 @@ def test_uncovered_tasks_land_in_one_trailing_scalar_shard():
     assert all(s.kind == "batch" for s in plan.shards[:-1])
 
 
-def test_describe_and_to_dict_summarize_layout():
+def test_describe_summarizes_layout(two_run_shards):
     tasks = make_tasks()
-    plan = plan_shards(tasks, jobs=2, slab_shard=2)
+    plan = plan_shards(tasks, jobs=2)
     text = plan.describe()
-    assert text.startswith("shard plan:")
-    assert "--slab-shard 2" in text
-    assert "jobs=2" in text
-    d = plan.to_dict()
-    assert d["covered_runs"] == len(tasks)
-    assert d["batch_shards"] == len(plan.batch_shards)
-    assert d["requested_shard"] == 2
-
-    heuristic = plan_shards(tasks, jobs=1).describe()
-    assert "heuristic" in heuristic
+    assert text.startswith(f"shard plan: {len(tasks)} covered runs in ")
+    assert f"{len(plan.batch_shards)} batch shard(s) of <= 2 runs" in text
+    assert "0 scalar fallback run(s) on jobs=2" in text
 
 
 def test_shard_spec_rejects_unknown_kind():

@@ -219,4 +219,4 @@ def test_ablation_point_is_keyed_like_the_same_run_built_by_hand(tmp_path):
     )
     by_hand = run_cache_key(*run)
     assert [path.stem for path in cache.entries()] == [by_hand]
-    assert cache.get(by_hand).to_dict() == FastEngine(*run).run().to_dict()
+    assert cache.get_many([by_hand])[0].to_dict() == FastEngine(*run).run().to_dict()
