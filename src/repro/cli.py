@@ -3,7 +3,7 @@
 ::
 
     erapid run       --pattern complement --policy P-B --load 0.5
-    erapid profile   --pattern uniform --load 0.4 [--engine fast|detailed|batch] [--top 25]
+    erapid profile   --pattern uniform --load 0.4 [--engine fast|batch|detailed] [--top 25]
     erapid sweep     --pattern uniform --loads 0.1,0.3,0.5 [--jobs N] [--engine fast|batch] [-v] [--csv out.csv]
     erapid reproduce --out results/ [--jobs N] [--no-cache] [--engine fast|batch]
     erapid fig3
@@ -16,6 +16,10 @@
     erapid jobs      --spool DIR [--job KEY] [--wait S]
 
 (Also runnable as ``python -m repro``.)
+
+Every ``--engine`` flag takes its choices from the engine table,
+:data:`repro.perf.engines.ENGINES`: ``profile`` offers every engine,
+``sweep``, ``reproduce`` and ``submit`` the cached ones.
 """
 
 from __future__ import annotations
@@ -23,17 +27,27 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.erapid import ERapidSystem
 from repro.core.policies import POLICIES
 from repro.metrics.collector import MeasurementPlan
 from repro.metrics.report import format_kv
-from repro.perf.cache import ENGINES
+from repro.perf.engines import CACHED, DEFAULT_ENGINE, ENGINES
 from repro.traffic.patterns import PATTERNS
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = ["main", "build_parser"]
+
+
+def _engine_flag(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    """The one ``--engine`` option; ``names`` come from the engine table."""
+    parser.add_argument(
+        "--engine", default=DEFAULT_ENGINE, choices=names,
+        help="engine that runs the points: the event-driven fast engine "
+        "(default), the vectorized batch engine (a point it does not cover "
+        "runs on fast) or the flit-level detailed engine (profile only)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,12 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=1)
     prof.add_argument("--warmup", type=float, default=2000)
     prof.add_argument("--measure", type=float, default=6000)
-    prof.add_argument(
-        "--engine", default="fast", choices=("fast", "detailed", "batch"),
-        help="which engine to profile: the event-driven fast engine, the "
-        "cycle-synchronous flit-level detailed engine, or the vectorized "
-        "batch engine as a one-run slab (default: fast)",
-    )
+    _engine_flag(prof, tuple(ENGINES))
     prof.add_argument(
         "--top", type=int, default=25,
         help="rows of the cumulative-time table to print (default: 25)",
@@ -89,12 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the (policy x load) matrix in N worker processes "
         "(bit-identical to serial)",
     )
-    sweep.add_argument(
-        "--engine", default="fast", choices=ENGINES,
-        help="sweep engine: scalar fast engine (default) or the vectorized "
-        "batch engine (statistically equivalent, order-of-magnitude faster "
-        "on large grids; --jobs shards covered slabs across workers)",
-    )
+    _engine_flag(sweep, CACHED)
     sweep.add_argument(
         "-v", "--verbose", action="store_true",
         help="print the effective shard plan before running (batch engine)",
@@ -120,11 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the content-addressed run cache "
         "($ERAPID_CACHE_DIR or ~/.cache/erapid/runs)",
     )
-    repro_cmd.add_argument(
-        "--engine", default="fast", choices=ENGINES,
-        help="sweep-stage engine: scalar fast engine (default) or the "
-        "vectorized batch engine with scalar fallback",
-    )
+    _engine_flag(repro_cmd, CACHED)
 
     rwa = sub.add_parser("rwa", help="print the static RWA (Figure 1)")
     rwa.add_argument("--boards", type=int, default=4)
@@ -221,10 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority", default="", choices=("", "interactive", "bulk"),
         help="queue priority (default: interactive for run, bulk for sweep)",
     )
-    submit.add_argument(
-        "--engine", default="fast", choices=ENGINES,
-        help="execution engine for the job's runs (default: fast)",
-    )
+    _engine_flag(submit, CACHED)
 
     jobs_cmd = sub.add_parser(
         "jobs", help="list or inspect jobs mirrored in a serve spool"
@@ -277,121 +274,54 @@ def main(argv: Optional[List[str]] = None) -> int:
         import pstats
         import time
 
-        plan = MeasurementPlan(
-            warmup=args.warmup, measure=args.measure, drain_limit=2 * args.measure
+        from repro.core.config import ERapidConfig
+        from repro.network.topology import ERapidTopology
+
+        entry = ENGINES[args.engine]
+        config = ERapidConfig(
+            topology=ERapidTopology(boards=args.boards, nodes_per_board=args.nodes),
+            policy=POLICIES[args.policy],
+            seed=args.seed,
         )
         workload = WorkloadSpec(
             pattern=args.pattern, load=args.load, seed=args.seed
         )
+        plan = MeasurementPlan(
+            warmup=args.warmup, measure=args.measure, drain_limit=2 * args.measure
+        )
+        gap = entry.covers(config, workload, plan)
+        if gap is not None:
+            print(
+                f"erapid profile: the {args.engine} engine does not cover this "
+                f"point ({gap})",
+                file=sys.stderr,
+            )
+            return 2
         profiler = cProfile.Profile()
-        if args.engine == "batch":
-            from repro.core.batch import BatchEngine, coverage_gap
-            from repro.core.config import ERapidConfig
-            from repro.network.topology import ERapidTopology
-
-            config = ERapidConfig(
-                topology=ERapidTopology(
-                    boards=args.boards, nodes_per_board=args.nodes
-                ),
-                policy=POLICIES[args.policy],
-                seed=args.seed,
-            )
-            gap = coverage_gap(config, workload, plan)
-            if gap is not None:
-                print(
-                    f"erapid profile: the batch engine does not cover this "
-                    f"point ({gap})",
-                    file=sys.stderr,
-                )
-                return 2
-            batch = BatchEngine([(config, workload, plan)])
-            start = time.perf_counter()
-            profiler.enable()
-            result = batch.run()[0]
-            profiler.disable()
-            elapsed = time.perf_counter() - start
-            describe = (
-                f"R(1,{args.boards},{args.nodes}) batch engine "
-                f"[{args.policy}] (1-run slab)"
-            )
-            delivered = result.labeled_delivered
-            flits = None
-            events = 0
-        elif args.engine == "detailed":
-            from repro.core.config import ERapidConfig
-            from repro.core.detailed import DetailedEngine
-            from repro.network.topology import ERapidTopology
-
-            policy = POLICIES[args.policy]
-            if policy.dbr:
-                print(
-                    f"erapid profile: the detailed engine cannot run DBR "
-                    f"policy {args.policy!r}; use --policy P-NB or NP-NB",
-                    file=sys.stderr,
-                )
-                return 2
-            config = ERapidConfig(
-                topology=ERapidTopology(
-                    boards=args.boards, nodes_per_board=args.nodes
-                ),
-                policy=policy,
-                seed=args.seed,
-            )
-            detailed = DetailedEngine(config, workload, plan)
-            start = time.perf_counter()
-            profiler.enable()
-            detailed.run()
-            profiler.disable()
-            elapsed = time.perf_counter() - start
-            describe = (
-                f"R(1,{args.boards},{args.nodes}) detailed engine "
-                f"[{policy.name}]"
-            )
-            delivered = sum(
-                s.packets_received for s in detailed.sink_nis.values()
-            )
-            flits = sum(r.flits_routed for r in detailed.routers)
-            events = int(detailed.sim.event_count)
-        else:
-            system = ERapidSystem.build(
-                boards=args.boards, nodes_per_board=args.nodes,
-                policy=args.policy, seed=args.seed,
-            )
-            start = time.perf_counter()
-            profiler.enable()
-            system.run(workload, plan)
-            profiler.disable()
-            elapsed = time.perf_counter() - start
-            engine = system.last_engine
-            assert engine is not None
-            describe = system.describe()
-            delivered = sum(
-                n.delivered for b in engine.boards for n in b.nodes
-            )
-            flits = None
-            events = int(engine.sim.event_count)
+        start = time.perf_counter()
+        profiler.enable()
+        result, counters = entry.profile(config, workload, plan)
+        profiler.disable()
+        elapsed = time.perf_counter() - start
         buf = io.StringIO()
         stats = pstats.Stats(profiler, stream=buf)
         stats.sort_stats("cumulative").print_stats(args.top)
         print(buf.getvalue().rstrip())
         print()
         summary = {
-            "system": describe,
+            "system": f"{config.describe()} on the {args.engine} engine",
             "workload": f"{args.pattern} @ {args.load} N_c",
             "wall time (s)": elapsed,
-            "packets delivered": delivered,
-            "events executed": events,
-            "packets/sec": delivered / elapsed if elapsed > 0 else 0.0,
-            "events/sec": events / elapsed if elapsed > 0 else 0.0,
         }
-        if flits is not None:
-            summary["flits routed"] = flits
-            summary["flits/sec"] = flits / elapsed if elapsed > 0 else 0.0
-        if args.engine == "batch" and batch.telemetry is not None:
-            tel = batch.telemetry
-            summary["cycles executed"] = tel.cycles_executed
-            summary["cycles skipped"] = tel.cycles_skipped
-            summary["skip ratio"] = tel.skip_ratio
+        delivered = result.labeled_delivered
+        for label, value, per_sec in [
+            ("labeled packets delivered", delivered, "labeled packets/sec"),
+            ("events executed", int(result.extra["events"]), "events/sec"),
+            *counters,
+        ]:
+            summary[label] = value
+            if per_sec is not None:
+                summary[per_sec] = value / elapsed if elapsed > 0 else 0.0
         print(format_kv(summary, title="== profile summary =="))
         return 0
 
@@ -412,10 +342,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"power={result.power_mw:.1f}mW"
             )
 
-        if args.engine == "batch" and args.verbose:
-            from repro.perf.shards import plan_shards
-
-            print(plan_shards(spec.tasks(), jobs=args.jobs).describe())
+        shard_plan = ENGINES[args.engine].plan
+        if args.verbose and shard_plan is not None:
+            print(shard_plan(spec.tasks(), jobs=args.jobs).describe())
         panel = FigurePanel.run(
             spec, progress=sweep_progress, jobs=args.jobs, engine=args.engine
         )

@@ -50,7 +50,7 @@ enforces field-for-field on :class:`RunResult`.
 from __future__ import annotations
 
 from math import inf
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.config import ERapidConfig
 from repro.core.dpm import DpmAction, LinkWindowStats, dpm_decide
@@ -71,7 +71,17 @@ from repro.sim.queues import MonitoredStore
 from repro.traffic.injection import TrafficSource
 from repro.traffic.workload import WorkloadSpec
 
-__all__ = ["DetailedEngine"]
+__all__ = ["DetailedEngine", "coverage_gap"]
+
+
+def coverage_gap(config: ERapidConfig, *_: object) -> Optional[str]:
+    """Why a run point cannot run on the detailed engine (None = it can)."""
+    if not config.policy.dbr:
+        return None
+    return (
+        "the detailed engine models the static wavelength allocation and "
+        f"cannot run DBR policy {config.policy.name!r}; use the fast engine"
+    )
 
 
 class _ClockedTxSink(ClockedSinkNI):
@@ -183,11 +193,8 @@ class DetailedEngine:
         workload: WorkloadSpec,
         plan: MeasurementPlan = MeasurementPlan(),
     ) -> None:
-        if config.policy.dbr:
-            raise ConfigurationError(
-                "the detailed engine models the static wavelength allocation; "
-                "run DBR policies on the fast engine"
-            )
+        if (gap := coverage_gap(config)) is not None:
+            raise ConfigurationError(gap)
         self.config = config
         self.topology = config.topology
         self.workload = workload

@@ -28,6 +28,7 @@ from repro.metrics.timeseries import ChannelProbe, ProbeSample
 from repro.network.packet import PacketFactory
 from repro.network.topology import ERapidTopology
 from repro.perf.cache import RunCache, canonical_payload
+from repro.perf.engines import DEFAULT_ENGINE
 from repro.sim.rng import RngRegistry
 from repro.traffic.injection import ProfiledBernoulliProcess, TrafficSource
 from repro.traffic.workload import WorkloadSpec
@@ -182,7 +183,7 @@ def run_fig3(
     for name, run, key, result in zip(POLICIES, runs, keys, found):
         if result is None:
             result = run.execute()
-            fresh.append((key, result, "fast"))
+            fresh.append((key, result, DEFAULT_ENGINE))
         out[name] = result
     cache.put_many(fresh)
     return out

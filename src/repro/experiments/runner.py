@@ -35,6 +35,7 @@ from repro.experiments.sweep import SweepSpec, run_sweep_matrix
 from repro.experiments.table1 import render_table1, table1_checks
 from repro.metrics.collector import MeasurementPlan, RunResult
 from repro.perf.cache import RunCache
+from repro.perf.engines import DEFAULT_ENGINE
 
 __all__ = ["reproduce_all", "FIGURE_PATTERNS"]
 
@@ -63,7 +64,7 @@ def reproduce_all(
     log: Callable[[str], None] = print,
     jobs: int = 1,
     cache: Union[bool, RunCache, None] = True,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, Path]:
     """Run every experiment; returns {artifact name: path}.
 
@@ -128,7 +129,7 @@ def reproduce_all(
 
     start = perf_counter()
     mode = f"jobs={jobs}" if jobs > 1 else "serial"
-    if engine != "fast":
+    if engine != DEFAULT_ENGINE:
         mode = f"{engine} engine, {mode}"
     cache_note = "cached" if run_cache is not None else "no cache"
     log(f"[3/4] Figure 5/6 load sweeps (4 patterns x 4 policies, {mode}, "

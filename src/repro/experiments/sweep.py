@@ -37,6 +37,7 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
+from repro.perf.engines import DEFAULT_ENGINE
 
 __all__ = [
     "SweepSpec",
@@ -114,7 +115,7 @@ def run_sweep(
     progress: Optional[SweepProgress] = None,
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, List[RunResult]]:
     """Run the full (policy × load) matrix; returns {policy: [results]}.
 
@@ -149,7 +150,7 @@ def run_sweep_matrix(
     progress: Optional[MatrixProgress] = None,
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, Dict[str, List[RunResult]]]:
     """Run several sweep panels as one flat (panel × policy × load) batch.
 
@@ -173,10 +174,10 @@ def run_sweep_matrix(
         get_many` lookup), misses are stored after running through
         chunked :meth:`~repro.perf.cache.RunCache.put_many` writes.
     engine:
-        One of :data:`repro.perf.cache.ENGINES` (anything else raises
-        :class:`~repro.errors.ConfigurationError`).  ``"fast"`` (default)
-        runs every point on the scalar
-        :class:`~repro.core.engine.FastEngine`; ``"batch"`` routes points
+        A cached engine of :data:`repro.perf.engines.ENGINES`, whose entry
+        runs the misses (anything else raises :class:`~repro.errors.
+        ConfigurationError`).  ``"fast"`` (default) runs every point on the
+        scalar :class:`~repro.core.engine.FastEngine`; ``"batch"`` routes points
         the vectorized model covers through the sharded
         :func:`repro.perf.executor.run_sweep_batched` path — under
         ``jobs > 1`` covered runs are split into per-worker sub-slabs

@@ -14,8 +14,12 @@ The paper's evaluation is a (pattern × policy × load) matrix of
     ``run_sweep_batched`` routes batch-covered runs through the
     vectorized engine as per-worker sub-slab shards next to scalar
     fallback, with struct-of-arrays result transport and scalar rescue of
-    a shard that raises.  ``run_cached`` puts the run cache in front and
-    is the one place an engine name picks between them.
+    a shard that raises.  ``run_cached`` puts the run cache in front.
+
+``repro.perf.engines``
+    The engine table: ``fast``, ``batch`` and ``detailed`` registered
+    once, read by every ``--engine`` flag, ``run_cached`` and the cache
+    key.
 
 ``repro.perf.shards``
     Shard planning for the sharded batch path: the deterministic
@@ -36,16 +40,6 @@ The paper's evaluation is a (pattern × policy × load) matrix of
     them.
 
 Timing lives outside the package: ``benchmarks/ledger`` is the only
-performance instrument.
+performance instrument.  The package imports none of its modules, so
+importing one (the engine table, say) loads no engine.
 """
-
-from repro.perf.cache import RunCache, default_cache_dir, run_cache_key
-from repro.perf.executor import RunTask, execute_tasks
-
-__all__ = [
-    "RunCache",
-    "RunTask",
-    "default_cache_dir",
-    "execute_tasks",
-    "run_cache_key",
-]

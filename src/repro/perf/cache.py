@@ -55,6 +55,7 @@ from typing import (
 from repro.core.config import ERapidConfig
 from repro.errors import CacheError
 from repro.metrics.collector import MeasurementPlan, RunResult
+from repro.perf.engines import CACHED, DEFAULT_ENGINE, ENGINES
 from repro.power.levels import PowerLevelTable
 from repro.traffic.workload import WorkloadSpec
 
@@ -63,22 +64,12 @@ __all__ = [
     "run_cache_key",
     "default_cache_dir",
     "canonical_payload",
-    "ENGINES",
 ]
 
 #: Bump when the cache entry *format* changes (key derivation or value
 #: encoding) — orthogonal to the kernel version, which tracks simulation
 #: semantics.
 CACHE_FORMAT = 1
-
-#: The engines a run can go through the cache on — the one engine list
-#: (``run_cached``, ``JobSpec`` and the ``--engine`` flags of ``sweep``,
-#: ``reproduce`` and ``submit`` read it).  "fast" is the default and its
-#: keys are byte-for-byte what they were before engines existed (so every
-#: pre-existing entry stays addressable); "batch" folds its name and its
-#: kernel version into the payload, so a batch result can never alias a
-#: scalar entry.
-ENGINES = ("fast", "batch")
 
 _ENV_VAR = "ERAPID_CACHE_DIR"
 
@@ -128,41 +119,38 @@ def canonical_payload(
     config: ERapidConfig,
     workload: WorkloadSpec,
     plan: MeasurementPlan,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> Dict[str, Any]:
     """The full, canonical description of one run (pre-hash).
 
-    ``engine="fast"`` produces *exactly* the historical payload (no
-    ``engine`` field), so scalar keys — and every entry already on disk —
-    are stable across this parameter's introduction.  ``"batch"`` adds
-    its name and :data:`repro.core.batch.BATCH_KERNEL_VERSION` so
-    vectorized-kernel changes invalidate batch entries without touching
-    scalar ones.
+    The engine's entry in :data:`repro.perf.engines.ENGINES` adds its
+    ``key_fields()``.  Fast adds none, so it produces *exactly* the
+    historical payload and every entry already on disk stays addressable;
+    batch adds its name and :data:`repro.core.batch.BATCH_KERNEL_VERSION`,
+    so vectorized-kernel changes invalidate batch entries without touching
+    scalar ones.  An engine that is never cached raises
+    :class:`CacheError`.
     """
     from repro.sim.kernel import KERNEL_VERSION
 
-    if engine not in ENGINES:
+    entry = ENGINES.get(engine)
+    if entry is None or entry.key_fields is None:
         raise CacheError(f"unknown engine keyspace {engine!r}")
-    payload: Dict[str, Any] = {
+    return {
         "cache_format": CACHE_FORMAT,
         "kernel_version": KERNEL_VERSION,
         "config": _canonical(config),
         "workload": _canonical(workload),
         "plan": _canonical(plan),
+        **entry.key_fields(),
     }
-    if engine == "batch":
-        from repro.core.batch import BATCH_KERNEL_VERSION
-
-        payload["engine"] = engine
-        payload["batch_kernel_version"] = BATCH_KERNEL_VERSION
-    return payload
 
 
 def run_cache_key(
     config: ERapidConfig,
     workload: WorkloadSpec,
     plan: MeasurementPlan,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> str:
     """SHA-256 content address of one run."""
     payload = json.dumps(
@@ -266,7 +254,7 @@ class RunCache:
         config: ERapidConfig,
         workload: WorkloadSpec,
         plan: MeasurementPlan,
-        engine: str = "fast",
+        engine: str = DEFAULT_ENGINE,
     ) -> str:
         return run_cache_key(config, workload, plan, engine=engine)
 
@@ -329,7 +317,7 @@ class RunCache:
         :meth:`key_for`).
         """
         for _, _, engine in items:
-            if engine not in ENGINES:
+            if engine not in CACHED:
                 raise CacheError(f"unknown engine keyspace {engine!r}")
         if not items:
             return 0
@@ -390,15 +378,15 @@ class RunCache:
 
         Reads each entry's ``engine`` tag; entries written before tagging
         existed (or whose tag is unreadable) count as ``"fast"`` — exactly
-        the keyspace they were written from.  Every engine of
-        :data:`ENGINES` is always present in the result so callers can
-        render a stable table.
+        the keyspace they were written from.  Every cached engine of
+        :data:`repro.perf.engines.ENGINES` is always present in the result
+        so callers can render a stable table.
         """
         out: Dict[str, Dict[str, int]] = {
-            e: {"entries": 0, "bytes": 0} for e in ENGINES
+            e: {"entries": 0, "bytes": 0} for e in CACHED
         }
         for f in self.entries():
-            engine = "fast"
+            engine = DEFAULT_ENGINE
             try:
                 data = json.loads(f.read_text(encoding="utf-8"))
                 tag = data.get("engine")

@@ -63,7 +63,8 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
-from repro.perf.cache import ENGINES, RunCache
+from repro.perf.cache import RunCache
+from repro.perf.engines import CACHED, DEFAULT_ENGINE, ENGINES
 from repro.perf.shards import ShardPlan, ShardReport, ShardSpec, plan_shards
 from repro.traffic.workload import WorkloadSpec
 
@@ -331,7 +332,7 @@ def run_cached(
     tasks: Sequence[RunTask],
     cache: Optional[RunCache] = None,
     jobs: int = 1,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     on_result: Optional[CachedHook] = None,
     on_shard: Optional[ShardHook] = None,
     execute: Optional[Callable[..., List[RunResult]]] = None,
@@ -339,17 +340,17 @@ def run_cached(
     """Answer ``tasks`` from ``cache``, execute the rest, store what ran.
 
     The one copy of the cached-run loop (load sweeps, ablation stages and
-    service jobs all call it), and the one place an engine name picks an
-    executor.  ``engine`` must be one of
-    :data:`repro.perf.cache.ENGINES`, else :class:`~repro.errors.
+    service jobs all call it).  ``engine`` must be a cached engine of
+    :data:`repro.perf.engines.ENGINES`, else :class:`~repro.errors.
     ConfigurationError` before any key or cache I/O.  Every task's content
     address, one batched :meth:`~repro.perf.cache.RunCache.get_many`, the
-    misses through :func:`execute_tasks` — or, for ``engine="batch"``,
-    :func:`run_sweep_batched` with ``on_shard`` — and the fresh results
-    back through ``put_many`` in chunks of :data:`PUT_CHUNK`.  Keys are
-    engine-aware per task: a point the batch model covers is keyed (and
-    tagged) in the batch keyspace, a fallback point keeps its scalar key
-    — its result *is* a scalar result.
+    misses through the entry's ``execute`` (:func:`execute_tasks` for
+    fast, :func:`run_sweep_batched` with ``on_shard`` for batch), and the
+    fresh results back through ``put_many`` in chunks of
+    :data:`PUT_CHUNK`.  Keys are engine-aware per task: a point the
+    entry's ``covers`` admits is keyed (and tagged) in its keyspace, any
+    other point keeps its fast key — it runs on the fast engine, so its
+    result *is* a fast result.
 
     ``on_result(index, result, cached)`` fires once per task: hits first,
     in task order, then live runs as they complete.  ``execute`` replaces
@@ -357,18 +358,16 @@ def run_cached(
     test seam).  ``cache=None`` only executes.  Returns ``(results,
     keys)`` in task order; keys are ``None`` without a cache.
     """
-    if engine not in ENGINES:
+    entry = ENGINES.get(engine)
+    if entry is None or entry.execute is None:
         raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
+            f"unknown engine {engine!r}; expected one of {', '.join(CACHED)}"
         )
-    engines = ["fast"] * len(tasks)
-    if engine == "batch":
-        from repro.core.batch import coverage_gap
-
-        engines = [
-            "batch" if coverage_gap(t.config, t.workload, t.plan) is None else "fast"
-            for t in tasks
-        ]
+    engines = [
+        engine if entry.covers(t.config, t.workload, t.plan) is None
+        else DEFAULT_ENGINE
+        for t in tasks
+    ]
     keys: List[Optional[str]] = [None] * len(tasks)
     results: List[Optional[RunResult]] = [None] * len(tasks)
     if cache is not None:
@@ -398,10 +397,10 @@ def run_cached(
             on_result(i, result, False)
 
     todo = [tasks[i] for i in missing]
-    if execute is None and engine == "batch":
-        run_sweep_batched(todo, jobs=jobs, on_result=fresh, on_shard=on_shard)
+    if execute is None:
+        entry.execute(todo, jobs=jobs, on_result=fresh, on_shard=on_shard)
     else:
-        (execute or execute_tasks)(todo, jobs=jobs, on_result=fresh)
+        execute(todo, jobs=jobs, on_result=fresh)
     if cache is not None:
         cache.put_many(put_buffer)  # the last, partial chunk (no-op if empty)
     return cast(List[RunResult], results), keys

@@ -12,7 +12,8 @@ to replay and attribute the job:
 * ``counts`` (total / hits / executed), ``sweep_fingerprint`` of the
   results, wall-clock ``timings``, and the subscriber count.
 
-Manifests are written atomically (temp file + ``os.replace``) so a
+Manifests are written atomically (:func:`repro.perf.cache._atomic_write`:
+temp file + ``os.replace``, no temp file left behind on failure) so a
 concurrent reader never sees a torn manifest.  The store root defaults to
 ``$ERAPID_ARTIFACT_DIR`` or ``~/.local/share/erapid``; the append-only
 audit log (:mod:`repro.service.audit`) lives beside the manifests.
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ServiceError
+from repro.perf.cache import _atomic_write
 
 __all__ = ["ArtifactStore", "default_artifact_root", "MANIFEST_FORMAT"]
 
@@ -68,18 +69,13 @@ class ArtifactStore:
         if not isinstance(job_id, str) or not job_id:
             raise ServiceError("manifest needs a non-empty job_id")
         path = self.manifest_path(job_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {"manifest_format": MANIFEST_FORMAT, **manifest},
             sort_keys=True,
             indent=2,
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".manifest-", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-        os.replace(tmp_name, path)
+        # Durability as before: atomic, not fsynced.
+        _atomic_write(path.parent, [(path.name, payload + "\n")], fsync=False)
         return path
 
     def read_manifest(self, job_id: str) -> Dict[str, Any]:

@@ -89,12 +89,12 @@ def execute_job(
 ) -> JobExecution:
     """Execute one job: cache lookups, pool fan-out, result storage.
 
-    ``spec.engine == "batch"`` routes execution through the sharded
-    :func:`repro.perf.executor.run_sweep_batched` path (unless
-    ``execute`` is injected): covered runs are split into per-worker
-    sub-slabs scheduled next to scalar-fallback tasks on one pool, and the
-    resulting shard layout and per-shard timings land in
-    :attr:`JobExecution.shards`.  Cache keys are engine-aware per run —
+    The engine-table entry of ``spec.engine`` runs the misses (unless
+    ``execute`` is injected).  Batch's is the sharded
+    :func:`repro.perf.executor.run_sweep_batched` path: covered runs are
+    split into per-worker sub-slabs scheduled next to scalar-fallback
+    tasks on one pool, and the resulting shard layout and per-shard
+    timings land in :attr:`JobExecution.shards`.  Cache keys are engine-aware per run —
     batch keyspace for points the vectorized model covers, scalar
     keyspace for fallback points.
 

@@ -28,7 +28,7 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import JobSpecError
 from repro.metrics.collector import MeasurementPlan
-from repro.perf.cache import ENGINES
+from repro.perf.engines import CACHED, DEFAULT_ENGINE
 from repro.perf.executor import RunTask, grid_tasks
 from repro.traffic.patterns import PATTERNS
 
@@ -69,9 +69,9 @@ class JobSpec:
     drain_limit: float = 24000.0
     #: "interactive" | "bulk"; empty selects the kind's default.
     priority: str = ""
-    #: One of :data:`repro.perf.cache.ENGINES`: "fast" (scalar) or
-    #: "batch" (vectorized slabs with scalar fallback).
-    engine: str = "fast"
+    #: A cached engine of :data:`repro.perf.engines.ENGINES`: "fast"
+    #: (scalar) or "batch" (vectorized slabs with scalar fallback).
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -107,7 +107,7 @@ class JobSpec:
             )
         if self.priority not in PRIORITIES:
             raise JobSpecError(f"unknown priority {self.priority!r}")
-        if self.engine not in ENGINES:
+        if self.engine not in CACHED:
             raise JobSpecError(f"unknown engine {self.engine!r}")
         # Plan validation happens eagerly so a bad spec is rejected at
         # submission, not mid-execution.
@@ -156,24 +156,16 @@ class JobSpec:
         """Canonical work-defining payload (priority excluded)."""
         from repro.sim.kernel import KERNEL_VERSION
 
-        payload: Dict[str, Any] = {
+        payload = {
             "service_format": SERVICE_FORMAT,
             "kernel_version": KERNEL_VERSION,
-            "kind": self.kind,
-            "pattern": self.pattern,
-            "loads": list(self.loads),
-            "policies": list(self.policies),
-            "boards": self.boards,
-            "nodes_per_board": self.nodes_per_board,
-            "seed": self.seed,
-            "warmup": self.warmup,
-            "measure": self.measure,
-            "drain_limit": self.drain_limit,
+            **self.to_dict(),
         }
+        del payload["priority"]
         # Only non-default engines enter the payload so every historical
         # fast-engine job key stays byte-stable.
-        if self.engine != "fast":
-            payload["engine"] = self.engine
+        if self.engine == DEFAULT_ENGINE:
+            del payload["engine"]
         return payload
 
     def job_key(self) -> str:
@@ -184,20 +176,8 @@ class JobSpec:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "pattern": self.pattern,
-            "loads": list(self.loads),
-            "policies": list(self.policies),
-            "boards": self.boards,
-            "nodes_per_board": self.nodes_per_board,
-            "seed": self.seed,
-            "warmup": self.warmup,
-            "measure": self.measure,
-            "drain_limit": self.drain_limit,
-            "priority": self.priority,
-            "engine": self.engine,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "loads": list(self.loads), "policies": list(self.policies)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":

@@ -24,12 +24,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import JobSpecError, QueueFullError
+from repro.perf.cache import _atomic_write
 from repro.service.orchestrator import Job, SweepService
 from repro.service.spec import JobSpec
 
@@ -56,12 +56,8 @@ def ensure_spool(spool: Union[str, Path]) -> Path:
 
 
 def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.stem[:24]}-", suffix=".tmp"
-    )
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp_name, path)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _atomic_write(path.parent, [(path.name, text)], fsync=False)
 
 
 def submit_to_spool(spool: Union[str, Path], spec: JobSpec) -> str:

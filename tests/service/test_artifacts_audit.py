@@ -56,6 +56,24 @@ def test_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_failed_replace_leaves_no_temp_file(monkeypatch, tmp_path):
+    """A manifest write that fails at the rename (a full disk) leaves
+    neither a manifest nor a temp file behind."""
+    import errno
+    import os
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    store = ArtifactStore(tmp_path)
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError):
+        store.write_manifest({"job_id": "j1"})
+    monkeypatch.undo()
+    job_dir = store.manifest_path("j1").parent
+    assert list(job_dir.iterdir()) == []
+
+
 def test_default_root_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv("ERAPID_ARTIFACT_DIR", str(tmp_path / "elsewhere"))
     assert default_artifact_root() == tmp_path / "elsewhere"

@@ -123,6 +123,24 @@ def test_unparseable_submission_becomes_invalid_status(tmp_path):
         service.stop()
 
 
+def test_failed_replace_leaves_no_temp_file(monkeypatch, tmp_path):
+    """A submission that fails at the rename (a full disk) leaves neither
+    a spec nor a temp file in the spool."""
+    import errno
+    import os
+
+    import pytest
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError):
+        submit_to_spool(tmp_path / "spool", tiny_spec())
+    monkeypatch.undo()
+    assert list((tmp_path / "spool" / "incoming").iterdir()) == []
+
+
 def test_status_filename_is_the_job_key(tmp_path):
     spec = tiny_spec()
     path = status_path(tmp_path / "spool", spec.job_key())

@@ -126,12 +126,59 @@ def test_cli_profile_batch_engine(capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "batch engine" in out and "1-run slab" in out
+    # One in-process run on the batch engine, with its own counters.
+    assert "batch engine" in out and "cycles executed" in out
     assert "== profile summary ==" in out
     # The batch tier is event-free by construction.
     import re
 
     assert re.search(r"events executed\s*: 0\b", out)
+
+
+@pytest.mark.parametrize("engine", ["fast", "batch", "detailed"])
+def test_cli_profile_packet_count_is_the_engines_labeled_delivered(
+    engine, capsys
+):
+    """Every engine's profile reports one quantity: its own
+    ``RunResult.labeled_delivered`` (fast and detailed used to count every
+    delivered packet, warm-up and drain included, batch only labeled ones)."""
+    import re
+
+    from repro.core.batch import BatchEngine
+    from repro.core.config import ERapidConfig
+    from repro.core.detailed import DetailedEngine
+    from repro.core.engine import FastEngine
+    from repro.core.policies import POLICIES
+    from repro.metrics.collector import MeasurementPlan
+    from repro.network.topology import ERapidTopology
+    from repro.traffic.workload import WorkloadSpec
+
+    rc = main([
+        "profile", "--engine", engine, "--policy", "NP-NB",
+        "--pattern", "complement", "--boards", "2", "--nodes", "4",
+        "--load", "0.3", "--warmup", "500", "--measure", "1000",
+        "--top", "1",
+    ])
+    assert rc == 0
+    printed = re.search(
+        r"labeled packets delivered\s*: (\d+)", capsys.readouterr().out
+    )
+    assert printed is not None
+    run = (
+        ERapidConfig(
+            topology=ERapidTopology(boards=2, nodes_per_board=4),
+            policy=POLICIES["NP-NB"],
+            seed=1,
+        ),
+        WorkloadSpec("complement", 0.3, seed=1),
+        MeasurementPlan(warmup=500, measure=1000, drain_limit=2000),
+    )
+    own = {
+        "fast": lambda: FastEngine(*run).run(),
+        "batch": lambda: BatchEngine([run]).run()[0],
+        "detailed": lambda: DetailedEngine(*run).run(),
+    }[engine]()
+    assert int(printed.group(1)) == own.labeled_delivered > 0
 
 
 def test_cli_profile_batch_rejects_uncovered_point(capsys):

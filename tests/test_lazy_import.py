@@ -57,6 +57,20 @@ def test_engine_imports_are_scipy_free():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_engine_table_loads_no_engine():
+    """Importing the engine table (as every ``--engine`` flag and the cache
+    key do) loads none of the engines it registers."""
+    proc = run_snippet(
+        "import sys\n"
+        "import repro.perf.engines\n"
+        "engines = ('repro.core.engine', 'repro.core.batch', "
+        "'repro.core.detailed')\n"
+        "loaded = sorted(m for m in engines if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_attribute_access_resolves_lazily():
     proc = run_snippet(
         "import sys\n"

@@ -463,12 +463,13 @@ def test_fast_payload_is_byte_stable_without_engine_fields(run_desc):
 
 
 def test_engine_keyspaces_are_disjoint(run_desc):
-    from repro.perf.cache import ENGINES
+    from repro.perf.engines import CACHED, ENGINES
 
     config, workload, plan = run_desc
-    assert ENGINES == ("fast", "batch")
-    keys = {run_cache_key(config, workload, plan, engine=e) for e in ENGINES}
-    assert len(keys) == len(ENGINES)
+    assert CACHED == ("fast", "batch")
+    assert set(ENGINES) - set(CACHED) == {"detailed"}
+    keys = {run_cache_key(config, workload, plan, engine=e) for e in CACHED}
+    assert len(keys) == len(CACHED)
     with pytest.raises(CacheError):  # no keyspace nothing writes to
         run_cache_key(config, workload, plan, engine="detailed")
 
@@ -492,6 +493,32 @@ def test_cache_and_job_keys_are_pinned():
     )
     assert JobSpec(engine="batch").job_key() == (
         "e3a40d07f0f7b3c01e784640520e32621c96fa997f6befee5c232ac36dce7bcb"
+    )
+    # Figure 3's stage keys (``ProbedRun.cache_key``, built on
+    # ``canonical_payload``) as ``run_fig3`` computes them: recorded by a
+    # cache stub, never rebuilt by hand, so the hashed types are its own.
+    from repro.experiments.fig3 import run_fig3
+
+    class KeyRecorder:
+        def __init__(self):
+            self.keys = []
+
+        def get_many(self, keys, decode=None):
+            self.keys.extend(keys)
+            return [object()] * len(keys)  # all hits: nothing simulates
+
+        def put_many(self, items):
+            assert not items
+            return 0
+
+    recorder = KeyRecorder()
+    run_fig3(cache=recorder)
+    stage_keys = dict(zip(POLICIES, recorder.keys))
+    assert stage_keys["NP-NB"] == (
+        "e6a262c3ccf63a314bd48bb3ebc7e93aa983d87e064764ffaac0187ddc8f69b1"
+    )
+    assert stage_keys["P-B"] == (
+        "6b712115118515444a497cac2fb74ec446e74130256a007ac26843b3095c0829"
     )
 
 
