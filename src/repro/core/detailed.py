@@ -17,54 +17,40 @@ integrated by the same accountant the fast engine uses.  It exists to
 cross-validate the fast engine's electrical-domain and power-management
 abstractions at flit granularity, not to run the full sweeps.
 
-Execution model — cycle-synchronous clock loop
-----------------------------------------------
-The electrical substrate (routers, NIs, channels, credits) is driven by a
-single :class:`~repro.sim.cycle.CycleDriver` tick instead of one kernel
-process per component.  Each tick runs four phases in a fixed order:
-
-1. **Credits** — apply every due entry of the shared credit due-queue
-   (upstream restores from router traversal and sink ejection).
-2. **Deliveries** — deliver every due in-flight flit from the shared
-   channel due-queue into its sink's ``receive_flit``.
-3. **Routers** — on integer cycle boundaries only, tick each board's
-   router in board order, skipping routers whose input VCs are all idle
-   (``busy_vcs == 0`` — a provable no-op cycle).
-4. **NI pumps** — tick each :class:`ClockedSourceNI` whose ``next_due``
-   has arrived, in creation order (node injectors first, then the
-   receiver-side re-injection NIs).  Pumps woken at fractional times (by
-   injection draws or fiber relays) poll on their own ``wake + k`` grid,
-   exactly like the coroutine NIs' ``timeout(1)`` chains did.
-
-The tick is scheduled through the kernel's priority-1 continuation class,
-so every priority-0 event at time *t* (injection draws, packet hand-offs,
-fiber relays, DPM window decisions) is visible to the tick at *t* — the
-same visibility order the per-component processes had.  The coarse parts
-of the model stay event-driven and unchanged: injector processes, optical
-serialization processes, the DPM window process, and the run/drain phase
-structure.  Results are bit-identical to the frozen process-based engine
-(``repro.perf.legacy_detailed``), which ``tests/test_detailed_equivalence``
-enforces field-for-field on :class:`RunResult`.
+Execution model — one clocked fabric
+------------------------------------
+The electrical substrate (routers, NIs, channels, credits) lives in one
+:class:`~repro.network.fabric.Fabric`, whose four-phase clock loop ticks
+every board's router in board order and every source-NI pump in creation
+order (node injectors first, then the receiver-side re-injection NIs).
+The tick runs in the kernel's priority-1 continuation class, so every
+priority-0 event at time *t* (injection draws, packet hand-offs, fiber
+relays, DPM window decisions) is visible to the tick at *t* — the same
+visibility order the per-component processes of the frozen engine had.
+The coarse parts of the model stay event-driven: injector processes,
+optical serialization processes, the DPM window process, and the
+run/drain phase structure.  Results are bit-identical to the frozen
+process-based engine (``repro.perf.legacy_detailed``), which
+``tests/test_detailed_equivalence`` enforces field-for-field on
+:class:`RunResult`.
 """
 
 from __future__ import annotations
 
-from math import inf
 from typing import Dict, List, Optional
 
 from repro.core.config import ERapidConfig
 from repro.core.dpm import DpmAction, LinkWindowStats, dpm_decide
 from repro.errors import ConfigurationError
 from repro.metrics.collector import Collector, MeasurementPlan, RunResult
-from repro.network.channel import Delivery
-from repro.network.interface import ClockedSinkNI, ClockedSourceNI, CreditReturn, SinkNI
+from repro.network.fabric import Fabric
+from repro.network.interface import SinkNI, SourceNI
 from repro.network.packet import Packet
 from repro.network.router import VCRouter
 from repro.network.routing import ibi_routing
 from repro.optics.rwa import StaticRWA
 from repro.power.energy import EnergyAccountant
 from repro.power.levels import PowerLevel
-from repro.sim.cycle import CycleDriver, DueQueue
 from repro.sim.kernel import Simulator
 from repro.sim.stats import TimeWeighted
 from repro.sim.queues import MonitoredStore
@@ -84,20 +70,13 @@ def coverage_gap(config: ERapidConfig, *_: object) -> Optional[str]:
     )
 
 
-class _ClockedTxSink(ClockedSinkNI):
+class _TxSink(SinkNI):
     """Transmitter-port sink: reassembles flits, queues whole packets."""
 
     __slots__ = ("queue",)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        delivery_ring: DueQueue[Delivery],
-        credit_ring: DueQueue[CreditReturn],
-        queue: MonitoredStore,
-        name: str,
-    ) -> None:
-        super().__init__(sim, delivery_ring, credit_ring, on_packet=None, name=name)
+    def __init__(self, fabric: Fabric, queue: MonitoredStore, name: str) -> None:
+        super().__init__(fabric.sim, fabric.deliveries, fabric.credits, name=name)
         self.queue = queue
 
     def receive_flit(self, flit, port):  # noqa: D102 - see SinkNI
@@ -206,24 +185,21 @@ class DetailedEngine:
         #: (board, wavelength) -> flit-level link controller (remote tx only).
         self.lcs: Dict[tuple, _DetailedLC] = {}
 
-        # Clocked substrate: shared due-queues + the cycle driver.
-        self._delivery_ring: DueQueue[Delivery] = DueQueue()
-        self._credit_ring: DueQueue[CreditReturn] = DueQueue()
-        self.driver = CycleDriver(self.sim, self._tick)
-        #: All ClockedSourceNI pumps in deterministic creation order.
-        self._pumps: List[ClockedSourceNI] = []
+        #: The clocked electrical substrate: routers, NIs, one clock loop.
+        self.fabric = fabric = Fabric(self.sim)
+        #: One router per board, in board order (the fabric's own list).
+        self.routers: List[VCRouter] = fabric.routers
 
         topo = self.topology
         D, W, B = topo.nodes_per_board, topo.wavelengths, topo.boards
         r = config.router
 
-        self.routers: List[VCRouter] = []
-        self.source_nis: Dict[int, ClockedSourceNI] = {}
+        self.source_nis: Dict[int, SourceNI] = {}
         self.sink_nis: Dict[int, SinkNI] = {}
         #: (board, wavelength) -> transmitter packet queue.
         self.tx_queues: Dict[tuple, MonitoredStore] = {}
         #: (board, wavelength) -> receiver-side re-injection NI.
-        self.rx_nis: Dict[tuple, ClockedSourceNI] = {}
+        self.rx_nis: Dict[tuple, SourceNI] = {}
 
         flit_cycles = (r.flit_bytes * 8) // r.channel_bits
 
@@ -232,8 +208,7 @@ class DetailedEngine:
             def tx_port_of(dest_board: int, _b: int = b) -> int:
                 return D + self.rwa.wavelength_for(_b, dest_board)
 
-            router = VCRouter(
-                self.sim,
+            fabric.add_router(
                 n_ports=D + W,
                 routing_fn=ibi_routing(topo, b, tx_port_of),
                 n_vcs=r.n_vcs,
@@ -241,48 +216,36 @@ class DetailedEngine:
                 credit_latency=r.credit_cycles,
                 name=f"ibi{b}",
             )
-            router.credit_ring = self._credit_ring
-            self.routers.append(router)
 
         for b in range(B):
             router = self.routers[b]
             for local in range(D):
                 node = topo.node_id(b, local)
-                sink = ClockedSinkNI(
-                    self.sim, self._delivery_ring, self._credit_ring,
-                    on_packet=self._on_delivered, name=f"eject{node}",
+                self.sink_nis[node] = fabric.add_sink(
+                    router, local, on_packet=self._on_delivered,
+                    cycles_per_flit=flit_cycles, name=f"eject{node}",
                 )
-                sink.attach(router, local, latency=1, cycles_per_flit=flit_cycles)
-                self.sink_nis[node] = sink
-                src = ClockedSourceNI(
-                    self.sim, router, local, self._delivery_ring,
-                    latency=1, cycles_per_flit=flit_cycles,
-                    name=f"inject{node}", on_wake=self._wake_ni,
+                self.source_nis[node] = fabric.add_source(
+                    router, local, cycles_per_flit=flit_cycles,
+                    name=f"inject{node}",
                 )
-                self.source_nis[node] = src
-                self._pumps.append(src)
             for w in range(W):
                 port = D + w
                 q = MonitoredStore(
                     self.sim, capacity=config.tx_queue_capacity, name=f"b{b}.λ{w}.txq"
                 )
                 self.tx_queues[(b, w)] = q
-                tx_sink = _ClockedTxSink(
-                    self.sim, self._delivery_ring, self._credit_ring, q,
-                    name=f"b{b}.λ{w}.tx",
+                _TxSink(fabric, q, name=f"b{b}.λ{w}.tx").attach(
+                    router, port, latency=1, cycles_per_flit=flit_cycles
                 )
-                tx_sink.attach(router, port, latency=1, cycles_per_flit=flit_cycles)
                 dest_board = self.rwa.dest_served_by(b, w)
                 if dest_board != b:
                     self.lcs[(b, w)] = _DetailedLC(self, b, w)
-                    rx_router = self.routers[dest_board]
-                    rx = ClockedSourceNI(
-                        self.sim, rx_router, D + w, self._delivery_ring,
-                        latency=1, cycles_per_flit=flit_cycles,
-                        name=f"b{dest_board}.λ{w}.rx", on_wake=self._wake_ni,
+                    self.rx_nis[(b, w)] = fabric.add_source(
+                        self.routers[dest_board], D + w,
+                        cycles_per_flit=flit_cycles,
+                        name=f"b{dest_board}.λ{w}.rx",
                     )
-                    self.rx_nis[(b, w)] = rx
-                    self._pumps.append(rx)
 
         from repro.traffic.capacity import CapacityParams
 
@@ -298,58 +261,6 @@ class DetailedEngine:
     # ------------------------------------------------------------------
     def _on_delivered(self, pkt: Packet) -> None:
         self.collector.on_delivered(pkt, self.sim.now)
-
-    def _wake_ni(self, ni: ClockedSourceNI) -> None:
-        """A parked pump got a packet: tick this very cycle."""
-        self.driver.arm(self.sim.now)
-
-    # ------------------------------------------------------------------
-    # The clock loop
-    # ------------------------------------------------------------------
-    def _tick(self, now: float) -> None:
-        """One synchronous cycle of the whole electrical substrate."""
-        # Phase 1 — due credit restores (traversal + ejection returns).
-        credit_ring = self._credit_ring
-        while True:
-            entry = credit_ring.pop_if_due(now)
-            if entry is None:
-                break
-            entry[0](entry[1])
-        # Phase 2 — due channel deliveries.
-        delivery_ring = self._delivery_ring
-        while True:
-            dentry = delivery_ring.pop_if_due(now)
-            if dentry is None:
-                break
-            dentry[0].receive_flit(dentry[2], dentry[1])
-        # Phase 3 — router pipelines, on the integer cycle grid, board
-        # order, idle-skip.
-        routers = self.routers
-        if now.is_integer():
-            for router in routers:
-                if router.busy_vcs:
-                    router.tick()
-        # Phase 4 — NI pumps in creation order, each on its own grid.
-        pumps = self._pumps
-        for ni in pumps:
-            if ni.next_due <= now:
-                ni.tick(now)
-        # Re-arm: next integer cycle while any router is busy, plus the
-        # earliest due times of the rings and each active pump.
-        arm = self.driver.arm
-        for router in routers:
-            if router.busy_vcs:
-                arm(float(int(now)) + 1.0)
-                break
-        nd = credit_ring.next_due()
-        if nd is not None:
-            arm(nd)
-        nd = delivery_ring.next_due()
-        if nd is not None:
-            arm(nd)
-        for ni in pumps:
-            if ni.next_due < inf:
-                arm(ni.next_due)
 
     # ------------------------------------------------------------------
     def start(self, node_order=None, optical_order=None) -> None:
@@ -442,7 +353,7 @@ class DetailedEngine:
             sim.schedule(fiber, self._relay, rx_ni, pkt)
 
     @staticmethod
-    def _relay(rx_ni: ClockedSourceNI, pkt: Packet) -> None:
+    def _relay(rx_ni: SourceNI, pkt: Packet) -> None:
         rx_ni.send(pkt)
 
     # ------------------------------------------------------------------

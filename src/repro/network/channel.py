@@ -2,8 +2,9 @@
 
 Table 1: 16-bit channels at 400 MHz (6.4 Gbps unidirectional).  A 64-bit
 flit therefore occupies the wire for 4 cycles (``cycles_per_flit``); the
-channel enforces that serialization and delivers flits to the sink after
-``latency`` additional cycles of wire delay.
+channel enforces that serialization, and each flit comes due at its sink
+``latency`` cycles of wire delay later, on the fabric's delivery
+due-queue (:mod:`repro.network.fabric`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.sim.cycle import DueQueue
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
-__all__ = ["FlitSink", "Channel", "ClockedChannel", "Delivery"]
+__all__ = ["FlitSink", "Channel", "Delivery"]
 
 
 class FlitSink(Protocol):
@@ -27,79 +28,23 @@ class FlitSink(Protocol):
         ...
 
 
-#: One in-flight clocked delivery: (sink, sink_port, flit).
+#: One in-flight delivery: (sink, sink_port, flit).
 Delivery = Tuple["FlitSink", int, Flit]
 
 
 class Channel:
-    """Unidirectional flit channel with serialization and wire latency."""
+    """Unidirectional flit channel with serialization and wire latency.
 
-    __slots__ = (
-        "sim", "sink", "sink_port", "latency", "cycles_per_flit", "name",
-        "_busy_until", "flits_sent",
-    )
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        sink: Optional[FlitSink] = None,
-        sink_port: int = 0,
-        latency: int = 1,
-        cycles_per_flit: int = 4,
-        name: str = "",
-    ) -> None:
-        if latency < 0:
-            raise SimulationError(f"negative channel latency {latency}")
-        if cycles_per_flit < 1:
-            raise SimulationError(f"cycles_per_flit must be >= 1, got {cycles_per_flit}")
-        self.sim = sim
-        self.sink = sink
-        self.sink_port = sink_port
-        self.latency = latency
-        self.cycles_per_flit = cycles_per_flit
-        self.name = name
-        self._busy_until = 0.0
-        self.flits_sent = 0
-
-    def connect(self, sink: FlitSink, sink_port: int = 0) -> None:
-        """Attach (or re-attach) the downstream sink."""
-        self.sink = sink
-        self.sink_port = sink_port
-
-    @property
-    def busy(self) -> bool:
-        """Whether the wire is still serializing a previous flit."""
-        return self.sim.now < self._busy_until
-
-    def send(self, flit: Flit) -> None:
-        """Serialize ``flit`` onto the wire; delivery after ser + latency."""
-        if self.sink is None:
-            raise SimulationError(f"channel {self.name!r} has no sink")
-        if self.busy:
-            raise SimulationError(
-                f"channel {self.name!r} busy until {self._busy_until}; "
-                "router ST stage must check Channel.busy"
-            )
-        self._busy_until = self.sim.now + self.cycles_per_flit
-        self.flits_sent += 1
-        delay = self.cycles_per_flit + self.latency
-        self.sim.schedule(delay, self.sink.receive_flit, flit, self.sink_port)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Channel {self.name!r} cpf={self.cycles_per_flit} lat={self.latency}>"
-
-
-class ClockedChannel(Channel):
-    """A channel drained by the cycle driver instead of per-flit events.
-
-    Serialization and busy semantics are identical to :class:`Channel`;
-    only the delivery mechanism differs — :meth:`send` appends to a shared
-    :class:`~repro.sim.cycle.DueQueue` that the owning engine's tick
-    drains when the delivery time comes due, so a flit in flight costs a
-    deque append instead of a kernel heap event.
+    :meth:`send` appends the flit's delivery to a shared
+    :class:`~repro.sim.cycle.DueQueue`; the owning fabric's tick hands it
+    to the sink's ``receive_flit`` when it comes due, so a flit in flight
+    costs a deque append, not a kernel heap event.
     """
 
-    __slots__ = ("ring",)
+    __slots__ = (
+        "sim", "ring", "sink", "sink_port", "latency", "cycles_per_flit",
+        "name", "_busy_until", "flits_sent",
+    )
 
     def __init__(
         self,
@@ -111,14 +56,27 @@ class ClockedChannel(Channel):
         cycles_per_flit: int = 4,
         name: str = "",
     ) -> None:
-        super().__init__(
-            sim, sink=sink, sink_port=sink_port, latency=latency,
-            cycles_per_flit=cycles_per_flit, name=name,
-        )
+        if latency < 0:
+            raise SimulationError(f"negative channel latency {latency}")
+        if cycles_per_flit < 1:
+            raise SimulationError(f"cycles_per_flit must be >= 1, got {cycles_per_flit}")
+        self.sim = sim
         self.ring = ring
+        self.sink = sink
+        self.sink_port = sink_port
+        self.latency = latency
+        self.cycles_per_flit = cycles_per_flit
+        self.name = name
+        self._busy_until = 0.0
+        self.flits_sent = 0
+
+    @property
+    def busy(self) -> bool:
+        """Whether the wire is still serializing a previous flit."""
+        return self.sim.now < self._busy_until
 
     def send(self, flit: Flit) -> None:
-        """Serialize ``flit``; its delivery joins the shared due-queue."""
+        """Serialize ``flit``; it comes due at the sink after ser + latency."""
         if self.sink is None:
             raise SimulationError(f"channel {self.name!r} has no sink")
         if self.busy:
@@ -133,3 +91,6 @@ class ClockedChannel(Channel):
             now + self.cycles_per_flit + self.latency,
             (self.sink, self.sink_port, flit),
         )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Channel {self.name!r} cpf={self.cycles_per_flit} lat={self.latency}>"

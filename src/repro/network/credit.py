@@ -3,20 +3,21 @@
 Table 1 of the paper: credit-based flow control, single-flit buffers, and a
 one-cycle channel delay for credits.  A :class:`CreditCounter` lives at each
 router *output* VC and mirrors the free space of the downstream input VC
-buffer; credits return over a :class:`CreditChannel` with configurable
-latency.
+buffer.  A credit travels back upstream as a :data:`CreditReturn` entry on
+the fabric's credit due-queue (:mod:`repro.network.fabric`), which applies
+it once the configured latency has passed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Tuple
 
 from repro.errors import SimulationError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Simulator
+__all__ = ["CreditCounter", "CreditReturn"]
 
-__all__ = ["CreditCounter", "CreditChannel"]
+#: One pending credit restore: (restore_fn, vc).
+CreditReturn = Tuple[Callable[[int], None], int]
 
 
 class CreditCounter:
@@ -54,30 +55,3 @@ class CreditCounter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CreditCounter {self._credits}/{self.initial}>"
-
-
-class CreditChannel:
-    """Delivers credit-restore signals upstream after a fixed latency."""
-
-    __slots__ = ("sim", "latency", "name", "sent")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        latency: int = 1,
-        name: str = "",
-    ) -> None:
-        if latency < 0:
-            raise SimulationError(f"negative credit latency {latency}")
-        self.sim = sim
-        self.latency = latency
-        self.name = name
-        self.sent = 0
-
-    def send(self, restore: Callable[[], None]) -> None:
-        """Schedule ``restore()`` to run ``latency`` cycles from now."""
-        self.sent += 1
-        if self.latency == 0:
-            restore()
-        else:
-            self.sim.schedule(self.latency, restore)

@@ -1,0 +1,168 @@
+"""The clocked electrical substrate and its clock loop.
+
+A :class:`Fabric` owns everything in the flit domain that works per cycle:
+the routers and the source-NI pumps (each in creation order), the two
+due-queues that carry flits and credits between them, and the
+:class:`~repro.sim.cycle.CycleDriver` that ticks them.  The detailed
+engine composes one fabric for a whole E-RAPID system; the substrate
+tests build their single-router stars on the same class, so both run the
+same tick.
+
+Each tick runs four phases in a fixed order:
+
+1. **Credits** — apply every due entry of the credit due-queue (upstream
+   restores from router traversal and sink ejection).
+2. **Deliveries** — hand every due in-flight flit from the delivery
+   due-queue to its sink's ``receive_flit``.
+3. **Routers** — on integer cycle boundaries only, tick each router in
+   creation order, skipping routers whose input VCs are all idle
+   (``busy_vcs == 0`` — a provable no-op cycle).
+4. **NI pumps** — tick each :class:`~repro.network.interface.SourceNI`
+   whose ``next_due`` has arrived, in creation order.  Pumps woken at
+   fractional times (by injection draws or fiber relays) poll on their
+   own ``wake + k`` grid.
+
+The tick then re-arms the driver at the earliest future obligation: the
+next integer cycle while any router is busy, plus the due-queues' and
+each active pump's next due time.  The driver schedules ticks in the
+kernel's priority-1 class, so every priority-0 event at time *t*
+(injection draws, packet hand-offs, fiber relays, DPM window decisions)
+is visible to the tick at *t*.
+"""
+
+from __future__ import annotations
+
+from math import inf
+from typing import Callable, List, Optional, TYPE_CHECKING
+
+from repro.network.channel import Delivery
+from repro.network.credit import CreditReturn
+from repro.network.interface import SinkNI, SourceNI
+from repro.network.packet import Packet
+from repro.network.router import RoutingFn, VCRouter
+from repro.sim.cycle import CycleDriver, DueQueue
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import Simulator
+
+__all__ = ["Fabric"]
+
+
+class Fabric:
+    """Routers, NI pumps, their due-queues and the one clock loop."""
+
+    __slots__ = ("sim", "deliveries", "credits", "driver", "routers", "pumps")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        #: In-flight flits: (sink, sink_port, flit) by due time.
+        self.deliveries: DueQueue[Delivery] = DueQueue()
+        #: Pending upstream credit restores by due time.
+        self.credits: DueQueue[CreditReturn] = DueQueue()
+        self.driver = CycleDriver(sim, self.tick)
+        self.routers: List[VCRouter] = []
+        self.pumps: List[SourceNI] = []
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    def add_router(
+        self,
+        n_ports: int,
+        routing_fn: RoutingFn,
+        n_vcs: int = 2,
+        buf_depth: int = 1,
+        credit_latency: int = 1,
+        name: str = "router",
+    ) -> VCRouter:
+        """A router ticked by this fabric (after those created before it)."""
+        router = VCRouter(
+            self.sim, n_ports, routing_fn, self.credits, n_vcs=n_vcs,
+            buf_depth=buf_depth, credit_latency=credit_latency, name=name,
+        )
+        self.routers.append(router)
+        return router
+
+    def add_source(
+        self,
+        router: VCRouter,
+        port: int,
+        cycles_per_flit: int = 4,
+        queue_capacity: Optional[int] = None,
+        name: str = "",
+    ) -> SourceNI:
+        """A send port into ``router``'s input ``port``, pumped by this fabric."""
+        ni = SourceNI(
+            self.sim, router, port, self.deliveries, self._wake,
+            cycles_per_flit=cycles_per_flit, queue_capacity=queue_capacity,
+            name=name,
+        )
+        self.pumps.append(ni)
+        return ni
+
+    def add_sink(
+        self,
+        router: VCRouter,
+        port: int,
+        on_packet: Optional[Callable[[Packet], None]] = None,
+        cycles_per_flit: int = 4,
+        name: str = "",
+    ) -> SinkNI:
+        """A receive port on ``router``'s output ``port``."""
+        sink = SinkNI(
+            self.sim, self.deliveries, self.credits, on_packet=on_packet, name=name
+        )
+        sink.attach(router, port, cycles_per_flit=cycles_per_flit)
+        return sink
+
+    def _wake(self) -> None:
+        """A parked pump got a packet: tick this very cycle."""
+        self.driver.arm(self.sim.now)
+
+    # ------------------------------------------------------------------
+    # The clock loop
+    # ------------------------------------------------------------------
+    def tick(self, now: float) -> None:
+        """One synchronous cycle of the whole electrical substrate."""
+        # Phase 1 — due credit restores (traversal + ejection returns).
+        credit_ring = self.credits
+        while True:
+            entry = credit_ring.pop_if_due(now)
+            if entry is None:
+                break
+            entry[0](entry[1])
+        # Phase 2 — due channel deliveries.
+        delivery_ring = self.deliveries
+        while True:
+            dentry = delivery_ring.pop_if_due(now)
+            if dentry is None:
+                break
+            dentry[0].receive_flit(dentry[2], dentry[1])
+        # Phase 3 — router pipelines, on the integer cycle grid, creation
+        # order, idle-skip.
+        routers = self.routers
+        if now.is_integer():
+            for router in routers:
+                if router.busy_vcs:
+                    router.tick()
+        # Phase 4 — NI pumps in creation order, each on its own grid.
+        pumps = self.pumps
+        for ni in pumps:
+            if ni.next_due <= now:
+                ni.tick(now)
+        # Re-arm: next integer cycle while any router is busy, plus the
+        # earliest due times of the due-queues and each active pump.
+        arm = self.driver.arm
+        for router in routers:
+            if router.busy_vcs:
+                arm(float(int(now)) + 1.0)
+                break
+        nd = credit_ring.next_due()
+        if nd is not None:
+            arm(nd)
+        nd = delivery_ring.next_due()
+        if nd is not None:
+            arm(nd)
+        for ni in pumps:
+            if ni.next_due < inf:
+                arm(ni.next_due)

@@ -6,22 +6,20 @@ injects them into a router input port under credit-based flow control;
 :class:`SinkNI` reassembles flits into packets at the destination, returning
 credits as flits are consumed.
 
-Each comes in two drive styles: the classic process-based pair
-(:class:`SourceNI` / :class:`SinkNI`, one generator per NI polling the
-kernel every cycle) used by the substrate tests, and the clocked pair
-(:class:`ClockedSourceNI` / :class:`ClockedSinkNI`) whose per-cycle work
-is a ``tick`` method invoked by the cycle-synchronous detailed engine —
-same state machine, no per-cycle heap events.
+Both are clocked: the source NI's per-cycle work is a ``tick`` method the
+fabric's clock loop invokes (:mod:`repro.network.fabric`), and the sink's
+flits and credits travel on the fabric's due-queues, so neither costs a
+kernel event per cycle or per flit.
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.network.channel import Channel, ClockedChannel, Delivery
-from repro.network.credit import CreditCounter
+from repro.network.channel import Channel, Delivery
+from repro.network.credit import CreditCounter, CreditReturn
 from repro.network.packet import Flit, Packet
 from repro.sim.cycle import DueQueue
 from repro.sim.queues import MonitoredStore
@@ -30,158 +28,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
     from repro.network.router import VCRouter
 
-__all__ = ["SourceNI", "SinkNI", "ClockedSourceNI", "ClockedSinkNI"]
-
-#: One pending credit restore: (restore_fn, vc).
-CreditReturn = Tuple[Callable[[int], None], int]
+__all__ = ["SourceNI", "SinkNI"]
 
 
 class SourceNI:
-    """Send port: packets in, credit-controlled flits out.
+    """Send port: packets in, credit-controlled flits out, one tick a cycle.
 
     The NI behaves like an upstream router output port: it mirrors the
     downstream input-VC buffer space in :class:`CreditCounter` instances and
     receives credit restores via ``router.set_credit_return``.
-    """
 
-    __slots__ = (
-        "sim", "name", "queue", "channel", "_credits", "_vc_busy",
-        "packets_injected",
-    )
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        router: "VCRouter",
-        port: int,
-        latency: int = 1,
-        cycles_per_flit: int = 4,
-        queue_capacity: Optional[int] = None,
-        name: str = "",
-    ) -> None:
-        self.sim = sim
-        self.name = name or f"src-ni.p{port}"
-        self.queue: MonitoredStore = MonitoredStore(
-            sim, capacity=queue_capacity, name=f"{self.name}.q"
-        )
-        self.channel = Channel(
-            sim,
-            sink=router,
-            sink_port=port,
-            latency=latency,
-            cycles_per_flit=cycles_per_flit,
-            name=f"{self.name}.ch",
-        )
-        self._credits: List[CreditCounter] = [
-            CreditCounter(router.buf_depth) for _ in range(router.n_vcs)
-        ]
-        self._vc_busy: List[bool] = [False] * router.n_vcs
-        router.set_credit_return(port, self._restore_credit)
-        self.packets_injected = 0
-        sim.process(self._run(), name=f"{self.name}.inject")
-
-    # ------------------------------------------------------------------
-    def send(self, packet: Packet):
-        """Queue ``packet`` for injection; returns the put waitable."""
-        return self.queue.put(packet)
-
-    def _restore_credit(self, vc: int) -> None:
-        self._credits[vc].restore()
-
-    def _pick_vc(self) -> Optional[int]:
-        for vc, busy in enumerate(self._vc_busy):
-            if not busy:
-                return vc
-        return None
-
-    def _run(self):
-        while True:
-            packet: Packet = yield self.queue.get()
-            # Wait for a free VC (single outstanding packet per VC).
-            while True:
-                vc = self._pick_vc()
-                if vc is not None:
-                    break
-                yield self.sim.timeout(1)
-            self._vc_busy[vc] = True
-            packet.injected_at = self.sim.now
-            for flit in packet.flits():
-                flit.vc = vc
-                # Wait for a credit and for the wire to be free.
-                while not self._credits[vc].has_credit or self.channel.busy:
-                    yield self.sim.timeout(1)
-                self._credits[vc].consume()
-                self.channel.send(flit)
-                if flit.is_tail:
-                    self._vc_busy[vc] = False
-            self.packets_injected += 1
-
-
-class SinkNI:
-    """Receive port: reassembles flits into packets and records delivery."""
-
-    __slots__ = (
-        "sim", "name", "on_packet", "packets_received", "flits_received",
-        "_credit_restore",
-    )
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        on_packet: Optional[Callable[[Packet], None]] = None,
-        name: str = "",
-    ) -> None:
-        self.sim = sim
-        self.name = name or "sink-ni"
-        self.on_packet = on_packet
-        self.packets_received = 0
-        self.flits_received = 0
-        #: Installed when attached downstream of a router output port.
-        self._credit_restore: Optional[Callable[[int], None]] = None
-
-    def attach(self, router: "VCRouter", out_port: int, latency: int = 1,
-               cycles_per_flit: int = 4) -> Channel:
-        """Create the channel from ``router``'s output port to this sink."""
-        channel = Channel(
-            self.sim,
-            sink=self,
-            sink_port=out_port,
-            latency=latency,
-            cycles_per_flit=cycles_per_flit,
-            name=f"{self.name}.ch",
-        )
-        router.attach_output(out_port, channel)
-        self._credit_restore = lambda vc: router.restore_credit(out_port, vc)
-        return channel
-
-    def receive_flit(self, flit: Flit, port: int) -> None:
-        self.flits_received += 1
-        # Ejection consumes the flit immediately; return the credit.
-        if self._credit_restore is not None:
-            if flit.vc is None:
-                raise ConfigurationError("flit arrived at sink without a VC")
-            self.sim.schedule(1, self._credit_restore, flit.vc)
-        if flit.is_tail:
-            packet = flit.packet
-            packet.delivered_at = self.sim.now
-            self.packets_received += 1
-            if self.on_packet is not None:
-                self.on_packet(packet)
-
-
-class ClockedSourceNI:
-    """Tick-driven send port — :class:`SourceNI` without the process.
-
-    The coroutine pump's suspension points become an explicit state
-    machine: parked on an empty queue (``next_due == inf``), waiting for a
-    free VC, or mid-packet waiting on credit/wire — the latter two poll on
-    the NI's own one-cycle grid (``next_due = now + 1``), which for
-    receiver-side NIs woken by fractional-time fiber relays is a
-    *fractional* grid anchored at the wake time, exactly like the
-    coroutine's ``timeout(1)`` chain.  External producers call
-    :meth:`send`; when that wakes a parked pump, ``on_wake`` tells the
-    owning engine to arm a tick at the current time, so injection starts
-    on the same cycle the process version would have resumed.
+    The pump is an explicit state machine: parked on an empty queue
+    (``next_due == inf``), waiting for a free VC, or mid-packet waiting on
+    credit/wire — the latter two poll on the NI's own one-cycle grid
+    (``next_due = now + 1``), which for receiver-side NIs woken by
+    fractional-time fiber relays is a *fractional* grid anchored at the
+    wake time.  External producers call :meth:`send`; when that wakes a
+    parked pump, ``on_wake`` tells the owning fabric to arm a tick at the
+    current time, so injection starts on that same cycle.
     """
 
     __slots__ = (
@@ -196,18 +60,18 @@ class ClockedSourceNI:
         router: "VCRouter",
         port: int,
         delivery_ring: DueQueue[Delivery],
+        on_wake: Callable[[], None],
         latency: int = 1,
         cycles_per_flit: int = 4,
         queue_capacity: Optional[int] = None,
         name: str = "",
-        on_wake: Optional[Callable[["ClockedSourceNI"], None]] = None,
     ) -> None:
         self.sim = sim
         self.name = name or f"src-ni.p{port}"
         self.queue: MonitoredStore = MonitoredStore(
             sim, capacity=queue_capacity, name=f"{self.name}.q"
         )
-        self.channel: Channel = ClockedChannel(
+        self.channel = Channel(
             sim,
             delivery_ring,
             sink=router,
@@ -241,8 +105,7 @@ class ClockedSourceNI:
         if self._packet is None:
             # Parked on an empty queue: resume this very cycle.
             self.next_due = self.sim.now
-            if self.on_wake is not None:
-                self.on_wake(self)
+            self.on_wake()
         return req
 
     def _restore_credit(self, vc: int) -> None:
@@ -256,7 +119,7 @@ class ClockedSourceNI:
 
     # ------------------------------------------------------------------
     def tick(self, now: float) -> None:
-        """One pump cycle: mirror of the coroutine ``_run`` suspensions."""
+        """One pump cycle: inject as far as VCs, credits and the wire allow."""
         credits = self._credits
         channel = self.channel
         while True:
@@ -295,18 +158,25 @@ class ClockedSourceNI:
                 self._flits = ()
                 self.packets_injected += 1
                 # The next queued packet may start this same cycle (its
-                # head flit then finds the wire busy, as in the process
-                # version), so loop rather than wait for the next tick.
+                # head flit then finds the wire busy), so loop rather
+                # than wait for the next tick.
                 continue
             self._flit_idx += 1
             self.next_due = now + 1.0
             return
 
 
-class ClockedSinkNI(SinkNI):
-    """Tick-era receive port: credits join a due-queue, not the heap."""
+class SinkNI:
+    """Receive port: reassembles flits into packets and records delivery.
 
-    __slots__ = ("delivery_ring", "credit_ring")
+    Each consumed flit returns its credit upstream one cycle later through
+    the fabric's credit due-queue.
+    """
+
+    __slots__ = (
+        "sim", "name", "on_packet", "packets_received", "flits_received",
+        "_credit_restore", "delivery_ring", "credit_ring",
+    )
 
     def __init__(
         self,
@@ -316,14 +186,20 @@ class ClockedSinkNI(SinkNI):
         on_packet: Optional[Callable[[Packet], None]] = None,
         name: str = "",
     ) -> None:
-        super().__init__(sim, on_packet=on_packet, name=name)
+        self.sim = sim
+        self.name = name or "sink-ni"
+        self.on_packet = on_packet
+        self.packets_received = 0
+        self.flits_received = 0
+        #: Installed when attached downstream of a router output port.
+        self._credit_restore: Optional[Callable[[int], None]] = None
         self.delivery_ring = delivery_ring
         self.credit_ring = credit_ring
 
     def attach(self, router: "VCRouter", out_port: int, latency: int = 1,
                cycles_per_flit: int = 4) -> Channel:
-        """Create the clocked channel from ``router`` to this sink."""
-        channel = ClockedChannel(
+        """Create the channel from ``router``'s output port to this sink."""
+        channel = Channel(
             self.sim,
             self.delivery_ring,
             sink=self,
@@ -338,10 +214,10 @@ class ClockedSinkNI(SinkNI):
 
     def receive_flit(self, flit: Flit, port: int) -> None:
         self.flits_received += 1
+        # Ejection consumes the flit immediately; return the credit.
         if self._credit_restore is not None:
             if flit.vc is None:
                 raise ConfigurationError("flit arrived at sink without a VC")
-            # Same one-cycle ejection-credit delay as the event version.
             self.credit_ring.push(
                 self.sim.now + 1.0, (self._credit_restore, flit.vc)
             )

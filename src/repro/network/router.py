@@ -5,15 +5,15 @@ Implements the SGI-Spider-style pipeline from Table 1 of the paper
 allocation SA, switch traversal ST — one cycle each), with credit-based
 flow control and round-robin separable allocation.
 
-The router can be driven two ways.  The substrate tests use the classic
-per-cycle process (:meth:`VCRouter.start`); the cycle-synchronous detailed
-engine instead calls :meth:`VCRouter.tick` from its clock loop, skipping
-routers whose input VCs are all idle (``busy_vcs == 0`` — an idle cycle is
-a provable no-op: every stage scans for non-IDLE VC state, and an
-all-``False`` request mask never advances an arbiter pointer).  Pipeline
-stages execute in *reverse* order (ST, SA, VA, RC) within a cycle so a
-flit advances at most one stage per cycle, giving the 4-cycle zero-load
-pipeline latency the paper's router model has.
+The router has no clock of its own: the fabric's clock loop
+(:class:`repro.network.fabric.Fabric`) calls :meth:`VCRouter.tick` once
+per integer cycle, skipping routers whose input VCs are all idle
+(``busy_vcs == 0`` — an idle cycle is a provable no-op: every stage scans
+for non-IDLE VC state, and an all-``False`` request mask never advances
+an arbiter pointer).  Delayed credit returns join the fabric's credit
+due-queue.  Pipeline stages execute in *reverse* order (ST, SA, VA, RC)
+within a cycle so a flit advances at most one stage per cycle, giving the
+4-cycle zero-load pipeline latency the paper's router model has.
 
 This detailed model backs the E-RAPID *detailed engine* and the substrate
 tests; the full evaluation sweeps use the event-driven fast engine, which is
@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.arbiters import RoundRobinArbiter
 from repro.network.channel import Channel
+from repro.network.credit import CreditReturn
 from repro.network.packet import Flit
 from repro.network.vc import InputVC, OutputVC, VCStatus
 from repro.sim.cycle import DueQueue
@@ -53,6 +54,9 @@ class VCRouter:
         Flit buffer depth per VC (Table 1 uses single-flit buffers).
     routing_fn:
         Maps a destination node id to an output port of this router.
+    credit_ring:
+        The fabric's credit due-queue; delayed upstream credit returns
+        join it and the fabric's tick applies them when they come due.
     credit_latency:
         Cycles for a credit to return upstream (Table 1: one cycle).
     """
@@ -61,7 +65,7 @@ class VCRouter:
         "sim", "n_ports", "n_vcs", "buf_depth", "routing_fn",
         "credit_latency", "name", "inputs", "outputs", "channels",
         "credit_returns", "credit_ring", "_va_arbiters", "_sa_input",
-        "_sa_output", "flits_routed", "packets_routed", "busy_vcs", "_proc",
+        "_sa_output", "flits_routed", "packets_routed", "busy_vcs",
     )
 
     def __init__(
@@ -69,6 +73,7 @@ class VCRouter:
         sim: "Simulator",
         n_ports: int,
         routing_fn: RoutingFn,
+        credit_ring: DueQueue[CreditReturn],
         n_vcs: int = 2,
         buf_depth: int = 1,
         credit_latency: int = 1,
@@ -94,10 +99,7 @@ class VCRouter:
         self.channels: List[Optional[Channel]] = [None] * n_ports
         #: Per input port: callback(vc) that restores one upstream credit.
         self.credit_returns: List[Optional[Callable[[int], None]]] = [None] * n_ports
-        #: When set (clocked mode), delayed credit returns join this
-        #: due-queue instead of becoming kernel events; the owning
-        #: engine's tick applies them when they come due.
-        self.credit_ring: Optional[DueQueue[tuple[Callable[[int], None], int]]] = None
+        self.credit_ring = credit_ring
 
         self._va_arbiters = [
             [RoundRobinArbiter(n_ports * n_vcs) for _ in range(n_vcs)]
@@ -110,7 +112,6 @@ class VCRouter:
         self.packets_routed = 0
         #: Input VCs currently carrying a packet; 0 means a tick is a no-op.
         self.busy_vcs = 0
-        self._proc = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -122,12 +123,6 @@ class VCRouter:
     def set_credit_return(self, port: int, fn: Callable[[int], None]) -> None:
         """Install the upstream credit-restore callback for input ``port``."""
         self.credit_returns[port] = fn
-
-    def start(self) -> None:
-        """Begin the per-cycle pipeline process."""
-        if self._proc is not None:
-            raise SimulationError(f"router {self.name!r} already started")
-        self._proc = self.sim.process(self._run(), name=f"{self.name}.pipeline")
 
     # ------------------------------------------------------------------
     # Flit/credit ingress
@@ -152,16 +147,11 @@ class VCRouter:
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
-    def _run(self):
-        while True:
-            self.tick()
-            yield self.sim.timeout(1)
-
     def tick(self) -> None:
         """Advance the pipeline one cycle (ST/SA, then VA, then RC).
 
-        In clocked mode the engine calls this directly, skipping routers
-        with ``busy_vcs == 0``; the process driver calls it every cycle.
+        The fabric calls this on integer cycles, skipping routers with
+        ``busy_vcs == 0``.
         """
         self._stage_st_sa()
         self._stage_va()
@@ -288,12 +278,10 @@ class VCRouter:
         if ret is not None:
             if self.credit_latency == 0:
                 ret(in_vc_idx)
-            elif self.credit_ring is not None:
+            else:
                 self.credit_ring.push(
                     self.sim.now + self.credit_latency, (ret, in_vc_idx)
                 )
-            else:
-                self.sim.schedule(self.credit_latency, ret, in_vc_idx)
         if flit.is_tail:
             self.packets_routed += 1
             self.outputs[out_port][out_vc].free()

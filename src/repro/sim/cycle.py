@@ -18,10 +18,12 @@ serialization, DPM windows) on one shared clock:
     scheduled: a quiescent system costs zero heap events per cycle.
 
 :class:`DueQueue`
-    A monotone FIFO of ``(due_time, item)`` entries — the batched
-    replacement for per-flit delivery and per-credit kernel events.  All
-    producers push with non-decreasing due times (each tick pushes at
-    ``now + constant``), so readiness is a single front comparison.
+    A due-ordered FIFO of ``(due_time, item)`` entries — the batched
+    replacement for per-flit delivery and per-credit kernel events.
+    Producers that share one latency push with non-decreasing due times
+    (each tick pushes at ``now + constant``), so a push is an append and
+    readiness is a single front comparison; a push due earlier than the
+    last one (producers with different latencies) is inserted in order.
 
 Determinism: ticks fire in time order; within a tick the *caller* iterates
 components in a fixed structural order.  Arming the same time twice is
@@ -30,6 +32,7 @@ coalesced, so tick times never race on insertion order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Callable, Deque, Generic, Optional, Tuple, TypeVar, TYPE_CHECKING
 
@@ -43,33 +46,37 @@ __all__ = ["CycleDriver", "DueQueue"]
 _T = TypeVar("_T")
 
 
-class DueQueue(Generic[_T]):
-    """Monotone FIFO of items that become due at known times.
+def _due(entry: Tuple[float, object]) -> float:
+    return entry[0]
 
-    Producers must push in non-decreasing ``due`` order (enforced), which
-    holds by construction for clocked pipelines: every push made while the
-    clock reads ``now`` is due at ``now + k`` for a per-queue constant
-    ``k`` (wire latency, credit latency), and ticks execute in time order.
+
+class DueQueue(Generic[_T]):
+    """FIFO of items that become due at known times, kept in due order.
+
+    Entries pop in ``due`` order and, among equal dues, in push order — the
+    kernel's own ``(time, FIFO)`` order.  Every push made while the clock
+    reads ``now`` is due at ``now + k`` for the producer's latency ``k``,
+    and ticks execute in time order, so producers sharing one ``k`` only
+    ever append; a shorter-latency push lands before the longer-latency
+    entries already queued (a sink's one-cycle ejection credit behind a
+    router's three-cycle credit return).
     """
 
-    __slots__ = ("_entries", "_last_due")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
         self._entries: Deque[Tuple[float, _T]] = deque()
-        self._last_due = float("-inf")
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def push(self, due: float, item: _T) -> None:
-        """Append ``item`` with the given ``due`` time (non-decreasing)."""
-        if due < self._last_due:
-            raise SchedulingError(
-                f"DueQueue push at {due} after {self._last_due}; "
-                "producers must push in non-decreasing due order"
-            )
-        self._last_due = due
-        self._entries.append((due, item))
+        """Queue ``item`` due at ``due``, after every entry due by then."""
+        entries = self._entries
+        if entries and due < entries[-1][0]:
+            entries.insert(bisect_right(entries, due, key=_due), (due, item))
+        else:
+            entries.append((due, item))
 
     def pop_if_due(self, now: float) -> Optional[_T]:
         """The oldest item with ``due <= now``, or ``None``."""
@@ -102,11 +109,6 @@ class CycleDriver:
         #: The per-cycle callback; receives the tick's simulation time.
         self.tick = tick
         self._armed: set[float] = set()
-
-    @property
-    def armed_count(self) -> int:
-        """Number of distinct tick times currently scheduled."""
-        return len(self._armed)
 
     def arm(self, time: float) -> None:
         """Request a tick at absolute ``time`` (coalesced, >= now)."""

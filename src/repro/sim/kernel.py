@@ -1,12 +1,16 @@
 """The discrete-event simulation kernel.
 
 This is the reproduction's substitute for YACSIM/NETSIM (Jump, Rice
-University, 1993): a process-oriented discrete-event engine.  Time is a
-monotonically non-decreasing float (the E-RAPID models use integral router
-cycles); events at equal times fire in deterministic ``(priority, FIFO)``
-order.
+University, 1993): a discrete-event engine.  Time is a monotonically
+non-decreasing float (the E-RAPID models use integral router cycles);
+events at equal times fire in deterministic ``(priority, FIFO)`` order.
 
-Typical use::
+Models drive it three ways: plain callbacks (:meth:`Simulator.schedule`
+and its hot-path variants — the fast engine's state machines), generator
+processes blocking on waitables (:meth:`Simulator.process` — the coarse
+injection, optical and DPM-window loops), and the clocked electrical
+substrate, whose :class:`~repro.sim.cycle.CycleDriver` rides the
+priority-1 class (:mod:`repro.network.fabric`).  A process example::
 
     sim = Simulator()
 
@@ -49,7 +53,7 @@ from math import inf
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import CompositeWait, ScheduledEvent, Timeout, Waitable
+from repro.sim.events import ScheduledEvent, Timeout, Waitable
 from repro.sim.process import Process
 from repro.sim.trace import TraceLog
 
@@ -77,13 +81,13 @@ _HeapEntry = Tuple[
 
 
 class Simulator:
-    """Event heap + clock + process bookkeeping.
+    """Event heap + clock.
 
     Parameters
     ----------
     trace:
-        Optional :class:`repro.sim.trace.TraceLog`; when set, the kernel
-        records process starts/ends (models add their own records).
+        Optional :class:`repro.sim.trace.TraceLog` the models record
+        into; the kernel itself writes no records.
     """
 
     def __init__(self, trace: Optional[TraceLog] = None) -> None:
@@ -99,7 +103,6 @@ class Simulator:
         self.on_event: Optional[
             Callable[[float, Callable[..., None], Tuple[Any, ...]], None]
         ] = None
-        self._processes: List[Process] = []
         self._event_count = 0
 
     # ------------------------------------------------------------------
@@ -219,22 +222,12 @@ class Simulator:
         """A waitable that fires ``delay`` from now."""
         return Timeout(self, delay, value)
 
-    def any_of(self, waitables: List[Waitable]) -> CompositeWait:
-        """Fires when any of ``waitables`` fires."""
-        return CompositeWait(self, waitables, mode="any")
-
-    def all_of(self, waitables: List[Waitable]) -> CompositeWait:
-        """Fires when all of ``waitables`` have fired."""
-        return CompositeWait(self, waitables, mode="all")
-
     # ------------------------------------------------------------------
     # Processes
     # ------------------------------------------------------------------
     def process(self, generator: Generator[Any, Any, None], name: str = "") -> Process:
         """Register a generator as a concurrent process; starts at ``now``."""
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------
     # Execution

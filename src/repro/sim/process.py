@@ -11,14 +11,15 @@ process resumes — receiving the waitable's value as the result of the
             yield sim.timeout(packet.size)  # hold for the service time
 
 Processes are themselves waitables: they fire with the generator's return
-value, so one process can ``yield`` another to join it.  A process may be
-interrupted with :meth:`Process.interrupt`, which raises :class:`Interrupt`
-inside the generator at the current simulation time.
+value, so one process can ``yield`` another to join it.  The coarse,
+sparse-in-time parts of the models run as processes (injection draws,
+optical serialization, DPM windows); the per-cycle electrical substrate
+does not (see :mod:`repro.network.fabric`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, TYPE_CHECKING
 
 from repro.errors import ProcessError
 from repro.sim.events import Waitable
@@ -26,21 +27,13 @@ from repro.sim.events import Waitable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process"]
 
 
 class Process(Waitable):
     """A running generator; fires (as a waitable) when the generator returns."""
 
-    __slots__ = ("generator", "name", "_waiting_on", "_alive")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
@@ -56,71 +49,28 @@ class Process(Waitable):
             )
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Waitable] = None
-        self._alive = True
         # Start the process at the current time, after already-queued events.
-        sim.schedule_fast(0.0, self._resume, None, None)
-
-    # ------------------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        """Whether the generator has not yet finished."""
-        return self._alive
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting detaches it from the waitable it was blocked on (the
-        waitable may still fire later — the process simply no longer cares).
-        """
-        if not self._alive:
-            raise ProcessError(f"cannot interrupt finished process {self.name!r}")
-        self.sim.schedule(0.0, self._resume, None, Interrupt(cause))
+        sim.schedule_fast(0.0, self._step, None)
 
     # ------------------------------------------------------------------
     def _on_wait_fired(self, waitable: Waitable) -> None:
-        if self._waiting_on is not waitable:
-            # Stale wake-up: the process was interrupted while blocked and has
-            # since moved on.  Ignore.
-            return
-        self._waiting_on = None
-        self._step(waitable.value, None)
+        self._step(waitable.value)
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self._alive:
-            return
-        if exc is not None:
-            # Interrupt delivery cancels any pending wait.
-            self._waiting_on = None
-        self._step(value, exc)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(self, value: Any) -> None:
         try:
-            if exc is not None:
-                target = self.generator.throw(exc)
-            else:
-                target = self.generator.send(value)
+            target = self.generator.send(value)
         except StopIteration as stop:
-            self._alive = False
             self.trigger(stop.value)
             return
-        except Interrupt:
-            # Generator chose not to handle the interrupt: treat as death.
-            self._alive = False
-            self.trigger(None)
-            return
         if not isinstance(target, Waitable):
-            self._alive = False
             err = ProcessError(
                 f"process {self.name!r} yielded {target!r}; processes must "
                 "yield Waitable objects (timeout/get/put/event/...)"
             )
             self.generator.close()
             raise err
-        self._waiting_on = target
         target.wait(self._on_wait_fired)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self._alive else "finished"
+        state = "finished" if self.triggered else "alive"
         return f"<Process {self.name!r} {state}>"

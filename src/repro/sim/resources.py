@@ -1,14 +1,11 @@
-"""Blocking resources and stores for processes.
+"""The blocking FIFO store processes queue items through.
 
-Provides the YACSIM-style primitives the network models are built on:
-
-* :class:`Resource` — ``capacity`` interchangeable servers; processes
-  ``yield res.request()`` and later call ``res.release()``.
-* :class:`Store` — a FIFO buffer of items with optional capacity;
-  ``yield store.put(item)`` / ``item = yield store.get()``.
-
-Both hand out :class:`~repro.sim.events.Waitable` request objects so they
-compose with timeouts via ``sim.any_of``.
+:class:`Store` is a FIFO buffer of items with optional capacity:
+``yield store.put(item)`` / ``item = yield store.get()`` from a process,
+or the non-blocking ``try_put`` / ``try_get`` / ``offer`` / ``admit`` from
+callback code.  The blocking calls hand out
+:class:`~repro.sim.events.Waitable` request objects that fire when the
+item is buffered or handed over.
 """
 
 from __future__ import annotations
@@ -22,52 +19,7 @@ from repro.sim.events import Waitable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
-__all__ = ["Resource", "Store"]
-
-
-class Resource:
-    """``capacity`` interchangeable servers with a FIFO wait queue."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError(f"Resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Waitable] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently-held slots."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    def request(self) -> Waitable:
-        """A waitable that fires when a slot is granted to the caller."""
-        req = Waitable(self.sim)
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            req.trigger(self)
-        else:
-            self._waiters.append(req)
-        return req
-
-    def release(self) -> None:
-        """Free one slot, handing it to the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            # Slot passes directly to the next waiter; in_use is unchanged.
-            self._waiters.popleft().trigger(self)
-        else:
-            self._in_use -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Resource {self._in_use}/{self.capacity} waiters={len(self._waiters)}>"
+__all__ = ["Store"]
 
 
 class Store:

@@ -7,22 +7,15 @@ engine:
   untouched).  The engine's idle-skip (``busy_vcs == 0`` routers don't
   tick) is only bit-identity-preserving because skipped cycles would not
   have advanced any arbiter.
-* A credit returned through the shared :class:`DueQueue` must restore at
-  exactly the same simulation time as one scheduled through the kernel
-  heap, for any ``credit_latency`` — including > 1, which no default
-  configuration exercises.
+* A credit returned through the fabric's credit due-queue must restore
+  exactly ``credit_latency`` cycles after its flit traverses the router —
+  including latencies > 1, which no default configuration exercises.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network import (
-    PacketFactory,
-    RoundRobinArbiter,
-    SinkNI,
-    VCRouter,
-    table_routing,
-)
+from repro.network import Fabric, PacketFactory, RoundRobinArbiter, table_routing
 from repro.sim import DueQueue, Simulator
 
 
@@ -95,64 +88,69 @@ def test_full_load_grant_counts_balanced(n, rounds):
 # Credit return at credit_latency != 1
 # ----------------------------------------------------------------------
 
-def _one_flit_through(credit_latency, use_ring):
-    """Push a single-flit packet through a 2-port router; return the
-    (traversal_time, restore_times) pair observed at input port 0."""
+def _one_flit_through(credit_latency, dues=None):
+    """Push a single-flit packet through a 2-port router on a fabric;
+    return the (traversal_time, restores) pair observed at input port 0,
+    each restore stamped with the time the fabric's tick applied it.
+    When ``dues`` is a list, the due time of every port-0 credit pushed
+    onto the fabric's credit due-queue is appended to it."""
     sim = Simulator()
-    router = VCRouter(
-        sim, n_ports=2, routing_fn=table_routing({1: 1}),
+    fabric = Fabric(sim)
+    restores = []
+
+    def restore(vc):
+        restores.append((sim.now, vc))
+
+    if dues is not None:
+        class RecordingDueQueue(DueQueue):
+            def push(self, due, item):
+                if item[0] is restore:
+                    dues.append(due)
+                super().push(due, item)
+
+        fabric.credits = RecordingDueQueue()
+    router = fabric.add_router(
+        n_ports=2, routing_fn=table_routing({1: 1}),
         n_vcs=2, buf_depth=2, credit_latency=credit_latency, name="r",
     )
-    ring = None
-    if use_ring:
-        ring = DueQueue()
-        router.credit_ring = ring
-    restores = []
-    router.set_credit_return(0, lambda vc: restores.append((sim.now, vc)))
+    router.set_credit_return(0, restore)
     delivered = []
-    sink = SinkNI(sim, on_packet=delivered.append, name="snk")
-    sink.attach(router, 1)
-    router.start()
+    fabric.add_sink(router, 1, on_packet=delivered.append, name="snk")
 
     pkt = PacketFactory(size_bytes=8, flit_bytes=8).make(0, 1, 0.0)
     flit = pkt.flits()[0]
     flit.vc = 0
     router.receive_flit(flit, 0)
+    fabric.driver.arm(sim.now)
     sim.run(until=60)
 
     assert len(delivered) == 1
     # Channel = 4 serialization + 1 wire cycles after traversal.
     traversal = delivered[0].delivered_at - 5
-    if use_ring:
-        # Drain the due-queue the way the engine's tick would.
-        while (entry := ring.pop_if_due(sim.now)) is not None:
-            entry[0](entry[1])
     return traversal, restores
 
 
 @pytest.mark.parametrize("latency", [1, 3, 7])
 def test_credit_returns_exactly_latency_after_traversal(latency):
-    traversal, restores = _one_flit_through(latency, use_ring=False)
+    traversal, restores = _one_flit_through(latency)
     assert restores == [(traversal + latency, 0)]
 
 
 def test_zero_latency_credit_returns_during_traversal():
-    traversal, restores = _one_flit_through(0, use_ring=False)
+    traversal, restores = _one_flit_through(0)
     assert restores == [(traversal, 0)]
 
 
 @pytest.mark.parametrize("latency", [1, 3, 7])
 def test_ring_credit_due_time_matches_event_path(latency):
-    """The DueQueue path must come due at the same instant the kernel
-    event would have fired, for any credit latency."""
-    t_event, r_event = _one_flit_through(latency, use_ring=False)
-    t_ring, r_ring = _one_flit_through(latency, use_ring=True)
-    assert t_ring == t_event
-    assert [vc for _, vc in r_ring] == [vc for _, vc in r_event]
-    # Event-path restores stamp their fire time; the ring entry's due time
-    # is checked by draining at end-of-run and comparing the due instant.
-    sim_end_restore = r_ring[0]
-    assert sim_end_restore[1] == 0
+    """The credit due-queue entry must come due exactly ``latency`` cycles
+    after traversal, and the fabric's tick must apply it at that instant,
+    for any credit latency."""
+    dues = []
+    traversal, restores = _one_flit_through(latency, dues=dues)
+    assert dues == [traversal + latency]
+    assert [t for t, _ in restores] == dues
+    assert [vc for _, vc in restores] == [0]
 
 
 def test_buf_depth_one_throughput_throttled_by_credit_latency():
@@ -160,16 +158,15 @@ def test_buf_depth_one_throughput_throttled_by_credit_latency():
     upstream: packet delivery must spread out as latency grows."""
     def finish_time(latency):
         sim = Simulator()
-        router = VCRouter(
-            sim, n_ports=2, routing_fn=table_routing({1: 1}),
+        fabric = Fabric(sim)
+        router = fabric.add_router(
+            n_ports=2, routing_fn=table_routing({1: 1}),
             n_vcs=1, buf_depth=1, credit_latency=latency, name="r",
         )
         restores = []
         router.set_credit_return(0, lambda vc: restores.append(sim.now))
         delivered = []
-        sink = SinkNI(sim, on_packet=delivered.append, name="snk")
-        sink.attach(router, 1)
-        router.start()
+        fabric.add_sink(router, 1, on_packet=delivered.append, name="snk")
         pkt = PacketFactory(size_bytes=32, flit_bytes=8).make(0, 1, 0.0)
         flits = pkt.flits()
         def feed(i=0):
@@ -177,6 +174,7 @@ def test_buf_depth_one_throughput_throttled_by_credit_latency():
             # (initially one slot is free).
             flits[i].vc = 0
             router.receive_flit(flits[i], 0)
+            fabric.driver.arm(sim.now)
             if i + 1 < len(flits):
                 want = i + 1
                 def maybe(_=None):
@@ -191,3 +189,35 @@ def test_buf_depth_one_throughput_throttled_by_credit_latency():
         return delivered[0].delivered_at
 
     assert finish_time(9) > finish_time(1)
+
+
+def test_detailed_engine_matches_frozen_at_multi_cycle_credit():
+    """A router credit latency above the sink's one-cycle ejection credit
+    makes the shared credit due-queue receive pushes out of due order;
+    the engine must still match the frozen process engine bit for bit."""
+    from dataclasses import replace
+
+    from repro.core.config import ControlParams, ERapidConfig
+    from repro.core.detailed import DetailedEngine
+    from repro.core.policies import make_policy
+    from repro.metrics.collector import MeasurementPlan
+    from repro.network.topology import ERapidTopology
+    from repro.perf.legacy_detailed import LegacyDetailedEngine
+    from repro.traffic.workload import WorkloadSpec
+
+    base = ERapidConfig(
+        topology=ERapidTopology(boards=2, nodes_per_board=4),
+        policy=make_policy("P-NB"),
+        control=ControlParams(window_cycles=500),
+        seed=7,
+    )
+    config = replace(base, router=replace(base.router, credit_cycles=3))
+    plan = MeasurementPlan(warmup=200.0, measure=600.0, drain_limit=1200.0)
+    results = []
+    for engine_cls in (DetailedEngine, LegacyDetailedEngine):
+        d = engine_cls(
+            config, WorkloadSpec(pattern="uniform", load=0.5, seed=7), plan
+        ).run().to_dict()
+        d["extra"].pop("events")
+        results.append(d)
+    assert results[0] == results[1]

@@ -3,23 +3,21 @@ detailed engine's optical boundary."""
 
 import pytest
 
-from repro.network import PacketFactory, SinkNI, SourceNI, VCRouter, table_routing
+from repro.network import Fabric, PacketFactory, table_routing
 from repro.sim import Simulator
 
 
 def build_pair(n_vcs=2, buf_depth=2, queue_capacity=None):
     sim = Simulator()
-    router = VCRouter(
-        sim, n_ports=2, routing_fn=table_routing({0: 0, 1: 1}),
+    fabric = Fabric(sim)
+    router = fabric.add_router(
+        n_ports=2, routing_fn=table_routing({0: 0, 1: 1}),
         n_vcs=n_vcs, buf_depth=buf_depth,
     )
     delivered = []
-    sink = SinkNI(sim, on_packet=delivered.append)
-    sink.attach(router, 1)
-    spare = SinkNI(sim)
-    spare.attach(router, 0)
-    src = SourceNI(sim, router, 0, queue_capacity=queue_capacity)
-    router.start()
+    sink = fabric.add_sink(router, 1, on_packet=delivered.append)
+    fabric.add_sink(router, 0)
+    src = fabric.add_source(router, 0, queue_capacity=queue_capacity)
     return sim, router, src, sink, delivered
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, SimulationError
 from repro.network import (
     Channel,
-    CreditChannel,
     CreditCounter,
+    Fabric,
     FlitBuffer,
     FlitType,
     MatrixArbiter,
@@ -17,7 +17,7 @@ from repro.network import (
     RoundRobinArbiter,
     SeparableAllocator,
 )
-from repro.sim import Simulator
+from repro.sim import DueQueue, Simulator
 
 
 # ----------------------------------------------------------------------
@@ -149,24 +149,6 @@ def test_credit_counter_negative_initial():
         CreditCounter(-1)
 
 
-def test_credit_channel_latency():
-    sim = Simulator()
-    ch = CreditChannel(sim, latency=3)
-    fired = []
-    ch.send(lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [3.0]
-    assert ch.sent == 1
-
-
-def test_credit_channel_zero_latency_immediate():
-    sim = Simulator()
-    ch = CreditChannel(sim, latency=0)
-    fired = []
-    ch.send(lambda: fired.append(sim.now))
-    assert fired == [0.0]
-
-
 # ----------------------------------------------------------------------
 # Arbiters
 # ----------------------------------------------------------------------
@@ -282,12 +264,16 @@ class _Collector:
 
 def test_channel_delivers_after_serialization_plus_latency():
     sim = Simulator()
+    fabric = Fabric(sim)
     sink = _Collector()
-    ch = Channel(sim, sink=sink, sink_port=3, latency=2, cycles_per_flit=4)
+    ch = Channel(
+        sim, fabric.deliveries, sink=sink, sink_port=3, latency=2, cycles_per_flit=4
+    )
     pkt = Packet(0, 1, size_flits=1)
     (flit,) = pkt.flits()
     ch.send(flit)
     assert ch.busy
+    fabric.driver.arm(sim.now)
     sim.run()
     assert sim.now == 6.0  # 4 serialization + 2 wire
     assert sink.got == [(flit, 3)]
@@ -295,7 +281,7 @@ def test_channel_delivers_after_serialization_plus_latency():
 
 def test_channel_rejects_concurrent_send():
     sim = Simulator()
-    ch = Channel(sim, sink=_Collector(), cycles_per_flit=4)
+    ch = Channel(sim, DueQueue(), sink=_Collector(), cycles_per_flit=4)
     pkt = Packet(0, 1, size_flits=2)
     f0, f1 = pkt.flits()
     ch.send(f0)
@@ -305,7 +291,7 @@ def test_channel_rejects_concurrent_send():
 
 def test_channel_free_after_serialization():
     sim = Simulator()
-    ch = Channel(sim, sink=_Collector(), latency=0, cycles_per_flit=2)
+    ch = Channel(sim, DueQueue(), sink=_Collector(), latency=0, cycles_per_flit=2)
     pkt = Packet(0, 1, size_flits=2)
     f0, f1 = pkt.flits()
 
@@ -322,13 +308,13 @@ def test_channel_free_after_serialization():
 
 def test_channel_without_sink_raises():
     sim = Simulator()
-    ch = Channel(sim)
+    ch = Channel(sim, DueQueue())
     with pytest.raises(SimulationError):
         ch.send(Packet(0, 1, size_flits=1).flits()[0])
 
 
 def test_channel_validation():
     with pytest.raises(SimulationError):
-        Channel(Simulator(), latency=-1)
+        Channel(Simulator(), DueQueue(), latency=-1)
     with pytest.raises(SimulationError):
-        Channel(Simulator(), cycles_per_flit=0)
+        Channel(Simulator(), DueQueue(), cycles_per_flit=0)

@@ -1,14 +1,19 @@
-"""Integration tests for the cycle-accurate VC router + NIs."""
+"""Integration tests for the cycle-accurate VC router + NIs.
+
+Every star here runs on :class:`repro.network.Fabric`, the clock loop the
+detailed engine runs, and ``test_star_matches_frozen_process_substrate``
+pins its per-packet timestamps to the frozen process-driven substrate
+(``repro.perf.legacy_detailed``) exactly.
+"""
 
 import pytest
 
 from repro.network import (
     ERapidTopology,
+    Fabric,
     PacketFactory,
     Ring,
     SinkNI,
-    SourceNI,
-    VCRouter,
     ibi_routing,
     table_routing,
 )
@@ -16,9 +21,38 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.sim import Simulator
 
 
-def build_star(sim, n_nodes=4, n_vcs=2, buf_depth=2):
-    """A single-router 'IBI' star: port i = node i (inject + eject)."""
-    router = VCRouter(
+def build_star(n_nodes=4, n_vcs=2, buf_depth=2, ports=None):
+    """A single-router 'IBI' star: port i = node i (inject + eject).
+
+    ``ports`` is the order the per-port NIs are created in (and so the
+    order the fabric pumps the source NIs); the default is ascending.
+    """
+    sim = Simulator()
+    fabric = Fabric(sim)
+    router = fabric.add_router(
+        n_ports=n_nodes,
+        routing_fn=table_routing({d: d for d in range(n_nodes)}),
+        n_vcs=n_vcs,
+        buf_depth=buf_depth,
+        name="star",
+    )
+    delivered = []
+    sources = [None] * n_nodes
+    sinks = [None] * n_nodes
+    for p in range(n_nodes) if ports is None else ports:
+        sinks[p] = fabric.add_sink(
+            router, p, on_packet=delivered.append, name=f"sink{p}"
+        )
+        sources[p] = fabric.add_source(router, p, name=f"src{p}")
+    return sim, router, sources, sinks, delivered
+
+
+def build_frozen_star(n_nodes=4, n_vcs=2, buf_depth=2):
+    """The same star on the frozen process-driven router and NIs."""
+    from repro.perf.legacy_detailed import _SinkNI, _SourceNI, _VCRouter
+
+    sim = Simulator()
+    router = _VCRouter(
         sim,
         n_ports=n_nodes,
         routing_fn=table_routing({d: d for d in range(n_nodes)}),
@@ -30,16 +64,15 @@ def build_star(sim, n_nodes=4, n_vcs=2, buf_depth=2):
     sources = []
     sinks = []
     for p in range(n_nodes):
-        sinks.append(SinkNI(sim, on_packet=delivered.append, name=f"sink{p}"))
+        sinks.append(_SinkNI(sim, on_packet=delivered.append, name=f"sink{p}"))
         sinks[-1].attach(router, p)
-        sources.append(SourceNI(sim, router, p, name=f"src{p}"))
+        sources.append(_SourceNI(sim, router, p, name=f"src{p}"))
     router.start()
-    return router, sources, sinks, delivered
+    return sim, router, sources, sinks, delivered
 
 
 def test_single_packet_traverses_router():
-    sim = Simulator()
-    router, sources, sinks, delivered = build_star(sim)
+    sim, router, sources, sinks, delivered = build_star()
     pkt = PacketFactory().make(src=0, dst=2, now=0.0)
     sources[0].send(pkt)
     sim.run(until=500)
@@ -51,8 +84,7 @@ def test_single_packet_traverses_router():
 
 
 def test_packet_to_every_destination():
-    sim = Simulator()
-    _, sources, _, delivered = build_star(sim, n_nodes=4)
+    sim, _, sources, _, delivered = build_star(n_nodes=4)
     factory = PacketFactory()
     pkts = [factory.make(src=0, dst=d, now=0.0) for d in range(1, 4)]
     for p in pkts:
@@ -63,8 +95,7 @@ def test_packet_to_every_destination():
 
 def test_all_to_one_contention_delivers_everything():
     """4 sources hammer one sink; all packets must still arrive (no loss)."""
-    sim = Simulator()
-    _, sources, sinks, delivered = build_star(sim, n_nodes=4)
+    sim, _, sources, sinks, delivered = build_star(n_nodes=4)
     factory = PacketFactory()
     pkts = []
     for src in range(4):
@@ -80,8 +111,6 @@ def test_all_to_one_contention_delivers_everything():
 
 
 def test_flits_of_a_packet_stay_in_order():
-    sim = Simulator()
-    _, sources, _, delivered = build_star(sim)
     order = []
 
     class OrderSink(SinkNI):
@@ -89,19 +118,17 @@ def test_flits_of_a_packet_stay_in_order():
             order.append(flit.index)
             super().receive_flit(flit, port)
 
-    # Rebuild node 1's sink with the recording subclass.
-    sim2 = Simulator()
-    router = VCRouter(
-        sim2, n_ports=2, routing_fn=table_routing({0: 0, 1: 1}), n_vcs=2, buf_depth=2
+    sim = Simulator()
+    fabric = Fabric(sim)
+    router = fabric.add_router(
+        n_ports=2, routing_fn=table_routing({0: 0, 1: 1}), n_vcs=2, buf_depth=2
     )
-    sink = OrderSink(sim2, name="ordersink")
+    sink = OrderSink(sim, fabric.deliveries, fabric.credits, name="ordersink")
     sink.attach(router, 1)
-    plain = SinkNI(sim2)
-    plain.attach(router, 0)
-    src = SourceNI(sim2, router, 0, name="src0")
-    router.start()
+    fabric.add_sink(router, 0)
+    src = fabric.add_source(router, 0, name="src0")
     src.send(PacketFactory().make(src=0, dst=1, now=0.0))
-    sim2.run(until=1000)
+    sim.run(until=1000)
     assert order == list(range(8))
 
 
@@ -113,8 +140,7 @@ def test_zero_load_latency_components():
     arrives a small pipeline delay after its tail leaves the source — i.e.
     at least 32 cycles, well under 64.
     """
-    sim = Simulator()
-    _, sources, _, delivered = build_star(sim, buf_depth=8)
+    sim, _, sources, _, delivered = build_star(buf_depth=8)
     pkt = PacketFactory().make(src=0, dst=1, now=0.0)
     sources[0].send(pkt)
     sim.run(until=500)
@@ -123,8 +149,7 @@ def test_zero_load_latency_components():
 
 
 def test_deeper_buffers_do_not_lose_packets():
-    sim = Simulator()
-    _, sources, _, delivered = build_star(sim, buf_depth=8)
+    sim, _, sources, _, delivered = build_star(buf_depth=8)
     factory = PacketFactory()
     for src in range(4):
         for dst in range(4):
@@ -134,15 +159,67 @@ def test_deeper_buffers_do_not_lose_packets():
     assert len(delivered) == 12
 
 
+# ----------------------------------------------------------------------
+# Exact timing: the clocked star against the frozen process-driven one
+# ----------------------------------------------------------------------
+
+#: name -> (star kwargs, [(src, dst), ...] in send order).
+STAR_CASES = {
+    "single_packet": ({}, [(0, 2)]),
+    "contention_3_to_1": ({}, [(s, 3) for s in range(3) for _ in range(5)]),
+    "all_pairs_deep": (
+        {"buf_depth": 8},
+        [(s, d) for s in range(4) for d in range(4) if s != d],
+    ),
+    "one_vc_queued": ({"n_vcs": 1}, [(0, 1)] * 3),
+    "one_vc_depth_one": (
+        {"n_vcs": 1, "buf_depth": 1},
+        [(0, 1)] * 3 + [(2, 1)] * 3,
+    ),
+}
+
+
+def star_timeline(build, case, **extra):
+    """Per delivered packet, in delivery order: (pid offset, injected_at,
+    delivered_at).  Pids are offset by the first one because
+    ``PacketFactory`` ids are global."""
+    kwargs, traffic = STAR_CASES[case]
+    sim, _, sources, _, delivered = build(**kwargs, **extra)
+    factory = PacketFactory()
+    pkts = [factory.make(src=s, dst=d, now=0.0) for s, d in traffic]
+    for pkt in pkts:
+        sources[pkt.src].send(pkt)
+    # The frozen router ticks every cycle to the horizon; every case here
+    # drains by cycle 500.
+    sim.run(until=1_000)
+    assert len(delivered) == len(pkts)
+    first = pkts[0].pid
+    return [(p.pid - first, p.injected_at, p.delivered_at) for p in delivered]
+
+
+@pytest.mark.parametrize("case", sorted(STAR_CASES))
+def test_star_matches_frozen_process_substrate(case):
+    assert star_timeline(build_star, case) == star_timeline(build_frozen_star, case)
+
+
+@pytest.mark.parametrize("case", sorted(STAR_CASES))
+def test_reversed_ni_pump_order_is_behaviour_neutral(case):
+    """Each pump owns the one channel into its own router input port, and
+    every push in a tick comes due at the same time, so the order the
+    fabric pumps the NIs in cannot move a timestamp (DESIGN.md §6)."""
+    assert star_timeline(build_star, case, ports=[3, 2, 1, 0]) == star_timeline(
+        build_star, case
+    )
+
+
 def test_router_invalid_route_raises():
     sim = Simulator()
-    router = VCRouter(
-        sim, n_ports=2, routing_fn=lambda r, d: 99, n_vcs=1, buf_depth=2
+    fabric = Fabric(sim)
+    router = fabric.add_router(
+        n_ports=2, routing_fn=lambda r, d: 99, n_vcs=1, buf_depth=2
     )
-    sink = SinkNI(sim)
-    sink.attach(router, 1)
-    src = SourceNI(sim, router, 0)
-    router.start()
+    fabric.add_sink(router, 1)
+    src = fabric.add_source(router, 0)
     src.send(PacketFactory().make(src=0, dst=1, now=0.0))
     with pytest.raises(ConfigurationError):
         sim.run(until=100)
@@ -150,12 +227,13 @@ def test_router_invalid_route_raises():
 
 def test_router_validation():
     with pytest.raises(ConfigurationError):
-        VCRouter(Simulator(), n_ports=0, routing_fn=lambda r, d: 0)
+        Fabric(Simulator()).add_router(n_ports=0, routing_fn=lambda r, d: 0)
 
 
 def test_table_routing_missing_dst():
-    sim = Simulator()
-    router = VCRouter(sim, n_ports=2, routing_fn=table_routing({}), n_vcs=1)
+    router = Fabric(Simulator()).add_router(
+        n_ports=2, routing_fn=table_routing({}), n_vcs=1
+    )
     with pytest.raises(ConfigurationError):
         router.routing_fn(router, 5)
 
@@ -216,7 +294,7 @@ def test_ring_validation():
 def test_ibi_routing_local_and_remote():
     topo = ERapidTopology(boards=4, nodes_per_board=4)
     route = ibi_routing(topo, board=1, tx_port_of=lambda d: 4 + d)
-    router = VCRouter(Simulator(), n_ports=8, routing_fn=route, n_vcs=1)
+    router = Fabric(Simulator()).add_router(n_ports=8, routing_fn=route, n_vcs=1)
     # Local destination -> ejection port == local index.
     assert route(router, 5) == 1
     assert route(router, 7) == 3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Simulator
+from repro.sim import DueQueue, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -146,24 +146,6 @@ def test_waitable_late_registration_still_fires():
     ev.wait(lambda w: got.append(w.value))
     sim.run()
     assert got == ["v"]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    got = []
-    combo = sim.any_of([sim.timeout(5, "slow"), sim.timeout(2, "fast")])
-    combo.wait(lambda w: got.append(w.value))
-    sim.run()
-    assert got == [["fast"]]
-
-
-def test_all_of_waits_for_every_child():
-    sim = Simulator()
-    got = []
-    combo = sim.all_of([sim.timeout(5, "slow"), sim.timeout(2, "fast")])
-    combo.wait(lambda w: got.append((sim.now, w.value)))
-    sim.run()
-    assert got == [(5.0, ["fast", "slow"])]
 
 
 def test_negative_timeout_raises():
@@ -312,3 +294,19 @@ def test_event_storm_matches_frozen_legacy_kernel():
     assert current == storm(LegacySimulator())
     assert current[1] == 64 * 41
     assert "decoy" not in current[0]
+
+
+def test_due_queue_pops_in_due_order_fifo_among_ties():
+    """A push due earlier than the last one (a shorter-latency producer)
+    is inserted after every entry due by then: pops follow the kernel's
+    (time, FIFO) order."""
+    q = DueQueue()
+    for due, item in [(1.0, "a"), (3.0, "b"), (2.0, "c"), (1.0, "d"), (3.0, "e")]:
+        q.push(due, item)
+    assert q.next_due() == 1.0
+    assert q.pop_if_due(0.5) is None
+    popped = []
+    while (item := q.pop_if_due(3.0)) is not None:
+        popped.append(item)
+    assert popped == ["a", "d", "c", "b", "e"]
+    assert q.next_due() is None

@@ -1,9 +1,9 @@
-"""Unit tests for generator-based processes and resources/stores."""
+"""Unit tests for generator-based processes and stores."""
 
 import pytest
 
 from repro.errors import ProcessError, SimulationError
-from repro.sim import Interrupt, MonitoredStore, Resource, Simulator, Store
+from repro.sim import MonitoredStore, Simulator, Store
 
 
 def test_process_holds_via_timeout():
@@ -67,140 +67,6 @@ def test_process_needs_generator():
     sim = Simulator()
     with pytest.raises(ProcessError):
         sim.process(lambda: None)  # type: ignore[arg-type]
-
-
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100)
-            log.append("finished")
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    p = sim.process(victim())
-
-    def attacker():
-        yield sim.timeout(7)
-        p.interrupt("preempt")
-
-    sim.process(attacker())
-    sim.run()
-    assert log == [("interrupted", 7.0, "preempt")]
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run()
-    assert not p.alive
-    with pytest.raises(ProcessError):
-        p.interrupt()
-
-
-def test_unhandled_interrupt_kills_process():
-    sim = Simulator()
-
-    def victim():
-        yield sim.timeout(100)
-
-    p = sim.process(victim())
-
-    def attacker():
-        yield sim.timeout(1)
-        p.interrupt()
-
-    sim.process(attacker())
-    sim.run()
-    assert not p.alive
-
-
-def test_stale_wakeup_after_interrupt_ignored():
-    """A process interrupted while blocked must not resume when the original
-    waitable later fires."""
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(10)
-            log.append("timeout-resumed")
-        except Interrupt:
-            yield sim.timeout(100)
-            log.append("second-wait-done")
-
-    p = sim.process(victim())
-
-    def attacker():
-        yield sim.timeout(5)
-        p.interrupt()
-
-    sim.process(attacker())
-    sim.run()
-    assert log == ["second-wait-done"]
-    assert sim.now == 105.0
-
-
-# ----------------------------------------------------------------------
-# Resource
-# ----------------------------------------------------------------------
-
-def test_resource_mutual_exclusion():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    log = []
-
-    def worker(tag, hold):
-        yield res.request()
-        log.append((sim.now, tag, "in"))
-        yield sim.timeout(hold)
-        log.append((sim.now, tag, "out"))
-        res.release()
-
-    sim.process(worker("a", 10))
-    sim.process(worker("b", 5))
-    sim.run()
-    assert log == [
-        (0.0, "a", "in"),
-        (10.0, "a", "out"),
-        (10.0, "b", "in"),
-        (15.0, "b", "out"),
-    ]
-
-
-def test_resource_capacity_two_admits_pair():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    entered = []
-
-    def worker(tag):
-        yield res.request()
-        entered.append((sim.now, tag))
-        yield sim.timeout(10)
-        res.release()
-
-    for tag in "abc":
-        sim.process(worker(tag))
-    sim.run()
-    assert entered == [(0.0, "a"), (0.0, "b"), (10.0, "c")]
-
-
-def test_resource_release_without_request_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_bad_capacity():
-    with pytest.raises(SimulationError):
-        Resource(Simulator(), capacity=0)
 
 
 # ----------------------------------------------------------------------
