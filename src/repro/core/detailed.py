@@ -37,6 +37,7 @@ process-based engine (``repro.perf.legacy_detailed``), which
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional
 
 from repro.core.config import ERapidConfig
@@ -82,11 +83,7 @@ class _TxSink(SinkNI):
     def receive_flit(self, flit, port):  # noqa: D102 - see SinkNI
         # Don't stamp delivered_at here: the packet is only crossing into
         # the optical domain.  Tail -> whole packet is reassembled.
-        self.flits_received += 1
-        if self._credit_restore is not None:
-            self.credit_ring.push(
-                self.sim.now + 1.0, (self._credit_restore, flit.vc)
-            )
+        self.eject(flit)
         if flit.is_tail:
             self.packets_received += 1
             self.queue.put(flit.packet)
@@ -174,6 +171,11 @@ class DetailedEngine:
     ) -> None:
         if (gap := coverage_gap(config)) is not None:
             raise ConfigurationError(gap)
+        # A run's object graph (kernel processes, fabric callbacks) is
+        # cyclic and outlives the run until a full collection; collect
+        # earlier runs' graphs first, so back-to-back runs in one process
+        # hold one graph at a time.
+        gc.collect()
         self.config = config
         self.topology = config.topology
         self.workload = workload

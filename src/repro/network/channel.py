@@ -43,7 +43,7 @@ class Channel:
 
     __slots__ = (
         "sim", "ring", "sink", "sink_port", "latency", "cycles_per_flit",
-        "name", "_busy_until", "flits_sent",
+        "name", "busy_until", "flits_sent",
     )
 
     def __init__(
@@ -67,25 +67,27 @@ class Channel:
         self.latency = latency
         self.cycles_per_flit = cycles_per_flit
         self.name = name
-        self._busy_until = 0.0
+        #: The wire serializes a flit until this time (clocked readers
+        #: compare it with their tick's ``now``).
+        self.busy_until = 0.0
         self.flits_sent = 0
 
     @property
     def busy(self) -> bool:
         """Whether the wire is still serializing a previous flit."""
-        return self.sim.now < self._busy_until
+        return self.sim.now < self.busy_until
 
     def send(self, flit: Flit) -> None:
         """Serialize ``flit``; it comes due at the sink after ser + latency."""
         if self.sink is None:
             raise SimulationError(f"channel {self.name!r} has no sink")
-        if self.busy:
+        now = self.sim.now
+        if now < self.busy_until:
             raise SimulationError(
-                f"channel {self.name!r} busy until {self._busy_until}; "
+                f"channel {self.name!r} busy until {self.busy_until}; "
                 "router ST stage must check Channel.busy"
             )
-        now = self.sim.now
-        self._busy_until = now + self.cycles_per_flit
+        self.busy_until = now + self.cycles_per_flit
         self.flits_sent += 1
         self.ring.push(
             now + self.cycles_per_flit + self.latency,

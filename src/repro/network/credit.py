@@ -23,35 +23,32 @@ CreditReturn = Tuple[Callable[[int], None], int]
 class CreditCounter:
     """Tracks credits (free downstream buffer slots) for one output VC."""
 
-    __slots__ = ("initial", "_credits")
+    __slots__ = ("initial", "credits")
 
     def __init__(self, initial: int) -> None:
         if initial < 0:
             raise SimulationError(f"negative initial credits {initial}")
         self.initial = initial
-        self._credits = initial
-
-    @property
-    def credits(self) -> int:
-        return self._credits
+        #: Credits in hand; change it only through consume/restore.
+        self.credits = initial
 
     @property
     def has_credit(self) -> bool:
-        return self._credits > 0
+        return self.credits > 0
 
     def consume(self) -> None:
         """Spend one credit (a flit departed downstream)."""
-        if self._credits <= 0:
+        if self.credits <= 0:
             raise SimulationError("consumed a credit while at zero")
-        self._credits -= 1
+        self.credits -= 1
 
     def restore(self) -> None:
         """Return one credit (the downstream buffer freed a slot)."""
-        if self._credits >= self.initial:
+        if self.credits >= self.initial:
             raise SimulationError(
                 f"credit overflow: restore past initial count {self.initial}"
             )
-        self._credits += 1
+        self.credits += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CreditCounter {self._credits}/{self.initial}>"
+        return f"<CreditCounter {self.credits}/{self.initial}>"

@@ -18,13 +18,17 @@ Each tick runs four phases in a fixed order:
    creation order, skipping routers whose input VCs are all idle
    (``busy_vcs == 0`` — a provable no-op cycle).
 4. **NI pumps** — tick each :class:`~repro.network.interface.SourceNI`
-   whose ``next_due`` has arrived, in creation order.  Pumps woken at
-   fractional times (by injection draws or fiber relays) poll on their
-   own ``wake + k`` grid.
+   due now, in creation order.  Pumps woken at fractional times (by
+   injection draws or fiber relays) poll on their own ``wake + k`` grid.
 
-The tick then re-arms the driver at the earliest future obligation: the
-next integer cycle while any router is busy, plus the due-queues' and
-each active pump's next due time.  The driver schedules ticks in the
+A parked pump (``next_due == inf``) costs nothing: the fabric keeps the
+awake pumps in buckets keyed by their next due time, a wake puts the
+pump in the bucket for *now*, and phase 4 ticks only the bucket for the
+tick's time, sorted into creation order.  A pump still awake afterwards
+joins the bucket of its new ``next_due``; the first pump into a bucket
+arms the driver for that time.  Every tick re-arms the driver at its
+other obligations: the next integer cycle while any router is busy, and
+the due-queues' next due times.  The driver schedules ticks in the
 kernel's priority-1 class, so every priority-0 event at time *t*
 (injection draws, packet hand-offs, fiber relays, DPM window decisions)
 is visible to the tick at *t*.
@@ -33,7 +37,7 @@ is visible to the tick at *t*.
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.network.channel import Delivery
 from repro.network.credit import CreditReturn
@@ -51,7 +55,9 @@ __all__ = ["Fabric"]
 class Fabric:
     """Routers, NI pumps, their due-queues and the one clock loop."""
 
-    __slots__ = ("sim", "deliveries", "credits", "driver", "routers", "pumps")
+    __slots__ = (
+        "sim", "deliveries", "credits", "driver", "routers", "pumps", "_pumps_due",
+    )
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -62,6 +68,8 @@ class Fabric:
         self.driver = CycleDriver(sim, self.tick)
         self.routers: List[VCRouter] = []
         self.pumps: List[SourceNI] = []
+        #: Due time -> indices into ``pumps`` of the awake pumps due then.
+        self._pumps_due: Dict[float, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,8 +100,10 @@ class Fabric:
         name: str = "",
     ) -> SourceNI:
         """A send port into ``router``'s input ``port``, pumped by this fabric."""
+        index = len(self.pumps)
         ni = SourceNI(
-            self.sim, router, port, self.deliveries, self._wake,
+            self.sim, router, port, self.deliveries,
+            lambda: self._wake(index),
             cycles_per_flit=cycles_per_flit, queue_capacity=queue_capacity,
             name=name,
         )
@@ -115,9 +125,15 @@ class Fabric:
         sink.attach(router, port, cycles_per_flit=cycles_per_flit)
         return sink
 
-    def _wake(self) -> None:
-        """A parked pump got a packet: tick this very cycle."""
-        self.driver.arm(self.sim.now)
+    def _wake(self, index: int) -> None:
+        """Parked pump ``index`` got a packet: tick it this very cycle."""
+        now = self.sim.now
+        due = self._pumps_due.get(now)
+        if due is None:
+            self._pumps_due[now] = [index]
+        else:
+            due.append(index)
+        self.driver.arm(now)
 
     # ------------------------------------------------------------------
     # The clock loop
@@ -139,30 +155,46 @@ class Fabric:
                 break
             dentry[0].receive_flit(dentry[2], dentry[1])
         # Phase 3 — router pipelines, on the integer cycle grid, creation
-        # order, idle-skip.
-        routers = self.routers
-        if now.is_integer():
-            for router in routers:
-                if router.busy_vcs:
-                    router.tick()
-        # Phase 4 — NI pumps in creation order, each on its own grid.
-        pumps = self.pumps
-        for ni in pumps:
-            if ni.next_due <= now:
-                ni.tick(now)
-        # Re-arm: next integer cycle while any router is busy, plus the
-        # earliest due times of the due-queues and each active pump.
+        # order, idle-skip.  A router still busy after it needs the next
+        # integer cycle.
         arm = self.driver.arm
-        for router in routers:
-            if router.busy_vcs:
-                arm(float(int(now)) + 1.0)
-                break
+        busy = False
+        if now.is_integer():
+            for router in self.routers:
+                if router.busy_vcs:
+                    router.tick(now)
+                    if router.busy_vcs:
+                        busy = True
+        else:
+            for router in self.routers:
+                if router.busy_vcs:
+                    busy = True
+                    break
+        if busy:
+            arm(float(int(now)) + 1.0)
+        # Phase 4 — the pumps due now, in creation order, each on its own
+        # grid.  A pump still awake joins the bucket of its next due time;
+        # the first pump into a bucket arms it.  Parked pumps drop out.
+        due = self._pumps_due.pop(now, None)
+        if due is not None:
+            if len(due) > 1:
+                due.sort()
+            pumps = self.pumps
+            pumps_due = self._pumps_due
+            for index in due:
+                ni = pumps[index]
+                ni.tick(now)
+                nd = ni.next_due
+                if nd != inf:
+                    later = pumps_due.get(nd)
+                    if later is None:
+                        pumps_due[nd] = [index]
+                        arm(nd)
+                    else:
+                        later.append(index)
         nd = credit_ring.next_due()
         if nd is not None:
             arm(nd)
         nd = delivery_ring.next_due()
         if nd is not None:
             arm(nd)
-        for ni in pumps:
-            if ni.next_due < inf:
-                arm(ni.next_due)

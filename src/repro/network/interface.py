@@ -44,8 +44,10 @@ class SourceNI:
     (``next_due = now + 1``), which for receiver-side NIs woken by
     fractional-time fiber relays is a *fractional* grid anchored at the
     wake time.  External producers call :meth:`send`; when that wakes a
-    parked pump, ``on_wake`` tells the owning fabric to arm a tick at the
-    current time, so injection starts on that same cycle.
+    parked pump, ``on_wake`` tells the owning fabric to tick the pump at
+    the current time, so injection starts on that same cycle.  A pump
+    calls ``on_wake`` once per wake, however many sends land before its
+    tick.
     """
 
     __slots__ = (
@@ -102,8 +104,9 @@ class SourceNI:
         lands before the cycle driver's tick at the same time.
         """
         req = self.queue.put(packet)
-        if self._packet is None:
-            # Parked on an empty queue: resume this very cycle.
+        if self.next_due == inf:
+            # Parked on an empty queue: resume this very cycle.  A second
+            # send before that tick finds the pump awake and wakes nothing.
             self.next_due = self.sim.now
             self.on_wake()
         return req
@@ -143,12 +146,12 @@ class SourceNI:
                 pkt.injected_at = now
                 self._flits = pkt.flits()
                 self._flit_idx = 0
-            flit = self._flits[self._flit_idx]
-            flit.vc = vc
             # Wait for a credit and for the wire to be free.
-            if not credits[vc].has_credit or channel.busy:
+            if credits[vc].credits <= 0 or channel.busy_until > now:
                 self.next_due = now + 1.0
                 return
+            flit = self._flits[self._flit_idx]
+            flit.vc = vc
             credits[vc].consume()
             channel.send(flit)
             if flit.is_tail:
@@ -212,15 +215,18 @@ class SinkNI:
         self._credit_restore = lambda vc: router.restore_credit(out_port, vc)
         return channel
 
-    def receive_flit(self, flit: Flit, port: int) -> None:
+    def eject(self, flit: Flit) -> None:
+        """Consume ``flit``: count it and return its credit a cycle later."""
         self.flits_received += 1
-        # Ejection consumes the flit immediately; return the credit.
         if self._credit_restore is not None:
             if flit.vc is None:
                 raise ConfigurationError("flit arrived at sink without a VC")
             self.credit_ring.push(
                 self.sim.now + 1.0, (self._credit_restore, flit.vc)
             )
+
+    def receive_flit(self, flit: Flit, port: int) -> None:
+        self.eject(flit)
         if flit.is_tail:
             packet = flit.packet
             packet.delivered_at = self.sim.now

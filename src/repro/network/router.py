@@ -8,12 +8,21 @@ flow control and round-robin separable allocation.
 The router has no clock of its own: the fabric's clock loop
 (:class:`repro.network.fabric.Fabric`) calls :meth:`VCRouter.tick` once
 per integer cycle, skipping routers whose input VCs are all idle
-(``busy_vcs == 0`` — an idle cycle is a provable no-op: every stage scans
-for non-IDLE VC state, and an all-``False`` request mask never advances
-an arbiter pointer).  Delayed credit returns join the fabric's credit
-due-queue.  Pipeline stages execute in *reverse* order (ST, SA, VA, RC)
-within a cycle so a flit advances at most one stage per cycle, giving the
-4-cycle zero-load pipeline latency the paper's router model has.
+(``busy_vcs == 0`` — an idle cycle is a provable no-op: every stage
+works only on non-IDLE VCs, and an all-``False`` request mask never
+advances an arbiter pointer).  Delayed credit returns join the fabric's
+credit due-queue.  Pipeline stages execute in *reverse* order (ST, SA,
+VA, RC) within a cycle so a flit advances at most one stage per cycle,
+giving the 4-cycle zero-load pipeline latency the paper's router model
+has.
+
+Each stage works from a worklist kept in step with the VC state
+machine, so a cycle costs in proportion to the live VCs, not to the
+router's ``n_ports x n_vcs``: RC drains the VCs that entered ROUTING, VA
+visits the WAITING_VC requesters grouped by output port, and SA/ST visits
+the input ports holding an ACTIVE VC.  Each list is visited in the order
+a full scan would meet its entries, so every arbiter sees the same
+request masks in the same sequence (DESIGN.md §6).
 
 This detailed model backs the E-RAPID *detailed engine* and the substrate
 tests; the full evaluation sweeps use the event-driven fast engine, which is
@@ -22,6 +31,7 @@ cross-validated against this router (see ``tests/test_cross_validation.py``).
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
@@ -66,6 +76,7 @@ class VCRouter:
         "credit_latency", "name", "inputs", "outputs", "channels",
         "credit_returns", "credit_ring", "_va_arbiters", "_sa_input",
         "_sa_output", "flits_routed", "packets_routed", "busy_vcs",
+        "_rc_pending", "_va_waiting", "_active_ports", "_active_vcs",
     )
 
     def __init__(
@@ -112,6 +123,15 @@ class VCRouter:
         self.packets_routed = 0
         #: Input VCs currently carrying a packet; 0 means a tick is a no-op.
         self.busy_vcs = 0
+        # The stages' worklists, each in step with the InputVC states:
+        #: flat ids (``port * n_vcs + vc``) of the VCs in ROUTING;
+        self._rc_pending: List[int] = []
+        #: output port -> flat ids of the WAITING_VC VCs routed to it;
+        self._va_waiting: Dict[int, List[int]] = {}
+        #: input ports holding >= 1 ACTIVE VC, ascending;
+        self._active_ports: List[int] = []
+        #: per input port, its number of ACTIVE VCs.
+        self._active_vcs: List[int] = [0] * n_ports
 
     # ------------------------------------------------------------------
     # Wiring
@@ -137,7 +157,7 @@ class VCRouter:
         # behind an in-flight packet is started when that packet's tail
         # departs (see _traverse).
         if flit.is_head and ivc.status is VCStatus.IDLE:
-            ivc.start_packet()
+            self._start(ivc, port * self.n_vcs + flit.vc)
             self.busy_vcs += 1
 
     def restore_credit(self, port: int, vc: int) -> None:
@@ -147,101 +167,119 @@ class VCRouter:
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
-    def tick(self) -> None:
+    def tick(self, now: float) -> None:
         """Advance the pipeline one cycle (ST/SA, then VA, then RC).
 
-        The fabric calls this on integer cycles, skipping routers with
-        ``busy_vcs == 0``.
+        The fabric calls this on integer cycles ``now``, skipping routers
+        with ``busy_vcs == 0``.
         """
-        self._stage_st_sa()
+        self._stage_st_sa(now)
         self._stage_va()
         self._stage_rc()
 
+    def _start(self, ivc: InputVC, flat: int) -> None:
+        """Put ``ivc`` (flat id ``port * n_vcs + vc``), now led by a head
+        flit, in ROUTING and on the RC worklist."""
+        ivc.start_packet()
+        self._rc_pending.append(flat)
+
     def _stage_rc(self) -> None:
-        """Route computation for VCs holding a fresh head flit."""
-        for port in range(self.n_ports):
-            for ivc in self.inputs[port]:
-                if ivc.status is VCStatus.ROUTING:
-                    head = ivc.buffer.front()
-                    if head is None:  # pragma: no cover - defensive
-                        continue
-                    out = self.routing_fn(self, head.dst)
-                    if not 0 <= out < self.n_ports:
-                        raise ConfigurationError(
-                            f"routing_fn returned invalid port {out} "
-                            f"for dst {head.dst} at {self.name!r}"
-                        )
-                    ivc.routed(out)
+        """Route computation for the VCs that entered ROUTING."""
+        pending = self._rc_pending
+        if not pending:
+            return
+        # Heads arrive in delivery order; route in the (port, VC) order.
+        pending.sort()
+        n_vcs = self.n_vcs
+        inputs = self.inputs
+        waiting = self._va_waiting
+        for flat in pending:
+            ivc = inputs[flat // n_vcs][flat % n_vcs]
+            dst = ivc.buffer.front().dst
+            out = self.routing_fn(self, dst)
+            if not 0 <= out < self.n_ports:
+                raise ConfigurationError(
+                    f"routing_fn returned invalid port {out} "
+                    f"for dst {dst} at {self.name!r}"
+                )
+            ivc.routed(out)
+            requesters = waiting.get(out)
+            if requesters is None:
+                waiting[out] = [flat]
+            else:
+                requesters.append(flat)
+        pending.clear()
 
     def _stage_va(self) -> None:
         """VC allocation: WAITING_VC inputs compete for free output VCs.
 
-        Request-driven: one scan over the input VCs collects the waiting
-        requesters per output port, then only contested ports arbitrate.
-        The arbitration sequence (port order, VC order, request masks) is
-        exactly the dense scan's, so arbiter pointer state — and therefore
-        every grant — is unchanged.
+        Output ports with requesters arbitrate in ascending order, each
+        over its output VCs in ascending order, with a request mask built
+        from the port's still-waiting requesters — the arbitration
+        sequence of a full scan, so every grant and arbiter pointer is
+        unchanged.
         """
-        n_vcs = self.n_vcs
-        requests: Dict[int, List[int]] = {}
-        for in_port in range(self.n_ports):
-            ivcs = self.inputs[in_port]
-            for in_vc_idx in range(n_vcs):
-                if ivcs[in_vc_idx].status is VCStatus.WAITING_VC:
-                    out = ivcs[in_vc_idx].out_port
-                    assert out is not None
-                    requests.setdefault(out, []).append(
-                        in_port * n_vcs + in_vc_idx
-                    )
-        if not requests:
+        waiting = self._va_waiting
+        if not waiting:
             return
-        for out_port in range(self.n_ports):
-            flat_ids = requests.get(out_port)
-            if flat_ids is None:
-                continue
+        n_vcs = self.n_vcs
+        n_requesters = self.n_ports * n_vcs
+        inputs = self.inputs
+        active = self._active_vcs
+        for out_port in sorted(waiting):
+            requesters = waiting[out_port]
+            arbiters = self._va_arbiters[out_port]
+            outputs = self.outputs[out_port]
             for out_vc in range(n_vcs):
-                ovc = self.outputs[out_port][out_vc]
+                ovc = outputs[out_vc]
                 if not ovc.is_free:
                     continue
-                mask = [False] * (self.n_ports * n_vcs)
-                any_req = False
-                for flat in flat_ids:
-                    # A requester granted a lower-numbered output VC this
-                    # cycle is no longer WAITING_VC; re-check.
-                    if self.inputs[flat // n_vcs][flat % n_vcs].status is VCStatus.WAITING_VC:
-                        mask[flat] = True
-                        any_req = True
-                if not any_req:
-                    break
-                winner = self._va_arbiters[out_port][out_vc].arbitrate(mask)
-                if winner is None:
-                    continue
+                mask = [False] * n_requesters
+                for flat in requesters:
+                    mask[flat] = True
+                winner = arbiters[out_vc].arbitrate(mask)
+                assert winner is not None
+                requesters.remove(winner)
                 w_port, w_vc = divmod(winner, n_vcs)
-                ivc = self.inputs[w_port][w_vc]
                 ovc.allocate(w_port, w_vc)
-                ivc.vc_granted(out_vc)
+                inputs[w_port][w_vc].vc_granted(out_vc)
+                if not active[w_port]:
+                    insort(self._active_ports, w_port)
+                active[w_port] += 1
+                if not requesters:
+                    del waiting[out_port]
+                    break
 
-    def _stage_st_sa(self) -> None:
+    def _stage_st_sa(self, now: float) -> None:
         """Switch allocation + traversal for ACTIVE VCs with flits/credits."""
-        # Stage 1: each input port nominates one of its ready VCs.
-        nominees: Dict[int, tuple[int, int]] = {}  # out_port -> (in_port, in_vc)
+        active_ports = self._active_ports
+        if not active_ports:
+            return
+        # Stage 1: each input port holding an ACTIVE VC nominates one of
+        # its ready VCs, in ascending port order.
         requests_per_out: Dict[int, List[bool]] = {}
         chosen_vc: Dict[int, int] = {}
-        for in_port in range(self.n_ports):
+        inputs = self.inputs
+        outputs = self.outputs
+        channels = self.channels
+        n_vcs = self.n_vcs
+        active_state = VCStatus.ACTIVE
+        for in_port in active_ports:
             mask: Optional[List[bool]] = None
-            for vc_idx in range(self.n_vcs):
-                ivc = self.inputs[in_port][vc_idx]
-                if ivc.status is not VCStatus.ACTIVE or ivc.buffer.is_empty:
+            row = inputs[in_port]
+            for vc_idx in range(n_vcs):
+                ivc = row[vc_idx]
+                if ivc.status is not active_state or ivc.buffer.is_empty:
                     continue
-                assert ivc.out_port is not None and ivc.out_vc is not None
-                ovc = self.outputs[ivc.out_port][ivc.out_vc]
-                channel = self.channels[ivc.out_port]
-                if not ovc.credits.has_credit:
+                out_port = ivc.out_port
+                assert out_port is not None and ivc.out_vc is not None
+                if outputs[out_port][ivc.out_vc].credits.credits <= 0:
                     continue
-                if channel is None or channel.busy:
+                channel = channels[out_port]
+                if channel is None or channel.busy_until > now:
                     continue
                 if mask is None:
-                    mask = [False] * self.n_vcs
+                    mask = [False] * n_vcs
                 mask[vc_idx] = True
             if mask is None:
                 # An all-False arbitration grants nothing and leaves the
@@ -250,7 +288,7 @@ class VCRouter:
             pick = self._sa_input[in_port].arbitrate(mask)
             if pick is not None:
                 chosen_vc[in_port] = pick
-                out_port = self.inputs[in_port][pick].out_port
+                out_port = row[pick].out_port
                 assert out_port is not None
                 requests_per_out.setdefault(
                     out_port, [False] * self.n_ports
@@ -260,9 +298,9 @@ class VCRouter:
             winner = self._sa_output[out_port].arbitrate(mask)
             if winner is None:
                 continue
-            self._traverse(winner, chosen_vc[winner])
+            self._traverse(winner, chosen_vc[winner], now)
 
-    def _traverse(self, in_port: int, in_vc_idx: int) -> None:
+    def _traverse(self, in_port: int, in_vc_idx: int, now: float) -> None:
         ivc = self.inputs[in_port][in_vc_idx]
         assert ivc.out_port is not None and ivc.out_vc is not None
         out_port, out_vc = ivc.out_port, ivc.out_vc
@@ -279,17 +317,19 @@ class VCRouter:
             if self.credit_latency == 0:
                 ret(in_vc_idx)
             else:
-                self.credit_ring.push(
-                    self.sim.now + self.credit_latency, (ret, in_vc_idx)
-                )
+                self.credit_ring.push(now + self.credit_latency, (ret, in_vc_idx))
         if flit.is_tail:
             self.packets_routed += 1
             self.outputs[out_port][out_vc].free()
             ivc.finish_packet()
+            active = self._active_vcs
+            active[in_port] -= 1
+            if not active[in_port]:
+                self._active_ports.remove(in_port)
             # A queued head from the next packet may already be buffered.
             nxt = ivc.buffer.front()
             if nxt is not None and nxt.is_head:
-                ivc.start_packet()
+                self._start(ivc, in_port * self.n_vcs + in_vc_idx)
             else:
                 self.busy_vcs -= 1
 

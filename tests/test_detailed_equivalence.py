@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from repro.core.config import ControlParams, ERapidConfig
+from repro.core.config import ControlParams, ERapidConfig, RouterParams
 from repro.core.detailed import DetailedEngine
 from repro.core.policies import make_policy
 from repro.metrics.collector import MeasurementPlan
@@ -24,9 +24,10 @@ PLAN = MeasurementPlan(warmup=500.0, measure=1500.0, drain_limit=3000.0)
 
 
 def _comparable(engine_cls, pattern, policy, load, boards=2,
-                nodes_per_board=4, seed=7):
+                nodes_per_board=4, seed=7, router=RouterParams()):
     config = ERapidConfig(
         topology=ERapidTopology(boards=boards, nodes_per_board=nodes_per_board),
+        router=router,
         policy=make_policy(policy),
         control=ControlParams(window_cycles=500),
         seed=seed,
@@ -62,6 +63,35 @@ def test_clocked_rewrite_bit_identical_larger_platform():
     remote transmitter/receiver pair live) at moderate DPM load."""
     new = _comparable(DetailedEngine, "uniform", "P-NB", 0.4, boards=4)
     old = _comparable(LegacyDetailedEngine, "uniform", "P-NB", 0.4, boards=4)
+    assert new == old
+
+
+#: Routers other than the default (n_vcs=2, buf_depth=2, credit_cycles=1):
+#: more and deeper VCs, a slow credit return (whose credits land behind
+#: later sink credits on the due-queue), and one single-flit VC.
+ROUTERS = {
+    "vc4_depth4": RouterParams(n_vcs=4, buf_depth=4),
+    "credit3": RouterParams(credit_cycles=3),
+    "vc1_depth1": RouterParams(n_vcs=1, buf_depth=1),
+}
+
+
+@pytest.mark.parametrize("router", sorted(ROUTERS))
+@pytest.mark.parametrize("pattern,policy,load", [
+    ("uniform", "P-NB", 0.5), ("complement", "NP-NB", 0.8),
+])
+def test_clocked_rewrite_bit_identical_beyond_default_router(
+    router, pattern, policy, load
+):
+    """R(1,4,4) on each non-default router, where the VA/SA worklists
+    see other VC counts, buffer depths and credit timings."""
+    params = ROUTERS[router]
+    new = _comparable(
+        DetailedEngine, pattern, policy, load, boards=4, router=params
+    )
+    old = _comparable(
+        LegacyDetailedEngine, pattern, policy, load, boards=4, router=params
+    )
     assert new == old
 
 

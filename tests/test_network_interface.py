@@ -69,6 +69,60 @@ def test_sink_ni_counts_flits_and_packets():
     assert sink.flits_received == 8
 
 
+def _tx_sink(fabric, router, port):
+    from repro.core.detailed import _TxSink
+    from repro.sim.queues import MonitoredStore
+
+    sink = _TxSink(fabric, MonitoredStore(fabric.sim, name="txq"), name="tx")
+    sink.attach(router, port)
+    return sink
+
+
+@pytest.mark.parametrize("kind", ["eject", "transmitter"])
+def test_sink_rejects_a_flit_without_a_vc(kind):
+    """Both sinks eject through ``SinkNI.eject``: a flit with no VC has no
+    credit to return and raises at once, before any credit is queued."""
+    from repro.errors import ConfigurationError
+
+    sim = Simulator()
+    fabric = Fabric(sim)
+    router = fabric.add_router(
+        n_ports=2, routing_fn=table_routing({0: 0, 1: 1}), n_vcs=2, buf_depth=2
+    )
+    if kind == "eject":
+        sink = fabric.add_sink(router, 1)
+    else:
+        sink = _tx_sink(fabric, router, 1)
+    flit = PacketFactory().make(0, 1, 0.0).flits()[0]
+    assert flit.vc is None
+    with pytest.raises(ConfigurationError, match="without a VC"):
+        sink.receive_flit(flit, 1)
+    assert len(fabric.credits) == 0
+
+
+@pytest.mark.parametrize("kind", ["eject", "transmitter"])
+def test_sink_ejection_counts_and_returns_the_credit(kind):
+    sim = Simulator()
+    fabric = Fabric(sim)
+    router = fabric.add_router(
+        n_ports=2, routing_fn=table_routing({0: 0, 1: 1}), n_vcs=2, buf_depth=2
+    )
+    if kind == "eject":
+        sink = fabric.add_sink(router, 1)
+    else:
+        sink = _tx_sink(fabric, router, 1)
+    flits = PacketFactory().make(0, 1, 0.0).flits()
+    for flit in flits:
+        flit.vc = 1
+        sink.receive_flit(flit, 1)
+    assert sink.flits_received == len(flits)
+    assert sink.packets_received == 1
+    assert len(fabric.credits) == len(flits)
+    assert fabric.credits.next_due() == 1.0
+    if kind == "transmitter":
+        assert list(sink.queue.items) == [flits[0].packet]
+
+
 def test_injection_timestamp_set():
     sim, router, src, sink, delivered = build_pair()
     pkt = PacketFactory().make(0, 1, 0.0)
