@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=1,
-        help="process-pool width of the worker shard (per job)",
+        help="worker processes of the service's one pool, and the most "
+        "jobs run at once (jobs sharing no run)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=16,

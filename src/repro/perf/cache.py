@@ -227,9 +227,10 @@ class RunCache:
     Counters are per-instance (this process's session) until
     :meth:`flush_counters` merges them into the ``_stats.json`` sidecar in
     the cache directory — the cumulative view ``erapid cache stats``
-    reports.  The merge is read-modify-write under an atomic replace, so a
-    racing flush from another process can drop increments but can never
-    corrupt the file; the counters are operational telemetry, not
+    reports.  The merge is read-modify-write under an atomic replace and
+    this instance's lock, so threads sharing the instance never drop an
+    increment; a racing flush from another process can, but can never
+    corrupt the file — the counters are operational telemetry, not
     correctness state.
 
     Parameters
@@ -446,7 +447,8 @@ class RunCache:
 
         Session counters reset to zero after the merge so repeated flushes
         never double-count.  The sidecar is replaced atomically, like an
-        entry.
+        entry, and the whole read-merge-write holds this instance's lock,
+        so flushes from threads sharing it never lose each other's counts.
         """
         with self._lock:
             session = {
@@ -458,13 +460,15 @@ class RunCache:
             }
             self.hits = self.misses = self.puts = 0
             self.batched_gets = self.batched_puts = 0
-        totals = self.persistent_stats()
-        for k, v in sorted(session.items()):
-            totals[k] += v
-        # Telemetry, not correctness state: atomic but not fsynced.
-        _atomic_write(
-            self.root, [(_STATS_NAME, json.dumps(totals, sort_keys=True))], fsync=False
-        )
+            totals = self.persistent_stats()
+            for k, v in sorted(session.items()):
+                totals[k] += v
+            # Telemetry, not correctness state: atomic but not fsynced.
+            _atomic_write(
+                self.root,
+                [(_STATS_NAME, json.dumps(totals, sort_keys=True))],
+                fsync=False,
+            )
         return totals
 
     def reset_counters(self) -> None:

@@ -31,7 +31,8 @@ class Engine:
     covers: Callable[..., Optional[str]]
     #: What a run adds to its cache-key payload; None: never cached.
     key_fields: Optional[Callable[[], Dict[str, Any]]]
-    #: ``(tasks, jobs=, on_result=, on_shard=)``: runs ``run_cached``'s misses.
+    #: ``(tasks, jobs=, on_result=, on_shard=, pool=)``: runs
+    #: ``run_cached``'s misses.
     execute: Optional[Callable[..., Any]]
     #: ``(config, workload, plan) -> (RunResult, rows)``: one point in-process.
     profile: Callable[..., Tuple[Any, List[Row]]]
@@ -60,9 +61,9 @@ ENGINES: Dict[str, Engine] = {
     "fast": Engine(  # adds no key fields: every historical key is unchanged
         covers=lambda *run: None,
         key_fields=lambda: {},
-        execute=lambda tasks, jobs, on_result, on_shard: _late(
+        execute=lambda tasks, jobs, on_result, on_shard, pool: _late(
             "repro.perf.executor", "execute_tasks"
-        )(tasks, jobs=jobs, on_result=on_result),
+        )(tasks, jobs=jobs, on_result=on_result, pool=pool),
         profile=lambda *run: (_late("repro.core.engine", "FastEngine")(*run).run(), []),
     ),
     "batch": Engine(

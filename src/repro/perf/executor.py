@@ -31,12 +31,18 @@ One scheduling loop (:func:`_execute_plan`) runs every
 with one scalar shard, :func:`run_sweep_batched` the planner's batch
 shards plus their scalar fallback, and a batch shard that raises is
 rescued on the scalar engine inside the same loop.
+
+:func:`open_pool` is the one place a process pool is built.  A caller
+that runs many plans (the sweep service) opens one and passes it down
+``run_cached -> execute -> _execute_plan`` as ``pool=``; without one,
+each pooled plan opens and shuts down its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
@@ -75,6 +81,8 @@ __all__ = [
     "execute_tasks",
     "run_sweep_batched",
     "run_cached",
+    "cache_keys",
+    "open_pool",
     "PUT_CHUNK",
 ]
 
@@ -88,6 +96,9 @@ ShardHook = Callable[[ShardReport], None]
 
 #: ``on_result(index, result, cached)`` — :func:`run_cached`'s per-run hook.
 CachedHook = Callable[[int, RunResult, bool], None]
+
+#: ``(cache key, engine keyspace)`` of one task — :func:`cache_keys`.
+KeyedRun = Tuple[str, str]
 
 #: Fresh results buffered per :meth:`~repro.perf.cache.RunCache.put_many`
 #: flush.  Bounds how many completed runs a crash could lose from the
@@ -164,6 +175,20 @@ def _execute_batch_shard(
     return shard_id, perf_counter() - start, payload, telemetry
 
 
+def open_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` workers: the program's only pool
+    constructor.
+
+    The pool is started before it is returned: under the ``fork`` start
+    method the first ``submit`` forks every worker at once, so a caller
+    that opens the pool before starting threads of its own forks no
+    process while one of those threads holds a lock.
+    """
+    pool = ProcessPoolExecutor(workers)
+    pool.submit(int)
+    return pool
+
+
 class _Inline:
     """Executor stand-in: ``submit`` runs the call in this process and
     returns an already-completed future."""
@@ -182,6 +207,7 @@ def _execute_plan(
     plan: ShardPlan,
     on_result: Optional[ResultHook],
     on_shard: Optional[ShardHook],
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> List[RunResult]:
     """The one scheduling loop: run every shard of ``plan``, results in
     task order.
@@ -189,18 +215,20 @@ def _execute_plan(
     Batch shards go to :func:`_execute_batch_shard`, scalar runs to
     :func:`_execute_indexed`.  The loop runs inline when ``plan.jobs`` is
     1 or when the plan is at most one scalar run; otherwise everything is
-    submitted to one process pool of ``min(jobs, work items)`` workers as
-    a unified queue — a batch shard under ``jobs > 1`` always leaves this
-    process, even a lone one.  Inline, items run one at a time so results
-    stream out as they finish.  Done futures are handled in submission
-    order, so inline delivery is deterministic.
+    submitted as a unified queue to ``pool`` — the caller's, which stays
+    open — or, when none is given, to a pool of ``min(jobs, work items)``
+    workers opened and shut down here.  A batch shard under ``jobs > 1``
+    always leaves this process, even a lone one.  Inline, items run one at
+    a time so results stream out as they finish.  Done futures are handled
+    in submission order, so inline delivery is deterministic.
 
     ``on_result`` fires once per index, in task order within a batch
     shard.  ``on_shard`` gets one report per batch shard (``kind="batch"``,
     or ``"fallback"`` when it raised: its indices are then re-queued on
     the scalar engine) and one aggregate ``"scalar"`` report when the last
     run of the scalar shard completes.  A scalar run's exception
-    propagates.
+    propagates, and so does :class:`~concurrent.futures.process.
+    BrokenProcessPool`: a shard whose pool died is not rescued on it.
     """
     if plan.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {plan.jobs}")
@@ -227,18 +255,24 @@ def _execute_plan(
             if on_result is not None:
                 on_result(i, result)
 
-    with ProcessPoolExecutor(workers) if pooled else nullcontext(_Inline()) as pool:
+    if not pooled:
+        context: Any = nullcontext(_Inline())
+    elif pool is None:
+        context = open_pool(workers)
+    else:
+        context = nullcontext(pool)
+    with context as executor:
         pending: Dict[Future, Tuple[str, Any]] = {}
         while work or pending:
             while work and (pooled or not pending):
                 kind, item = work.popleft()
                 if kind == "batch":
                     shard_tasks = tuple(tasks[i] for i in item.indices)
-                    future = pool.submit(
+                    future = executor.submit(
                         _execute_batch_shard, (item.shard_id, shard_tasks)
                     )
                 else:
-                    future = pool.submit(_execute_indexed, (item, tasks[item]))
+                    future = executor.submit(_execute_indexed, (item, tasks[item]))
                 pending[future] = (kind, item)
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in [f for f in pending if f in done]:
@@ -257,6 +291,8 @@ def _execute_plan(
                     continue
                 try:
                     _, seconds, payload, telemetry = future.result()
+                except BrokenProcessPool:
+                    raise
                 except Exception as exc:  # noqa: BLE001 - rescued, not dropped
                     work.extendleft(("rescued", i) for i in reversed(item.indices))
                     report(
@@ -282,17 +318,18 @@ def execute_tasks(
     tasks: Sequence[RunTask],
     jobs: int = 1,
     on_result: Optional[ResultHook] = None,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> List[RunResult]:
     """Execute ``tasks`` on the scalar engine; returns results in task order.
 
     :func:`_execute_plan` over one scalar shard: inline for one job or
-    one task, else a pool of ``min(jobs, len(tasks))`` workers.
-    The returned list is ordered by task index either way, so callers
-    observe identical output.
+    one task, else on ``pool`` (or a pool of ``min(jobs, len(tasks))``
+    workers opened for this call).  The returned list is ordered by task
+    index either way, so callers observe identical output.
     """
     scalar = ShardSpec(0, "scalar", tuple(range(len(tasks))))
     plan = ShardPlan(jobs=jobs, shard_size=0, shards=(scalar,))
-    return _execute_plan(tasks, plan, on_result, None)
+    return _execute_plan(tasks, plan, on_result, None, pool)
 
 
 def run_sweep_batched(
@@ -300,6 +337,7 @@ def run_sweep_batched(
     jobs: int = 1,
     on_result: Optional[ResultHook] = None,
     on_shard: Optional[ShardHook] = None,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> List[RunResult]:
     """Execute ``tasks`` on the vectorized batch engine where possible.
 
@@ -323,9 +361,42 @@ def run_sweep_batched(
     A batch shard that raises is not fatal: its indices are re-routed to
     the scalar engine (same pool) and the shard is reported with
     ``kind="fallback"`` via ``on_shard``; a scalar run's exception
-    propagates, as in :func:`execute_tasks`.
+    propagates, as in :func:`execute_tasks`.  ``pool`` is as there.
     """
-    return _execute_plan(tasks, plan_shards(tasks, jobs=jobs), on_result, on_shard)
+    return _execute_plan(
+        tasks, plan_shards(tasks, jobs=jobs), on_result, on_shard, pool
+    )
+
+
+def _cached_entry(engine: str) -> Any:
+    """``engine``'s :data:`~repro.perf.engines.ENGINES` entry, which must
+    be a cached one."""
+    entry = ENGINES.get(engine)
+    if entry is None or entry.execute is None:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {', '.join(CACHED)}"
+        )
+    return entry
+
+
+def cache_keys(
+    tasks: Sequence[RunTask], cache: RunCache, engine: str = DEFAULT_ENGINE
+) -> List[KeyedRun]:
+    """Each task's ``(content address, engine keyspace)`` in ``cache``.
+
+    Keys are engine-aware per task: a point ``engine``'s ``covers``
+    admits is keyed (and tagged) in its keyspace, any other point keeps
+    its fast key — it runs on the fast engine, so its result *is* a fast
+    result.  ``engine`` must be a cached engine of :data:`repro.perf.
+    engines.ENGINES`, else :class:`~repro.errors.ConfigurationError`.
+    """
+    entry = _cached_entry(engine)
+    out: List[KeyedRun] = []
+    for t in tasks:
+        run = (t.config, t.workload, t.plan)
+        e = engine if entry.covers(*run) is None else DEFAULT_ENGINE
+        out.append((cache.key_for(*run, engine=e), e))
+    return out
 
 
 def run_cached(
@@ -336,21 +407,21 @@ def run_cached(
     on_result: Optional[CachedHook] = None,
     on_shard: Optional[ShardHook] = None,
     execute: Optional[Callable[..., List[RunResult]]] = None,
+    pool: Optional[ProcessPoolExecutor] = None,
+    keyed: Optional[Sequence[KeyedRun]] = None,
 ) -> Tuple[List[RunResult], List[Optional[str]]]:
     """Answer ``tasks`` from ``cache``, execute the rest, store what ran.
 
     The one copy of the cached-run loop (load sweeps, ablation stages and
     service jobs all call it).  ``engine`` must be a cached engine of
     :data:`repro.perf.engines.ENGINES`, else :class:`~repro.errors.
-    ConfigurationError` before any key or cache I/O.  Every task's content
-    address, one batched :meth:`~repro.perf.cache.RunCache.get_many`, the
+    ConfigurationError` before any key or cache I/O.  Every task's
+    :func:`cache_keys` entry (``keyed``, when the caller already computed
+    them), one batched :meth:`~repro.perf.cache.RunCache.get_many`, the
     misses through the entry's ``execute`` (:func:`execute_tasks` for
-    fast, :func:`run_sweep_batched` with ``on_shard`` for batch), and the
-    fresh results back through ``put_many`` in chunks of
-    :data:`PUT_CHUNK`.  Keys are engine-aware per task: a point the
-    entry's ``covers`` admits is keyed (and tagged) in its keyspace, any
-    other point keeps its fast key — it runs on the fast engine, so its
-    result *is* a fast result.
+    fast, :func:`run_sweep_batched` with ``on_shard`` for batch) on
+    ``pool`` when given, and the fresh results back through ``put_many``
+    in chunks of :data:`PUT_CHUNK`.
 
     ``on_result(index, result, cached)`` fires once per task: hits first,
     in task order, then live runs as they complete.  ``execute`` replaces
@@ -358,23 +429,15 @@ def run_cached(
     test seam).  ``cache=None`` only executes.  Returns ``(results,
     keys)`` in task order; keys are ``None`` without a cache.
     """
-    entry = ENGINES.get(engine)
-    if entry is None or entry.execute is None:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {', '.join(CACHED)}"
-        )
-    engines = [
-        engine if entry.covers(t.config, t.workload, t.plan) is None
-        else DEFAULT_ENGINE
-        for t in tasks
-    ]
+    entry = _cached_entry(engine)
     keys: List[Optional[str]] = [None] * len(tasks)
+    engines: List[str] = [DEFAULT_ENGINE] * len(tasks)
     results: List[Optional[RunResult]] = [None] * len(tasks)
     if cache is not None:
-        keys = [
-            cache.key_for(t.config, t.workload, t.plan, engine=e)
-            for t, e in zip(tasks, engines)
-        ]
+        if keyed is None:
+            keyed = cache_keys(tasks, cache, engine)
+        keys = [k for k, _ in keyed]
+        engines = [e for _, e in keyed]
         results = cache.get_many(cast(List[str], keys))
     missing: List[int] = []
     for i, hit in enumerate(results):
@@ -398,7 +461,9 @@ def run_cached(
 
     todo = [tasks[i] for i in missing]
     if execute is None:
-        entry.execute(todo, jobs=jobs, on_result=fresh, on_shard=on_shard)
+        entry.execute(
+            todo, jobs=jobs, on_result=fresh, on_shard=on_shard, pool=pool
+        )
     else:
         execute(todo, jobs=jobs, on_result=fresh)
     if cache is not None:

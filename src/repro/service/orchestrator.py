@@ -3,11 +3,21 @@
 :class:`SweepService` is the long-running heart of ``erapid serve``.
 Submission is non-blocking: :meth:`SweepService.submit` validates the
 spec, dedupes it, and returns a :class:`JobHandle` immediately; a
-dedicated scheduler thread drains the bounded priority queue and executes
-one job at a time on the process-pool worker shard
-(:mod:`repro.service.runner`).  Subscribers stream per-run progress
+dedicated scheduler thread drains the bounded priority queue and runs up
+to ``jobs`` jobs side by side, each on a thread of its own
+(:mod:`repro.service.runner`), all on the one worker pool the service
+opens at :meth:`SweepService.start`.  Subscribers stream per-run progress
 events (:meth:`JobHandle.stream_events`) or block for the final result
 (:meth:`JobHandle.wait`).
+
+Admission is key-disjoint: the scheduler pops jobs in (priority, FIFO)
+order, one whenever a slot is free, and starts a popped job only once its
+run-cache keys share none with any running job's — otherwise it waits for
+those jobs to finish.  Every run therefore executes at most once, and the
+job that pays for a shared run is the one that would have paid for it
+under one-at-a-time execution; results are bit-identical either way.
+A job that finds the pool broken fails with that reason, and the service
+opens a fresh pool before it starts the next job.
 
 Dedup happens at two levels:
 
@@ -34,11 +44,14 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from repro.errors import JobFailedError, QueueFullError, ServiceError
 from repro.metrics.collector import RunResult
 from repro.perf.cache import RunCache
+from repro.perf.executor import KeyedRun, cache_keys, open_pool
 from repro.service.artifacts import ArtifactStore
 from repro.service.audit import AuditLog
 from repro.service.queue import BoundedJobQueue
@@ -203,7 +216,12 @@ class JobHandle:
 
 
 class SweepService:
-    """Job orchestrator: bounded queue, dedup, one-at-a-time scheduler."""
+    """Job orchestrator: bounded queue, dedup, and a scheduler that runs
+    up to ``jobs`` key-disjoint jobs at once on one worker pool.
+
+    ``jobs`` is both the pool's width and the cap on concurrent jobs;
+    ``jobs=1`` opens no pool and runs one job at a time, inline.
+    """
 
     def __init__(
         self,
@@ -214,6 +232,8 @@ class SweepService:
         execute: Optional[ExecuteFn] = None,
         on_update: Optional[UpdateHook] = None,
     ) -> None:
+        if jobs < 1:
+            raise ServiceError(f"jobs must be >= 1, got {jobs}")
         self.cache = cache
         self.store = store
         self.jobs = jobs
@@ -226,6 +246,13 @@ class SweepService:
         self._pending: Dict[str, Job] = {}
         #: job_id -> job, every job this service has seen.
         self._history: Dict[str, Job] = {}
+        #: job_key -> run-cache keys of every running job (admission).
+        self._running: Dict[str, FrozenSet[str]] = {}
+        self._job_threads: List[threading.Thread] = []
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: Set by a job that saw :class:`BrokenProcessPool`; the scheduler
+        #: replaces the pool before it starts another job.
+        self._pool_broken = False
         self._thread: Optional[threading.Thread] = None
         self._stopping = False
 
@@ -233,8 +260,15 @@ class SweepService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "SweepService":
+        """Open the worker pool (``jobs > 1``), then start the scheduler.
+
+        The pool's workers are forked here, before any thread of this
+        service exists, so no fork happens while a job thread holds a lock.
+        """
         if self._thread is not None:
             raise ServiceError("service already started")
+        if self.jobs > 1:
+            self._pool = open_pool(self.jobs)
         self._thread = threading.Thread(
             target=self._scheduler_loop, name="erapid-scheduler", daemon=True
         )
@@ -242,7 +276,8 @@ class SweepService:
         return self
 
     def stop(self, wait: bool = True) -> None:
-        """Finish the running job (if any), then stop the scheduler."""
+        """Finish queued and running jobs, then stop the scheduler; the
+        pool is shut down after the last job ends."""
         with self._cond:
             self._stopping = True
         self._queue.close()
@@ -330,19 +365,65 @@ class SweepService:
     # Scheduler (dedicated thread)
     # ------------------------------------------------------------------
     def _scheduler_loop(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopping and not self._pending:
-                    return
-            job = self._queue.pop(timeout=0.1)
-            if job is None:
-                continue
-            self._run_job(job)
+        try:
+            while True:
+                with self._cond:
+                    # Pop only into a free slot: a job leaves the priority
+                    # queue as late as it can, so a later interactive job
+                    # still overtakes it.
+                    self._cond.wait_for(lambda: len(self._running) < self.jobs)
+                    if self._stopping and not self._pending:
+                        return
+                job = self._queue.pop(timeout=0.1)
+                if job is not None:
+                    self._admit(job)
+        finally:
+            for thread in self._job_threads:
+                thread.join()
+            if self._pool is not None:
+                self._pool.shutdown()
 
-    def _run_job(self, job: Job) -> None:
+    def _admit(self, job: Job) -> None:
+        """Start ``job`` once its keys are disjoint from every running
+        job's (and, after a broken pool, once no job runs and the pool is
+        replaced)."""
+        keyed: Optional[List[KeyedRun]]
+        try:
+            keyed = cache_keys(job.spec.tasks(), self.cache, job.spec.engine)
+        except Exception:  # noqa: BLE001 - execute_job raises it as the job's failure
+            keyed = None
+        keys = frozenset(k for k, _ in keyed or ())
         with self._cond:
+            self._cond.wait_for(
+                lambda: not self._running
+                if self._pool_broken
+                else all(keys.isdisjoint(k) for k in self._running.values())
+            )
+            replace = self._pool_broken
+            self._pool_broken = False
+        if replace and self._pool is not None:
+            self._pool.shutdown()
+            self._pool = open_pool(self.jobs)
+        with self._cond:
+            self._running[job.key] = keys
             job.state = "running"
             job.started_ts = time.time()
+        thread = threading.Thread(
+            target=self._run_job,
+            args=(job, keyed, self._pool),
+            name=f"erapid-job-{job.job_id}",
+            daemon=True,
+        )
+        self._job_threads = [t for t in self._job_threads if t.is_alive()]
+        self._job_threads.append(thread)
+        thread.start()
+
+    def _run_job(
+        self,
+        job: Job,
+        keyed: Optional[Sequence[KeyedRun]],
+        pool: Optional[ProcessPoolExecutor],
+    ) -> None:
         self.audit.append(
             "started", job_id=job.job_id, job_key=job.key,
             priority=job.spec.priority,
@@ -377,6 +458,8 @@ class SweepService:
                 jobs=self.jobs,
                 execute=self._execute,
                 on_event=on_event,
+                pool=pool,
+                keyed=keyed,
             )
             manifest = self.store.write_manifest(
                 self._manifest(job, execution)
@@ -401,12 +484,15 @@ class SweepService:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.state = "failed"
                 job.finished_ts = time.time()
+                if isinstance(exc, BrokenProcessPool):
+                    self._pool_broken = True
             self.audit.append(
                 "failed", job_id=job.job_id, job_key=job.key, error=job.error
             )
         self._notify(job)
         with self._cond:
             del self._pending[job.key]
+            del self._running[job.key]
             self._cond.notify_all()
 
     def _manifest(self, job: Job, execution: JobExecution) -> Dict[str, Any]:

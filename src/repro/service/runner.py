@@ -21,13 +21,14 @@ job is auditable run by run.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.analysis.determinism import sweep_fingerprint
 from repro.metrics.collector import RunResult
 from repro.perf.cache import RunCache
-from repro.perf.executor import run_cached
+from repro.perf.executor import KeyedRun, run_cached
 from repro.perf.shards import ShardReport
 from repro.service.spec import JobSpec
 
@@ -86,6 +87,8 @@ def execute_job(
     jobs: int = 1,
     execute: Optional[ExecuteFn] = None,
     on_event: Optional[EventHook] = None,
+    pool: Optional[ProcessPoolExecutor] = None,
+    keyed: Optional[Sequence[KeyedRun]] = None,
 ) -> JobExecution:
     """Execute one job: cache lookups, pool fan-out, result storage.
 
@@ -103,6 +106,10 @@ def execute_job(
     get_many` answers every lookup up front (an all-hit replay costs one
     counter flush, not one per run), and fresh results are stored through
     chunked :meth:`~repro.perf.cache.RunCache.put_many` writes.
+
+    ``pool`` is the caller's long-lived worker pool (``None``: a pooled
+    run opens its own); ``keyed`` is the tasks' :func:`repro.perf.executor.
+    cache_keys`, when the caller already computed them for admission.
     """
     shard_reports: List[ShardReport] = []
     tasks = spec.tasks()
@@ -129,6 +136,8 @@ def execute_job(
         on_result=on_result,
         on_shard=shard_reports.append,
         execute=execute,
+        pool=pool,
+        keyed=keyed,
     )
     if cache is not None:
         cache.flush_counters()

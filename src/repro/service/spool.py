@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -112,6 +113,9 @@ class SpoolServer:
         self.spool = ensure_spool(spool)
         self.service = service
         self.log = log
+        #: Held from snapshot to file replace, so a status file never
+        #: goes back to an older snapshot than the last one written.
+        self._status_lock = threading.Lock()
         # Mirror every job transition/progress event into status files.
         service.on_update = self._write_status
 
@@ -121,8 +125,9 @@ class SpoolServer:
             self.log(message)
 
     def _write_status(self, job: Job) -> None:
-        status = self.service.snapshot(job)
-        _atomic_write_json(status_path(self.spool, job.key), status)
+        with self._status_lock:
+            status = self.service.snapshot(job)
+            _atomic_write_json(status_path(self.spool, job.key), status)
         if status["state"] in ("completed", "failed"):
             counts = status.get("counts")
             detail = (

@@ -1,6 +1,7 @@
 """ArtifactStore and AuditLog: persistence, atomicity, corruption."""
 
 import json
+import threading
 
 import pytest
 
@@ -93,6 +94,25 @@ def test_audit_appends_ordered_records(tmp_path):
     ]
     assert [r["seq"] for r in records] == [0, 1, 2]
     assert all("ts" in r for r in records)
+
+
+def test_concurrent_appenders_keep_seq_in_file_order(tmp_path):
+    log = AuditLog(tmp_path / "audits.jsonl")
+    threads, per_thread = 8, 50
+    start = threading.Barrier(threads)
+
+    def appender(n):
+        start.wait()
+        for i in range(per_thread):
+            log.append("started", job_id=f"t{n}-{i}")
+
+    pool = [threading.Thread(target=appender, args=(n,)) for n in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    seqs = [r["seq"] for r in log.read_all()]
+    assert seqs == list(range(threads * per_thread))
 
 
 def test_audit_survives_torn_final_line(tmp_path):

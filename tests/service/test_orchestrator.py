@@ -7,6 +7,8 @@ interactive-overtakes-bulk, explicit queue-full rejects — in milliseconds
 without spawning simulation processes.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -242,3 +244,173 @@ def test_audit_trail_orders_lifecycle(tmp_path):
         service.stop()
     actions = [r["action"] for r in service.audit.read_all()]
     assert actions == ["submitted", "started", "completed"]
+
+
+# ----------------------------------------------------------------------
+# Concurrent, key-disjoint scheduling
+# ----------------------------------------------------------------------
+class GatedPool(FakePool):
+    """FakePool that records how many calls are inside it at once."""
+
+    def __init__(self, gate=None, hold=0.0):
+        super().__init__(gate=gate)
+        self.hold = hold
+        self.active = 0
+        self.max_active = 0
+
+    def __call__(self, tasks, jobs=1, on_result=None):
+        with self.lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        try:
+            time.sleep(self.hold)
+            return super().__call__(tasks, jobs=jobs, on_result=on_result)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def started_order(service):
+    return [
+        r["job_id"] for r in service.audit.read_all() if r["action"] == "started"
+    ]
+
+
+def test_two_key_disjoint_jobs_run_at_once(tmp_path):
+    gate = threading.Event()
+    pool = GatedPool(gate=gate)
+    service, _, _ = make_service(tmp_path, pool, jobs=2)
+    service.start()
+    try:
+        first = service.submit(tiny_spec(loads=(0.2,)))
+        second = service.submit(tiny_spec(loads=(0.7,)))
+        wait_until(lambda: pool.active == 2)
+        assert first.state == second.state == "running"
+        gate.set()
+        assert first.wait(timeout=WAIT).executed == 2
+        assert second.wait(timeout=WAIT).executed == 2
+    finally:
+        gate.set()
+        service.stop()
+
+
+def test_overlapping_job_waits_for_its_predecessor(tmp_path):
+    gate = threading.Event()
+    pool = GatedPool(gate=gate)
+    service, _, store = make_service(tmp_path, pool, jobs=2)
+    service.start()
+    try:
+        first = service.submit(tiny_spec(loads=(0.2, 0.4)))
+        wait_until(lambda: pool.active == 1)
+        overlap = service.submit(tiny_spec(loads=(0.4, 0.6)))
+        # Popped, but held back: it shares the 0.4 runs with ``first``.
+        wait_until(lambda: len(service._queue) == 0)
+        time.sleep(0.05)
+        assert overlap.state == "queued"
+        assert pool.active == 1
+        gate.set()
+        first.wait(timeout=WAIT)
+        execution = overlap.wait(timeout=WAIT)
+        assert (execution.hits, execution.executed) == (2, 2)
+        manifest = store.read_manifest(overlap.job_id)
+        assert {r["load"] for r in manifest["runs"] if r["hit"]} == {0.4}
+        assert pool.max_active == 1
+        actions = [(r["action"], r["job_id"]) for r in service.audit.read_all()]
+        assert actions.index(("completed", first.job_id)) < actions.index(
+            ("started", overlap.job_id)
+        )
+    finally:
+        gate.set()
+        service.stop()
+
+
+def test_one_job_wide_service_never_overlaps(tmp_path):
+    pool = GatedPool(hold=0.02)
+    service, _, _ = make_service(tmp_path, pool, jobs=1)
+    service.start()
+    try:
+        handles = [
+            service.submit(tiny_spec(loads=(load,))) for load in (0.1, 0.3, 0.5)
+        ]
+        for h in handles:
+            h.wait(timeout=WAIT)
+    finally:
+        service.stop()
+    assert pool.max_active == 1
+    assert started_order(service) == [h.job_id for h in handles]
+
+
+def real_specs():
+    """Fresh, overlapping and duplicate jobs on both cached engines."""
+    return [
+        tiny_spec(loads=(0.2, 0.5)),
+        tiny_spec(loads=(0.3,), engine="batch"),
+        tiny_spec(loads=(0.5, 0.8)),
+        tiny_spec(loads=(0.3, 0.6), engine="batch"),
+        tiny_spec(loads=(0.2, 0.5)),
+    ]
+
+
+def serve_all(tmp_path, jobs, specs):
+    service = SweepService(
+        RunCache(tmp_path / "cache"), ArtifactStore(tmp_path / "store"), jobs=jobs
+    ).start()
+    try:
+        handles = [service.submit(spec) for spec in specs]
+        return {h.key: h.wait(timeout=120).fingerprint for h in handles}
+    finally:
+        service.stop()
+
+
+def test_pooled_service_builds_one_pool_and_matches_serial(tmp_path, monkeypatch):
+    import repro.perf.executor as executor_mod
+
+    built = []
+
+    class CountingPool(executor_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", CountingPool)
+    specs = real_specs()
+    pooled = serve_all(tmp_path / "pooled", 2, specs)
+    assert built == [(2,)]
+    serial = serve_all(tmp_path / "serial", 1, specs)
+    assert built == [(2,)]
+    assert pooled == serial
+    assert len(pooled) == 4
+
+
+def test_broken_pool_fails_one_job_and_is_replaced(tmp_path):
+    entered, release = threading.Event(), threading.Event()
+    service = SweepService(
+        RunCache(tmp_path / "cache"), ArtifactStore(tmp_path / "store"), jobs=2
+    )
+    doomed_spec = tiny_spec(loads=(0.2, 0.4))
+
+    def gate(job):
+        # Hold the doomed job between "started" and its first pool submit.
+        doomed_running = job.key == doomed_spec.job_key() and job.state == "running"
+        if doomed_running and not entered.is_set():
+            entered.set()
+            assert release.wait(timeout=WAIT)
+
+    service.on_update = gate
+    service.start()
+    try:
+        first_pool = service._pool
+        doomed = service.submit(doomed_spec)
+        assert entered.wait(timeout=WAIT)
+        os.kill(next(iter(first_pool._processes)), signal.SIGKILL)
+        wait_until(lambda: first_pool._broken)
+        release.set()
+        with pytest.raises(JobFailedError, match="BrokenProcessPool"):
+            doomed.wait(timeout=WAIT)
+
+        after = service.submit(tiny_spec(loads=(0.6, 0.8))).wait(timeout=120)
+        assert after.executed == 4
+        assert service._pool is not first_pool
+    finally:
+        release.set()
+        service.stop()

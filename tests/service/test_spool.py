@@ -1,11 +1,13 @@
 """Spool front end: atomic submissions, status mirroring, bad input."""
 
 import json
+import threading
 
 from repro.metrics.collector import RunResult
 from repro.perf.cache import RunCache
 from repro.service.artifacts import ArtifactStore
 from repro.service.orchestrator import SweepService
+from repro.service import spool as spool_mod
 from repro.service.spec import JobSpec
 from repro.service.spool import (
     SpoolServer,
@@ -167,3 +169,44 @@ def test_inflight_duplicates_in_spool_dedupe(tmp_path):
         assert stats["puts"] == 4
     finally:
         service.stop()
+
+
+def test_status_mirror_never_goes_back_to_a_stale_snapshot(
+    monkeypatch, tmp_path
+):
+    """A writer paused between its snapshot and its file replace (the scan
+    thread's dedup notify) must not land after the job thread's terminal
+    write: the mirror ends in the terminal state."""
+    service = SweepService(
+        RunCache(tmp_path / "cache"),
+        ArtifactStore(tmp_path / "store"),
+        execute=fake_execute,
+    )  # never started: the test drives the job's state by hand
+    server = SpoolServer(tmp_path / "spool", service)
+    handle = service.submit(tiny_spec())
+    job = service._history[handle.job_id]
+
+    paused, resume = threading.Event(), threading.Event()
+    real_write = spool_mod._atomic_write_json
+
+    def write(path, payload):
+        if threading.current_thread().name == "stale-writer":
+            paused.set()
+            assert resume.wait(timeout=30)
+        real_write(path, payload)
+
+    monkeypatch.setattr(spool_mod, "_atomic_write_json", write)
+    stale = threading.Thread(
+        target=server._write_status, args=(job,), name="stale-writer"
+    )
+    stale.start()
+    assert paused.wait(timeout=30)
+    with service._cond:
+        job.state, job.error = "failed", "injected"
+    terminal = threading.Thread(target=server._write_status, args=(job,))
+    terminal.start()
+    terminal.join(timeout=0.2)  # unserialised, it would finish here
+    resume.set()
+    stale.join(timeout=30)
+    terminal.join(timeout=30)
+    assert read_status(tmp_path / "spool", job.key)["state"] == "failed"

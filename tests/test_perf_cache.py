@@ -1,6 +1,7 @@
 """Content-addressed run cache: hits, misses, structural invalidation."""
 
 import json
+import threading
 
 import pytest
 
@@ -338,6 +339,30 @@ def test_persistent_counters_accumulate_across_instances(tmp_path, run_desc):
     merged = {"hits": 2, "misses": 1, "puts": 1, **batched, "batched_gets": 3}
     assert other.flush_counters() == merged
     assert other.persistent_stats() == merged
+
+
+def test_concurrent_flushes_lose_no_counts(tmp_path, run_desc):
+    """Threads sharing one cache flush at once: every miss each of them
+    counted reaches the sidecar (the read-merge-write is one step)."""
+    cache = RunCache(tmp_path)
+    key = cache.key_for(*run_desc)
+    threads, rounds = 8, 25
+    start = threading.Barrier(threads)
+
+    def worker():
+        start.wait()
+        for _ in range(rounds):
+            cache.get_many([key])  # one miss
+            cache.flush_counters()
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    stats = cache.persistent_stats()
+    assert stats["misses"] == stats["batched_gets"] == threads * rounds
+    assert stats["hits"] == 0
 
 
 def test_flush_counters_failure_leaves_no_temp_file(tmp_path, run_desc, monkeypatch):

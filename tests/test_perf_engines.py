@@ -94,9 +94,9 @@ def test_run_cached_reaches_the_entrys_executor_by_keyword(
     monkeypatch, engine, executor
 ):
     """``run_cached`` runs its misses through the entry's executor, looked
-    up on ``repro.perf.executor`` at call time, with ``jobs``/``on_result``
-    (and batch's ``on_shard``) passed by keyword: the call shape a wrapper
-    that rewrites a keyword argument relies on."""
+    up on ``repro.perf.executor`` at call time, with ``jobs``/``on_result``/
+    ``pool`` (and batch's ``on_shard``) passed by keyword: the call shape a
+    wrapper that rewrites a keyword argument relies on."""
     from repro.perf import executor as executor_mod
 
     calls = []
@@ -110,7 +110,7 @@ def test_run_cached_reaches_the_entrys_executor_by_keyword(
     run = point("complement", "NP-NB")
     task = executor_mod.RunTask(*run)
     results, _ = executor_mod.run_cached([task], jobs=1, engine=engine)
-    assert calls == [(1, 1, ["on_shard"] if engine == "batch" else [])]
+    assert calls == [(1, 1, ["on_shard", "pool"] if engine == "batch" else ["pool"])]
     assert results[0].labeled_delivered > 0
 
 

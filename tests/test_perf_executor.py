@@ -110,9 +110,9 @@ def test_sweepspec_tasks_matches_executed_task_list(monkeypatch):
     captured = {}
     real = executor_mod.execute_tasks
 
-    def recording(tasks, jobs=1, on_result=None):
+    def recording(tasks, jobs=1, on_result=None, pool=None):
         captured["tasks"] = list(tasks)
-        return real(tasks, jobs=jobs, on_result=on_result)
+        return real(tasks, jobs=jobs, on_result=on_result, pool=pool)
 
     monkeypatch.setattr(executor_mod, "execute_tasks", recording)
     run_sweep(spec, jobs=1)
