@@ -24,7 +24,14 @@ accounting are appended to logs and reduced in bulk on the ``chunk`` grid
 (:mod:`repro.core.reduce`), bit-identically to per-cycle bookkeeping.
 Runs that drain their labeled packets mid-slab are compacted
 out of the state arrays (their finished metrics scattered to their
-original slab positions) instead of being re-masked every phase.  The
+original slab positions) instead of being re-masked every phase.
+
+A slab's memory is its state, not scratch: per packet it keeps one
+injection-CSR entry (8 bytes) and one route (4 bytes), and per dispatch
+one float64 accounting record (40 bytes) until the next log flush.  The
+CSR is filled by a counting sort over cycles, one workload's schedule
+at a time, and each compaction rebuilds it from the events not yet
+consumed, so no step allocates a copy of the whole horizon.  The
 Lock-Step control plane (window snapshots, DPM decisions, DBR grant
 plans with the real :func:`repro.core.dbr.dbr_plan`) runs at the same
 window boundaries and protocol latencies as the fast engine.
@@ -67,6 +74,7 @@ from repro.core.config import ERapidConfig
 from repro.core.dbr import DestDemand, WavelengthState, dbr_plan
 from repro.core.reduce import (
     ACCT_FIELDS,
+    AccountingLog,
     ReceiveLog,
     replay_accounting,
     tally_completions,
@@ -106,12 +114,14 @@ _NO_IDX = np.zeros(0, dtype=np.int64)
 
 
 class _Schedule(NamedTuple):
-    """One workload's precomputed traffic (node-major, shared read-only by
-    every run of the slab with that workload)."""
+    """One workload's precomputed traffic, shared read-only by every run
+    of the slab with that workload."""
 
     node_counts: np.ndarray  #: packets per node
-    times: np.ndarray  #: injection cycles
-    routes: np.ndarray  #: see BatchEngine._draw_schedule
+    cycles: np.ndarray  #: the distinct injection cycles, ascending
+    cycle_counts: np.ndarray  #: packets injected at each of those cycles
+    nodes: np.ndarray  #: source node of each packet, by cycle, then node
+    routes: np.ndarray  #: node-major; see BatchEngine._draw_schedule
     pre_wu: int  #: packets injected before warmup ends
     pre_me: int  #: packets injected before the measure window ends
     lab_prefix: np.ndarray  #: prefix sums of the labeled injection cycles
@@ -464,7 +474,7 @@ class BatchEngine:
         # he + _RING: a dispatch at t <= he leads by less than the ring.
         self.recv = ReceiveLog(R, N, self.SER, self.he + _RING)
         self._local_logged = 0
-        self._acct: List[float] = []
+        self._acct = AccountingLog()
         # Per-run accumulators.
         self.delivered_total = np.zeros(R, dtype=np.int64)
         self.delivered_measure = np.zeros(R, dtype=np.int64)
@@ -569,51 +579,64 @@ class BatchEngine:
         is a function of the workload alone (the slab shares one config),
         so each distinct workload is drawn once and shared by its runs —
         the four policies of a sweep point see common random numbers.
+
+        The injection CSR (``evt_off``/``evt_rn``: the nodes injecting at
+        each cycle, by run, then node) is filled by a counting sort over
+        cycles: the per-cycle totals fix ``evt_off``, then each run, in
+        slab order, writes its workload's cycle-ordered packets at the
+        next free slots of their cycles.  Nothing larger than the final
+        arrays is ever alive: a workload's schedule is released after its
+        last run is written.
         """
         R, N = self.R, self.N
-        he = self.he
+        keys = [astuple(workload) for workload in self._workloads]
+        last_run = {key: r for r, key in enumerate(keys)}
         drawn: Dict[Tuple[object, ...], _Schedule] = {}
-        times_parts: List[np.ndarray] = []
-        rn_parts: List[np.ndarray] = []
-        route_parts: List[np.ndarray] = []
         counts = np.zeros(R * N, dtype=np.int64)
+        # Cycle c's packet count goes to evt_off[c + 2] (every cycle is
+        # below he), so after the cumsum evt_off[c + 1] is where cycle c
+        # starts: that slot is the write cursor of cycle c, and once every
+        # run is written it has advanced to where cycle c + 1 starts.
+        off = self.evt_off = np.zeros(self.he + 2, dtype=np.int64)
         self.inj_measure = np.zeros(R, dtype=np.int64)
         self.pre_wu_inj = np.zeros(R, dtype=np.int64)
         self.lab_prefix: List[np.ndarray] = []
-        for r, workload in enumerate(self._workloads):
-            key = astuple(workload)
+        for r, (key, workload) in enumerate(zip(keys, self._workloads)):
             if key not in drawn:
                 drawn[key] = self._draw_schedule(workload)
             sched = drawn[key]
             counts[r * N : (r + 1) * N] = sched.node_counts
-            times_parts.append(sched.times)
-            rn_parts.append(
-                np.repeat(
-                    np.arange(r * N, (r + 1) * N, dtype=np.int64),
-                    sched.node_counts,
-                )
-            )
-            route_parts.append(sched.routes)
+            off[sched.cycles + 2] += sched.cycle_counts
             self.inj_measure[r] = sched.pre_me - sched.pre_wu
             self.pre_wu_inj[r] = sched.pre_wu
             self.lab_prefix.append(sched.lab_prefix)
         self.lab_inj = self.inj_measure.copy()
         self.p_off = np.zeros(R * N + 1, dtype=np.int64)
         np.cumsum(counts, out=self.p_off[1:])
-        self.flat_route = np.concatenate(route_parts)
-        times_all = np.concatenate(times_parts)
-        order = np.argsort(times_all, kind="stable")
-        self.evt_rn = np.concatenate(rn_parts)[order]
-        per_cycle = np.bincount(times_all, minlength=he + 1)
-        self.evt_off = np.zeros(he + 2, dtype=np.int64)
-        np.cumsum(per_cycle, out=self.evt_off[1 : len(per_cycle) + 1])
-        self.evt_off[len(per_cycle) + 1 :] = self.evt_off[len(per_cycle)]
         # Compressed nonzero-injection-cycle index (ascending) — the
         # time-skip loop's "next injection" pointer walks this instead of
         # scanning the dense CSR offsets.
-        self.inj_cycles = np.flatnonzero(np.diff(self.evt_off) > 0).astype(
-            np.int64
-        )
+        self.inj_cycles = np.flatnonzero(off[2:])
+        np.cumsum(off, out=off)
+        total = int(self.p_off[-1])
+        self.flat_route = np.empty(total, dtype=np.int32)
+        self.evt_rn = np.empty(total, dtype=np.int64)
+        for r, key in enumerate(keys):
+            sched = drawn[key]
+            lo, hi = self.p_off[r * N], self.p_off[(r + 1) * N]
+            self.flat_route[lo:hi] = sched.routes
+            # A packet's slot is its cycle's cursor plus its rank among
+            # the run's packets of that cycle.
+            cursor = sched.cycles + 1
+            pos = np.cumsum(sched.cycle_counts)
+            pos -= sched.cycle_counts
+            np.subtract(off[cursor], pos, out=pos)
+            pos = np.repeat(pos, sched.cycle_counts)
+            pos += np.arange(len(pos), dtype=np.int64)
+            self.evt_rn[pos] = sched.nodes + r * N
+            off[cursor] += sched.cycle_counts
+            if last_run[key] == r:
+                del drawn[key]
 
     def _draw_schedule(self, workload: WorkloadSpec) -> _Schedule:
         """Draw one workload's injection cycles and per-packet routes.
@@ -679,9 +702,14 @@ class BatchEngine:
         lab = np.sort(np.concatenate(lab_times))
         prefix = np.zeros(len(lab) + 1)
         np.cumsum(lab, out=prefix[1:])
+        times = np.concatenate(times_parts).astype(np.int64)
+        order = times.argsort(kind="stable")
+        cycles, cycle_counts = np.unique(times, return_counts=True)
         return _Schedule(
             node_counts,
-            np.concatenate(times_parts).astype(np.int64),
+            cycles.astype(np.int32),
+            cycle_counts.astype(np.int32),
+            np.repeat(np.arange(N, dtype=np.int32), node_counts)[order],
             np.concatenate(route_parts).astype(np.int32),
             pre_wu,
             pre_me,
@@ -707,10 +735,9 @@ class BatchEngine:
     def _flush_acct(self) -> None:
         """Replay the dispatch accounting log into busy_E/win_busy/win_carry."""
         replay_accounting(
-            self._acct, self.CH, self.Wc, self.wu, self.me, self.P_mw,
+            self._acct.take(), self.CH, self.Wc, self.wu, self.me, self.P_mw,
             self.busy_E, self.win_busy, self.win_carry,
         )
-        self._acct.clear()
 
     def _flush_logs(self, t: int, tel: BatchTelemetry) -> None:
         """Reduce both logs up to cycle ``t``: afterwards every per-run
@@ -1180,6 +1207,10 @@ class BatchEngine:
                 tel.drain_checks += 1
                 done = self.lab_del == self.lab_inj
                 if done.any():
+                    # Drop the loop's references to the old CSR (the last
+                    # injection slice is a view of it), so _compact frees
+                    # it as soon as the rebuilt one exists.
+                    evt_rn = evt_off = flat_route = p_off = inj = _NO_IDX
                     self._compact(done, t)
                     tel.compactions += 1
                     if self.R == 0:
@@ -1342,7 +1373,7 @@ class BatchEngine:
         rec[:, 2] = start
         rec[:, 3] = end
         rec[:, 4] = lvl
-        self._acct.extend(rec.ravel().tolist())
+        self._acct.append(rec)
         # The packet reaches its receive port after fiber + destination
         # pipeline; the channel may re-dispatch at its completion cycle.
         np.ceil(end, out=end)
@@ -1411,7 +1442,7 @@ class BatchEngine:
         start = float(max(t + self.WAKE * slp, int(self.c_stall[rc])))
         end = start + float(self.svc_by_level[lvl])
         self.c_busy_until[rc] = end
-        self._acct.extend((t, rc, start, end, lvl))
+        self._acct.scalar.extend((t, rc, start, end, lvl))
         end_i = math.ceil(end)
         rn_dest = run * self.N + (pq % self.B) * self.D + loc
         self.recv.scalar.append(
@@ -1532,16 +1563,7 @@ class BatchEngine:
         # Unowned channels keep the placeholder pair 0 (never read).
         cpq[self.c_owner < 0] = 0
         self.c_pq = cpq
-        # Injection CSR: drop removed nodes' events, recount offsets.
-        ev_keep = keep_n[self.evt_rn]
-        csum = np.zeros(len(ev_keep) + 1, dtype=np.int64)
-        np.cumsum(ev_keep, dtype=np.int64, out=csum[1:])
-        self.evt_off = csum[self.evt_off]
-        rn = self.evt_rn[ev_keep]
-        self.evt_rn = new_of_old[rn // N] * N + rn % N
-        self.inj_cycles = np.flatnonzero(np.diff(self.evt_off) > 0).astype(
-            np.int64
-        )
+        self._compact_csr(keep_n, new_of_old, t)
         # Destination streams.
         node_counts = np.diff(self.p_off)
         el_keep = np.repeat(keep_n, node_counts)
@@ -1590,6 +1612,32 @@ class BatchEngine:
             # drop it rather than have the skip loop stop for it.
             self._pend_dpm.clear()
             self._pend_dbr.clear()
+
+    def _compact_csr(
+        self, keep_n: np.ndarray, new_of_old: np.ndarray, t: int
+    ) -> None:
+        """Rebuild the injection CSR for :meth:`_compact` from the events
+        after cycle ``t`` alone: the loop never reads an earlier cycle
+        again, so consumed events are dropped with the removed nodes'
+        ones, and every cycle ``<= t`` is left empty.  The only transients
+        are the surviving suffix and its positions."""
+        lo = int(self.evt_off[t + 1])
+        idx = np.flatnonzero(keep_n[self.evt_rn[lo:]])
+        off = np.zeros_like(self.evt_off)
+        # Surviving events before each later cycle's old offset.
+        off[t + 1 :] = np.searchsorted(idx, self.evt_off[t + 1 :] - lo)
+        rn = self.evt_rn[lo:].take(idx)
+        del idx
+        self.evt_rn, self.evt_off = rn, off
+        self.inj_cycles = np.flatnonzero(np.diff(off))
+        # Renumber in place: a run's nodes move down by N for each
+        # removed run before it.
+        N = self.N
+        shift = np.arange(len(new_of_old), dtype=np.int64) - new_of_old
+        shift *= N
+        run = rn // N
+        np.take(shift, run, out=run)
+        rn -= run
 
     # ------------------------------------------------------------------
     def _payload(self) -> BatchResultPayload:

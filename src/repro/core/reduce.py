@@ -17,10 +17,11 @@ the inline bookkeeping it replaces:
   exactly as a per-cycle loop would have.
 * **Busy-energy and link-utilisation accounting.**  A dispatch's
   contribution to ``busy_E``/``win_busy``/``win_carry`` depends only on
-  ``(t, channel, start, end, level)``.  :func:`replay_accounting` applies
-  a dispatch-ordered log of those records with one unbuffered
-  ``np.add.at`` per accumulator, i.e. the identical sequence of IEEE
-  double additions per accumulator slot as inline updates.
+  ``(t, channel, start, end, level)``.  :class:`AccountingLog` keeps
+  those records in dispatch order as float64 blocks (40 bytes per
+  dispatch), and :func:`replay_accounting` applies them with one
+  unbuffered ``np.add.at`` per accumulator, i.e. the identical sequence
+  of IEEE double additions per accumulator slot as inline updates.
 
 Nothing here knows the engine's array layout beyond "ports of one run are
 contiguous"; like :mod:`repro.core.skip` the module imports nothing from
@@ -30,12 +31,13 @@ vectorized-engine lint scope.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = [
     "ACCT_FIELDS",
+    "AccountingLog",
     "ReceiveLog",
     "replay_accounting",
     "tally_completions",
@@ -45,6 +47,7 @@ __all__ = [
 ACCT_FIELDS = 5
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_NO_RECORDS = np.zeros((0, ACCT_FIELDS))
 
 
 class ReceiveLog:
@@ -197,8 +200,50 @@ def tally_completions(
     sum_del_t += np.bincount(lab_run, weights=c[lab], minlength=R)
 
 
+class AccountingLog:
+    """Dispatch-ordered accounting records, held as float64 blocks.
+
+    A vectorized dispatch logs its ``(k, ACCT_FIELDS)`` record block with
+    :meth:`append`; the scalar dispatch path extends :attr:`scalar` with
+    one flat record at a time (no array per packet).  Before the next
+    block is appended, the buffered scalar records are sealed into a block
+    of their own, so the log keeps dispatch order while holding 40 bytes
+    per record.  :meth:`take` returns everything logged so far as one
+    array and empties the log.
+    """
+
+    __slots__ = ("scalar", "_blocks")
+
+    def __init__(self) -> None:
+        self.scalar: List[float] = []
+        self._blocks: List[np.ndarray] = []
+
+    def _seal(self) -> None:
+        self._blocks.append(
+            np.array(self.scalar, dtype=np.float64).reshape(-1, ACCT_FIELDS)
+        )
+        self.scalar.clear()
+
+    def append(self, block: np.ndarray) -> None:
+        """Log a vector dispatch's float64 records, after any scalar ones."""
+        if self.scalar:
+            self._seal()
+        self._blocks.append(block)
+
+    def take(self) -> np.ndarray:
+        """Every record logged since the last take, in dispatch order."""
+        if self.scalar:
+            self._seal()
+        blocks = self._blocks
+        if not blocks:
+            return _NO_RECORDS
+        log = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        blocks.clear()
+        return log
+
+
 def replay_accounting(
-    records: Sequence[float],
+    log: np.ndarray,
     channels_per_run: int,
     window_cycles: int,
     wu: int,
@@ -210,32 +255,37 @@ def replay_accounting(
 ) -> None:
     """Apply a dispatch-ordered accounting log to the accumulators.
 
-    ``records`` is a flat sequence of :data:`ACCT_FIELDS`-tuples ``(t,
+    ``log`` is a float64 array of :data:`ACCT_FIELDS`-wide rows ``(t,
     channel, start, end, level)`` in dispatch order (all values exact in
-    a double).  Each accumulator slot receives the same addends in the
-    same order as inline ``+=`` at dispatch time would have given it —
+    a double), as :meth:`AccountingLog.take` returns it.  Each
+    accumulator slot receives the same addends in the same order as
+    inline ``+=`` at dispatch time would have given it —
     ``np.add.at`` is unbuffered and walks its index array front to back —
     so the float results are bit-identical.  Replay before anything reads
     or resets an accumulator (every Lock-Step window boundary reads
     ``win_busy`` and rolls ``win_carry`` into it).
     """
-    if not len(records):
+    if not len(log):
         return
-    log = np.array(records, dtype=np.float64).reshape(-1, ACCT_FIELDS)
     t, start, end = log[:, 0], log[:, 2], log[:, 3]
     rc = log[:, 1].astype(np.int64)
-    lvl = log[:, 4].astype(np.int64)
-    # Busy energy over the measurement window.
+    # Busy energy over the measurement window.  Temporaries are reused
+    # in place; every elementwise operation is the one inline updates
+    # would do, so the rounding is too.
     ov = np.minimum(end, me)
     ov -= np.maximum(start, wu)
     np.maximum(ov, 0.0, out=ov)
-    np.add.at(busy_E, rc // channels_per_run, power_mw[lvl] * ov)
+    ov *= power_mw[log[:, 4].astype(np.int64)]
+    np.add.at(busy_E, rc // channels_per_run, ov)
     # Link_util busy time, split at the dispatch's next window boundary.
-    wend = (t // window_cycles + 1) * window_cycles
-    wb = np.minimum(end, wend)
+    wend = t // window_cycles
+    wend += 1
+    wend *= window_cycles
+    wb = np.minimum(end, wend, out=ov)
     wb -= start
     np.maximum(wb, 0.0, out=wb)
     np.add.at(win_busy, rc, wb)
-    wc = end - np.maximum(start, wend)
+    wc = np.maximum(start, wend, out=wend)
+    np.subtract(end, wc, out=wc)
     np.maximum(wc, 0.0, out=wc)
     np.add.at(win_carry, rc, wc)

@@ -10,7 +10,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduce import ReceiveLog, replay_accounting, tally_completions
+from repro.core.reduce import (
+    ACCT_FIELDS,
+    AccountingLog,
+    ReceiveLog,
+    replay_accounting,
+    tally_completions,
+)
 
 HORIZON = 24  # arrival cycles are drawn below this (dense: ports back up)
 NODES = 2
@@ -182,12 +188,22 @@ def test_accounting_replay_matches_inline_accumulation(groups, cuts):
     """Replaying the dispatch-ordered log gives the accumulators the same
     bits as updating them at dispatch time, whether a dispatch logged its
     records one by one (scalar path) or as one block (vector path), and
-    wherever the log is cut into flushes."""
+    wherever the log is cut into flushes.  The float64 block log replays
+    bit for bit like the flat list of boxed values it replaced."""
     CH, Wc, wu, me = 3, 16, 5, 30
     power = np.array([0.3, 1.7, 4.9])
     inline = [np.zeros(2), np.zeros(6), np.zeros(6)]
     replayed = [np.zeros(2), np.zeros(6), np.zeros(6)]
+    from_flat = [np.zeros(2), np.zeros(6), np.zeros(6)]
+    log = AccountingLog()
     flat = []
+
+    def flush():
+        replay_accounting(log.take(), CH, Wc, wu, me, power, *replayed)
+        records = np.array(flat, dtype=np.float64).reshape(-1, ACCT_FIELDS)
+        replay_accounting(records, CH, Wc, wu, me, power, *from_flat)
+        flat.clear()
+
     for g, (records, as_block) in enumerate(groups):
         records = [(t, rc, t + ds, t + ds + de, lvl) for t, rc, ds, de, lvl in records]
         for t, rc, start, end, lvl in records:
@@ -198,13 +214,16 @@ def test_accounting_replay_matches_inline_accumulation(groups, cuts):
             inline[1][rc] += max(min(end, wend) - start, 0.0)
             inline[2][rc] += max(end - max(start, wend), 0.0)
         if as_block:
-            flat.extend(np.array(records, dtype=np.float64).ravel().tolist())
+            log.append(np.array(records, dtype=np.float64))
         else:
             for record in records:
-                flat.extend(record)
+                log.scalar.extend(record)
+        for record in records:
+            flat.extend(record)
         if g in cuts:
-            replay_accounting(flat, CH, Wc, wu, me, power, *replayed)
-            flat.clear()
-    replay_accounting(flat, CH, Wc, wu, me, power, *replayed)
-    for got, want in zip(replayed, inline):
+            flush()
+    flush()
+    assert len(log.take()) == 0
+    for got, flat_got, want in zip(replayed, from_flat, inline):
         assert got.tobytes() == want.tobytes()
+        assert flat_got.tobytes() == want.tobytes()
