@@ -1,12 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint layering frozen determinism typecheck baseline bench-ledger
+.PHONY: check test lint layering frozen determinism typecheck bench-ledger
 
 # The single correctness gate: tier-1 tests, the simulation-invariant
-# linter (ratcheted against analysis-baseline.json), the import-layering
-# DAG, the frozen-oracle integrity manifest, the determinism audit, and
-# mypy when it is installed.
+# linter, the import-layering DAG, the frozen-oracle integrity manifest,
+# the determinism audit, and mypy when it is installed.
 check: test lint layering frozen determinism typecheck
 
 test:
@@ -36,10 +35,6 @@ typecheck:
 	else \
 		echo "typecheck: mypy not installed, skipping (pip install .[dev])"; \
 	fi
-
-# Re-ratchet the lint baseline (the file may only ever shrink).
-baseline:
-	$(PYTHON) -m repro.analysis lint src tests benchmarks examples --write-baseline
 
 # The performance ledger (BENCHMARK.json's command): every workload of
 # benchmarks/ledger untraced + traced, end-to-end and per-layer metrics,

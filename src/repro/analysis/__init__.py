@@ -27,17 +27,19 @@ discipline mechanically:
   engines twice under one seed plus twice under a permuted
   event-insertion order and diffs trace streams and metric summaries — a
   race detector for the event kernel.
-* :mod:`repro.analysis.baseline` — a ratchet: pre-existing findings live
-  in a checked-in baseline file and may only ever be removed.
 * :mod:`repro.analysis.sarif` — a SARIF 2.1.0 emitter shared by the three
   static passes so CI renders findings as GitHub annotations.
+
+The three static passes (lint, layering, frozen) return one result type,
+:class:`~repro.analysis.linter.Finding` (path, line, col, code, message);
+:mod:`repro.analysis.rules` holds the title, rationale and hint of every
+code.
 
 Run everything with ``python -m repro.analysis`` (see ``--help``).
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, RatchetResult
 from repro.analysis.determinism import (
     AuditCheck,
     AuditReport,
@@ -46,7 +48,6 @@ from repro.analysis.determinism import (
 )
 from repro.analysis.frozen import (
     FROZEN_FILES,
-    FrozenMismatch,
     compute_manifest,
     verify_manifest,
     write_manifest,
@@ -55,31 +56,25 @@ from repro.analysis.layering import (
     EDGE_ALLOWLIST,
     LAYER_DAG,
     ImportEdge,
-    LayerViolation,
     analyze_paths,
     check_layering,
     collect_import_edges,
 )
 from repro.analysis.linter import Finding, lint_paths, lint_source
 from repro.analysis.rules import RULES, Rule
-from repro.analysis.sarif import SarifResult, sarif_dumps, sarif_log
+from repro.analysis.sarif import sarif_dumps, sarif_log
 
 __all__ = [
     "AuditCheck",
     "AuditReport",
-    "Baseline",
     "EDGE_ALLOWLIST",
     "FROZEN_FILES",
     "Finding",
-    "FrozenMismatch",
     "ImportEdge",
     "LAYER_DAG",
-    "LayerViolation",
-    "RatchetResult",
     "RULES",
     "Rule",
     "RunFingerprint",
-    "SarifResult",
     "analyze_paths",
     "audit",
     "check_layering",

@@ -3,8 +3,8 @@
 Subcommands
 -----------
 ``lint PATH...``
-    Run the SIM001–SIM011 lint pass.  Exit 0 when no *new* findings exist
-    relative to the ratchet baseline; exit 1 otherwise.
+    Run the SIM001–SIM011 lint pass.  Exit 0 when there are no findings;
+    exit 1 otherwise.
 ``layering [PATH...]``
     Check the real import graph against the declared package DAG and the
     frozen-legacy import prohibition.  Exit 0 when clean.
@@ -14,13 +14,12 @@ Subcommands
 ``determinism``
     Run the determinism audit (same-seed and permuted-insertion-order
     repeatability on both engines).  Exit 0 on pass.
-``all PATH...``
-    All four gates; exit non-zero if any fails.
 
-``--format=json`` emits machine-readable findings for future tooling (the
-benchmarks panel consumes this); ``--format=sarif`` emits a SARIF 2.1.0
-log for the static passes (lint, layering, frozen) so CI can surface
-findings as GitHub annotations.
+The three static passes (lint, layering, frozen) return one
+:class:`~repro.analysis.linter.Finding` list each and print it through
+one reporter: ``--format=json`` emits ``{"ok": bool, "findings": [...]}``
+and ``--format=sarif`` a SARIF 2.1.0 log, which CI uploads as GitHub
+annotations.  ``determinism`` has its own JSON report and no SARIF.
 """
 
 from __future__ import annotations
@@ -29,159 +28,66 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.determinism import audit
-from repro.analysis.frozen import (
-    FrozenMismatch,
-    verify_manifest,
-    write_manifest,
-)
-from repro.analysis.layering import (
-    LayerViolation,
-    analyze_paths,
-    format_dag,
-)
+from repro.analysis.frozen import verify_manifest, write_manifest
+from repro.analysis.layering import analyze_paths, format_dag
 from repro.analysis.linter import Finding, lint_paths
-from repro.analysis.sarif import SarifResult, sarif_dumps
+from repro.analysis.sarif import sarif_dumps
 from repro.errors import ReproError
 
 __all__ = ["main"]
 
-_DEFAULT_BASELINE = "analysis-baseline.json"
 _DEFAULT_MANIFEST = "analysis-frozen.json"
 
 
-def _findings_json(findings: Sequence[Finding]) -> List[Dict[str, object]]:
-    return [
-        {
-            "path": f.path,
-            "line": f.line,
-            "col": f.col,
-            "code": f.code,
-            "message": f.message,
-            "hint": f.rule.hint,
-        }
-        for f in findings
-    ]
+def _report(
+    args: argparse.Namespace, name: str, findings: Sequence[Finding], clean: str
+) -> int:
+    """Print one static pass's findings in ``args.format``; exit 1 on any."""
+    if args.format == "sarif":
+        print(sarif_dumps(findings))
+    elif args.format == "json":
+        payload = {"ok": not findings, "findings": [f.to_json() for f in findings]}
+        print(json.dumps(payload, indent=2))
+    else:
+        for f in findings:
+            print(f.format())
+            print(f"    hint: {f.hint}")
+        print(f"{name}: {len(findings)} finding(s)" if findings else f"{name}: {clean}")
+    return 1 if findings else 0
 
 
-def _findings_sarif(findings: Sequence[Finding]) -> List[SarifResult]:
-    return [
-        SarifResult(
-            rule_id=f.code, message=f.message, path=f.path, line=f.line
-        )
-        for f in findings
-    ]
-
-
-def _violations_sarif(violations: Sequence[LayerViolation]) -> List[SarifResult]:
-    return [
-        SarifResult(
-            rule_id=v.kind.upper(),
-            message=v.message,
-            path=v.path,
-            line=v.line,
-        )
-        for v in violations
-    ]
-
-
-def _mismatches_sarif(mismatches: Sequence[FrozenMismatch]) -> List[SarifResult]:
-    return [
-        SarifResult(rule_id="FROZEN", message=m.format(), path=m.path)
-        for m in mismatches
-    ]
-
-
-def _run_lint(args: argparse.Namespace) -> int:
-    paths = [Path(p) for p in args.paths]
+def _existing(raw: Sequence[str]) -> Optional[List[Path]]:
+    """``raw`` as paths, or ``None`` (after an error line) if any is missing."""
+    paths = [Path(p) for p in raw]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(f"error: no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
+        return None
+    return paths
+
+
+def _run_lint(args: argparse.Namespace) -> int:
+    paths = _existing(args.paths)
+    if paths is None:
         return 2
     findings = lint_paths(paths, include_fixtures=args.include_fixtures)
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(_DEFAULT_BASELINE)
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).write(baseline_path)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-
-    result = baseline.ratchet(findings)
-    if args.format == "sarif":
-        print(sarif_dumps(_findings_sarif(result.new)))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ok": result.ok,
-                    "new": _findings_json(result.new),
-                    "known": _findings_json(result.known),
-                    "stale": result.stale,
-                },
-                indent=2,
-            )
-        )
-    else:
-        for f in result.new:
-            print(f.format())
-            print(f"    hint: {f.rule.hint}")
-        if result.known:
-            print(f"{len(result.known)} known finding(s) tolerated by baseline")
-        if result.stale:
-            print(
-                f"note: {len(result.stale)} baseline entr(ies) no longer "
-                "reproduce — ratchet down with --write-baseline"
-            )
-        if result.ok:
-            print("lint: clean")
-        else:
-            print(f"lint: {len(result.new)} new finding(s)")
-    return 0 if result.ok else 1
+    return _report(args, "lint", findings, "clean")
 
 
 def _run_layering(args: argparse.Namespace) -> int:
     if args.print_dag:
         print(format_dag())
         return 0
-    paths = [Path(p) for p in (args.paths or ["src"])]
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        print(f"error: no such path(s): {', '.join(map(str, missing))}", file=sys.stderr)
+    paths = _existing(args.paths or ["src"])
+    if paths is None:
         return 2
-    edges, violations = analyze_paths(paths)
-    if args.format == "sarif":
-        print(sarif_dumps(_violations_sarif(violations)))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ok": not violations,
-                    "edges": len(edges),
-                    "violations": [v.to_json() for v in violations],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for v in violations:
-            print(v.format())
-        if violations:
-            print(f"layering: {len(violations)} violation(s) in {len(edges)} import edge(s)")
-        else:
-            print(f"layering: clean ({len(edges)} import edge(s) checked)")
-    return 0 if not violations else 1
+    edges, findings = analyze_paths(paths)
+    return _report(
+        args, "layering", findings, f"clean ({len(edges)} import edge(s) checked)"
+    )
 
 
 def _run_frozen(args: argparse.Namespace) -> int:
@@ -192,31 +98,13 @@ def _run_frozen(args: argparse.Namespace) -> int:
         print(f"wrote {len(files)} fingerprint(s) to {manifest_path}")
         return 0
     try:
-        mismatches = verify_manifest(root, manifest_path)
+        findings = verify_manifest(root, manifest_path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "sarif":
-        print(sarif_dumps(_mismatches_sarif(mismatches)))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "ok": not mismatches,
-                    "manifest": str(manifest_path),
-                    "mismatches": [m.to_json() for m in mismatches],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for m in mismatches:
-            print(m.format())
-        if mismatches:
-            print(f"frozen: {len(mismatches)} integrity failure(s)")
-        else:
-            print("frozen: all oracle fingerprints match the manifest")
-    return 0 if not mismatches else 1
+    return _report(
+        args, "frozen", findings, "all oracle fingerprints match the manifest"
+    )
 
 
 def _run_determinism(args: argparse.Namespace) -> int:
@@ -244,14 +132,6 @@ def _run_determinism(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _run_all(args: argparse.Namespace) -> int:
-    lint_rc = _run_lint(args)
-    layering_rc = _run_layering(args)
-    frozen_rc = _run_frozen(args)
-    det_rc = _run_determinism(args)
-    return max(lint_rc, layering_rc, frozen_rc, det_rc)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -270,21 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint", help="run the SIM001–SIM011 lint pass")
     lint.add_argument("paths", nargs="+", help="files or directories to lint")
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help=f"ratchet baseline file (default: ./{_DEFAULT_BASELINE})",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline with the current findings and exit 0",
-    )
     lint.add_argument(
         "--include-fixtures",
         action="store_true",
@@ -338,22 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the detailed-engine checks (quick local iteration)",
     )
     det.set_defaults(func=_run_determinism)
-
-    both = sub.add_parser(
-        "all", help="lint + layering + frozen + determinism audit"
-    )
-    both.add_argument("paths", nargs="+", help="files or directories to lint")
-    both.add_argument("--baseline", default=None)
-    both.add_argument("--no-baseline", action="store_true")
-    both.add_argument("--write-baseline", action="store_true")
-    both.add_argument("--include-fixtures", action="store_true")
-    both.add_argument("--root", default=".")
-    both.add_argument("--manifest", default=None)
-    both.add_argument("--seed", type=int, default=1)
-    both.add_argument("--boards", type=int, default=4)
-    both.add_argument("--nodes-per-board", type=int, default=4)
-    both.add_argument("--fast-only", action="store_true")
-    both.set_defaults(func=_run_all, print_dag=False, write_manifest=False)
 
     return parser
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.config import ControlParams, ERapidConfig
 from repro.core.detailed import DetailedEngine
@@ -147,6 +147,39 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+#: The ``RunResult`` fields both engines' fingerprints cover.
+_RESULT_FIELDS = (
+    "throughput", "offered", "avg_latency", "p99_latency", "max_latency",
+    "power_mw", "labeled_injected", "labeled_delivered", "delivered_measure",
+)
+
+
+def _audit_setup(
+    seed: int, boards: int, nodes_per_board: int, load: float, pattern: str, policy: str
+) -> Tuple[ERapidConfig, WorkloadSpec]:
+    """The audit run's config and workload, the same for both engines."""
+    config = ERapidConfig(
+        topology=ERapidTopology(boards=boards, nodes_per_board=nodes_per_board),
+        policy=make_policy(policy),
+        control=ControlParams(window_cycles=500),
+        seed=seed,
+    )
+    return config, WorkloadSpec(pattern=pattern, load=load, seed=seed)
+
+
+def _summary(
+    engine: Union[FastEngine, DetailedEngine], result: RunResult, **own: object
+) -> Dict[str, object]:
+    """The metric summary both engines fingerprint, plus the engine's ``own``."""
+    metrics: Dict[str, object] = {k: getattr(result, k) for k in _RESULT_FIELDS}
+    metrics["final_time"] = engine.sim.now
+    metrics["event_count"] = engine.sim.event_count
+    metrics.update(own)
+    for k, v in sorted(result.extra.items()):
+        metrics[f"extra.{k}"] = v
+    return metrics
+
+
 def simulate_fingerprint(
     seed: int = 1,
     boards: int = 4,
@@ -162,42 +195,20 @@ def simulate_fingerprint(
     processes in a deterministically shuffled order, changing the FIFO
     sequence numbers of all same-time start-up events.
     """
-    topo = ERapidTopology(boards=boards, nodes_per_board=nodes_per_board)
-    config = ERapidConfig(
-        topology=topo,
-        policy=make_policy(policy),
-        control=ControlParams(window_cycles=500),
-        seed=seed,
-    )
+    config, workload = _audit_setup(seed, boards, nodes_per_board, load, pattern, policy)
     plan = MeasurementPlan(warmup=500.0, measure=1500.0, drain_limit=3000.0)
-    workload = WorkloadSpec(pattern=pattern, load=load, seed=seed)
     trace = TraceLog(max_records=200_000)
     engine = FastEngine(config, workload, plan, trace=trace)
-    node_order: Optional[List[int]] = None
-    channel_order: Optional[List[Tuple[int, int]]] = None
     if permuted:
-        node_order = _permuted(list(range(topo.total_nodes)))
-        channel_order = _permuted(sorted(engine.channels))
-    engine.start(node_order=node_order, channel_order=channel_order)
+        engine.start(
+            node_order=_permuted(list(range(config.topology.total_nodes))),
+            channel_order=_permuted(sorted(engine.channels)),
+        )
+    else:
+        engine.start()
     result = engine.run()
-
-    metrics: Dict[str, object] = {
-        "throughput": result.throughput,
-        "offered": result.offered,
-        "avg_latency": result.avg_latency,
-        "p99_latency": result.p99_latency,
-        "max_latency": result.max_latency,
-        "power_mw": result.power_mw,
-        "labeled_injected": result.labeled_injected,
-        "labeled_delivered": result.labeled_delivered,
-        "delivered_measure": result.delivered_measure,
-        "final_time": engine.sim.now,
-        "event_count": engine.sim.event_count,
-    }
-    for k, v in sorted(result.extra.items()):
-        metrics[f"extra.{k}"] = v
     trace_lines = [rec.format() for rec in trace.records]
-    return fingerprint_parts(trace_lines, metrics)
+    return fingerprint_parts(trace_lines, _summary(engine, result))
 
 
 def simulate_detailed_fingerprint(
@@ -220,47 +231,25 @@ def simulate_detailed_fingerprint(
     processes in a deterministically shuffled order, changing the FIFO
     sequence numbers of all same-time start-up events.
     """
-    topo = ERapidTopology(boards=boards, nodes_per_board=nodes_per_board)
-    config = ERapidConfig(
-        topology=topo,
-        policy=make_policy(policy),
-        control=ControlParams(window_cycles=500),
-        seed=seed,
-    )
+    config, workload = _audit_setup(seed, boards, nodes_per_board, load, pattern, policy)
     plan = MeasurementPlan(warmup=300.0, measure=900.0, drain_limit=1800.0)
-    workload = WorkloadSpec(pattern=pattern, load=load, seed=seed)
     engine = DetailedEngine(config, workload, plan)
-    node_order: Optional[List[int]] = None
-    optical_order: Optional[List[Tuple[int, int]]] = None
     if permuted:
-        node_order = _permuted(list(range(topo.total_nodes)))
-        optical_order = _permuted(
-            sorted(
-                key
-                for key in engine.tx_queues
-                if engine.rwa.dest_served_by(*key) != key[0]
-            )
+        engine.start(
+            node_order=_permuted(list(range(config.topology.total_nodes))),
+            optical_order=_permuted(
+                sorted(
+                    key
+                    for key in engine.tx_queues
+                    if engine.rwa.dest_served_by(*key) != key[0]
+                )
+            ),
         )
-    engine.start(node_order=node_order, optical_order=optical_order)
+    else:
+        engine.start()
     result = engine.run()
-
-    metrics: Dict[str, object] = {
-        "throughput": result.throughput,
-        "offered": result.offered,
-        "avg_latency": result.avg_latency,
-        "p99_latency": result.p99_latency,
-        "max_latency": result.max_latency,
-        "power_mw": result.power_mw,
-        "labeled_injected": result.labeled_injected,
-        "labeled_delivered": result.labeled_delivered,
-        "delivered_measure": result.delivered_measure,
-        "final_time": engine.sim.now,
-        "event_count": engine.sim.event_count,
-        "flits_routed": tuple(r.flits_routed for r in engine.routers),
-    }
-    for k, v in sorted(result.extra.items()):
-        metrics[f"extra.{k}"] = v
-    return fingerprint_parts((), metrics)
+    flits_routed = tuple(r.flits_routed for r in engine.routers)
+    return fingerprint_parts((), _summary(engine, result, flits_routed=flits_routed))
 
 
 def sweep_fingerprint(results: Dict[str, List[RunResult]]) -> str:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.analysis.linter import Finding
+
 __all__ = [
     "FROZEN_FILES",
-    "FrozenMismatch",
     "file_digest",
     "compute_manifest",
     "write_manifest",
@@ -55,28 +55,16 @@ _COMMENT = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FrozenMismatch:
-    """One integrity failure: a frozen file or manifest entry drifted."""
+def _mismatch(path: str, kind: str, expected: str, actual: str) -> Finding:
+    """One integrity failure: a frozen file or manifest entry drifted.
 
-    path: str
-    kind: str  # "hash-mismatch" | "missing-file" | "missing-entry" | "stale-entry" | "missing-manifest"
-    expected: str
-    actual: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}: {self.kind} (expected {self.expected or '-'}, "
-            f"got {self.actual or '-'})"
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "kind": self.kind,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
+    ``kind`` is ``hash-mismatch``, ``missing-file``, ``missing-entry``,
+    ``stale-entry`` or ``missing-manifest``; it leads the message.
+    """
+    return Finding(
+        path, 1, 0, "FROZEN",
+        f"{kind} (expected {expected or '-'}, got {actual or '-'})",
+    )
 
 
 def file_digest(path: Path) -> str:
@@ -116,63 +104,38 @@ def load_manifest(manifest_path: Path) -> Dict[str, str]:
     return {str(k): str(v) for k, v in data["files"].items()}
 
 
-def verify_manifest(root: Path, manifest_path: Path) -> List[FrozenMismatch]:
+def verify_manifest(root: Path, manifest_path: Path) -> List[Finding]:
     """Compare on-disk frozen files against the tracked manifest.
 
     Returns an empty list when every oracle matches its pinned
     fingerprint, the manifest covers exactly :data:`FROZEN_FILES`, and no
-    frozen file is missing from disk.
+    frozen file is missing from disk; otherwise one ``FROZEN`` finding per
+    drifted file or entry.
     """
     if not manifest_path.exists():
         return [
-            FrozenMismatch(
-                path=str(manifest_path),
-                kind="missing-manifest",
-                expected="tracked manifest file",
-                actual="absent",
+            _mismatch(
+                str(manifest_path),
+                "missing-manifest",
+                "tracked manifest file",
+                "absent",
             )
         ]
     recorded = load_manifest(manifest_path)
-    mismatches: List[FrozenMismatch] = []
+    mismatches: List[Finding] = []
     for rel in FROZEN_FILES:
         p = root / rel
         expected = recorded.get(rel, "")
         if not p.exists():
-            mismatches.append(
-                FrozenMismatch(
-                    path=rel,
-                    kind="missing-file",
-                    expected=expected,
-                    actual="absent",
-                )
-            )
+            mismatches.append(_mismatch(rel, "missing-file", expected, "absent"))
             continue
         actual = file_digest(p)
         if not expected:
-            mismatches.append(
-                FrozenMismatch(
-                    path=rel,
-                    kind="missing-entry",
-                    expected="",
-                    actual=actual,
-                )
-            )
+            mismatches.append(_mismatch(rel, "missing-entry", "", actual))
         elif actual != expected:
-            mismatches.append(
-                FrozenMismatch(
-                    path=rel,
-                    kind="hash-mismatch",
-                    expected=expected,
-                    actual=actual,
-                )
-            )
+            mismatches.append(_mismatch(rel, "hash-mismatch", expected, actual))
     for rel in sorted(set(recorded) - set(FROZEN_FILES)):
         mismatches.append(
-            FrozenMismatch(
-                path=rel,
-                kind="stale-entry",
-                expected=recorded[rel],
-                actual="not a frozen file",
-            )
+            _mismatch(rel, "stale-entry", recorded[rel], "not a frozen file")
         )
     return mismatches

@@ -33,14 +33,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.linter import module_name_for_path
+from repro.analysis.linter import Finding, _relpath, module_name_for_path
 
 __all__ = [
     "LAYER_DAG",
     "MODULE_LAYERS",
     "EDGE_ALLOWLIST",
     "ImportEdge",
-    "LayerViolation",
     "collect_import_edges",
     "check_layering",
     "analyze_paths",
@@ -157,31 +156,6 @@ class ImportEdge:
     line: int
 
 
-@dataclass(frozen=True, slots=True)
-class LayerViolation:
-    """One layering violation, pinned to the importing statement."""
-
-    path: str
-    line: int
-    src_module: str
-    dst_module: str
-    kind: str  # "layer" | "legacy" | "undeclared" | "module"
-    message: str
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}: {self.kind.upper()} {self.message}"
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "src_module": self.src_module,
-            "dst_module": self.dst_module,
-            "kind": self.kind,
-            "message": self.message,
-        }
-
-
 def package_of(module: str) -> str:
     """The DAG layer a dotted ``repro...`` module belongs to."""
     parts = module.split(".")
@@ -255,106 +229,73 @@ def collect_import_edges(paths: Sequence[Path]) -> List[ImportEdge]:
     return edges
 
 
-def _relpath(path: Path) -> str:
-    try:
-        rel = path.resolve().relative_to(Path.cwd())
-    except ValueError:
-        rel = path
-    return rel.as_posix()
-
-
 def check_layering(
     edges: Iterable[ImportEdge],
     dag: Optional[Mapping[str, FrozenSet[str]]] = None,
     allowlist: Optional[FrozenSet[Tuple[str, str]]] = None,
     module_layers: Optional[Mapping[str, FrozenSet[str]]] = None,
-) -> List[LayerViolation]:
-    """Evaluate ``edges`` against the declared DAG and the legacy rule."""
+) -> List[Finding]:
+    """Evaluate ``edges`` against the declared DAG and the legacy rule.
+
+    Each violation is a :class:`Finding` coded ``LEGACY``, ``MODULE``,
+    ``UNDECLARED`` or ``LAYER`` at the importing statement.
+    """
     the_dag = LAYER_DAG if dag is None else dag
     the_allowlist = EDGE_ALLOWLIST if allowlist is None else allowlist
     the_module_layers = MODULE_LAYERS if module_layers is None else module_layers
-    violations: List[LayerViolation] = []
+    findings: List[Finding] = []
     for edge in edges:
-        src_pkg = package_of(edge.src_module)
-        dst_pkg = package_of(edge.dst_module)
-        if edge.dst_module.startswith(_LEGACY_PREFIX):
-            violations.append(
-                LayerViolation(
-                    path=edge.path,
-                    line=edge.line,
-                    src_module=edge.src_module,
-                    dst_module=edge.dst_module,
-                    kind="legacy",
-                    message=(
-                        f"`{edge.src_module}` imports frozen oracle "
-                        f"`{edge.dst_module}`; only tests/ may touch "
-                        "legacy* modules"
-                    ),
-                )
-            )
-            continue
-        module_allowed = the_module_layers.get(edge.src_module)
-        if module_allowed is not None:
-            if (
-                dst_pkg in module_allowed
-                or (edge.src_module, edge.dst_module) in the_allowlist
-            ):
-                continue
-            violations.append(
-                LayerViolation(
-                    path=edge.path,
-                    line=edge.line,
-                    src_module=edge.src_module,
-                    dst_module=edge.dst_module,
-                    kind="module",
-                    message=(
-                        f"`{edge.src_module}` has a module-scoped budget and "
-                        f"may not import `{edge.dst_module}` ({dst_pkg}); "
-                        f"allowed layers: {sorted(module_allowed) or 'none'}"
-                    ),
-                )
-            )
-            continue
-        if src_pkg == dst_pkg:
-            continue
-        allowed = the_dag.get(src_pkg)
-        if allowed is None:
-            violations.append(
-                LayerViolation(
-                    path=edge.path,
-                    line=edge.line,
-                    src_module=edge.src_module,
-                    dst_module=edge.dst_module,
-                    kind="undeclared",
-                    message=(
-                        f"package `{src_pkg}` has no declared layer; add it "
-                        "to repro.analysis.layering.LAYER_DAG"
-                    ),
-                )
-            )
-            continue
-        if ANY in allowed or dst_pkg in allowed:
-            continue
-        if (edge.src_module, edge.dst_module) in the_allowlist:
-            continue
-        violations.append(
-            LayerViolation(
-                path=edge.path,
-                line=edge.line,
-                src_module=edge.src_module,
-                dst_module=edge.dst_module,
-                kind="layer",
-                message=(
-                    f"`{edge.src_module}` ({src_pkg}) may not import "
-                    f"`{edge.dst_module}` ({dst_pkg}); allowed layers for "
-                    f"{src_pkg}: {sorted(allowed) or 'none'}"
-                ),
-            )
+        verdict = _verdict(edge, the_dag, the_allowlist, the_module_layers)
+        if verdict is not None:
+            findings.append(Finding(edge.path, edge.line, 0, *verdict))
+    return sorted(findings)
+
+
+def _verdict(
+    edge: ImportEdge,
+    dag: Mapping[str, FrozenSet[str]],
+    allowlist: FrozenSet[Tuple[str, str]],
+    module_layers: Mapping[str, FrozenSet[str]],
+) -> Optional[Tuple[str, str]]:
+    """``(code, message)`` for a violating edge, ``None`` for a clean one."""
+    src, dst = edge.src_module, edge.dst_module
+    src_pkg = package_of(src)
+    dst_pkg = package_of(dst)
+    if dst.startswith(_LEGACY_PREFIX):
+        return (
+            "LEGACY",
+            f"`{src}` imports frozen oracle `{dst}`; only tests/ may touch "
+            "legacy* modules",
         )
-    return sorted(violations, key=lambda v: (v.path, v.line, v.dst_module))
+    allowlisted = (src, dst) in allowlist
+    module_allowed = module_layers.get(src)
+    if module_allowed is not None:
+        if dst_pkg in module_allowed or allowlisted:
+            return None
+        return (
+            "MODULE",
+            f"`{src}` has a module-scoped budget and may not import `{dst}` "
+            f"({dst_pkg}); allowed layers: {sorted(module_allowed) or 'none'}",
+        )
+    if src_pkg == dst_pkg:
+        return None
+    allowed = dag.get(src_pkg)
+    if allowed is None:
+        return (
+            "UNDECLARED",
+            f"package `{src_pkg}` has no declared layer; add it to "
+            "repro.analysis.layering.LAYER_DAG",
+        )
+    if ANY in allowed or dst_pkg in allowed or allowlisted:
+        return None
+    return (
+        "LAYER",
+        f"`{src}` ({src_pkg}) may not import `{dst}` ({dst_pkg}); allowed "
+        f"layers for {src_pkg}: {sorted(allowed) or 'none'}",
+    )
 
 
-def analyze_paths(paths: Sequence[Path]) -> Tuple[List[ImportEdge], List[LayerViolation]]:
+def analyze_paths(paths: Sequence[Path]) -> Tuple[List[ImportEdge], List[Finding]]:
     """Collect edges under ``paths`` and check them against the DAG."""
     edges = collect_import_edges(paths)
     return edges, check_layering(edges)

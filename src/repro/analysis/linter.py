@@ -33,16 +33,19 @@ from repro.analysis.rules import (
     RULES,
     SLOTTED_CLASS_PREFIXES,
     VECTOR_ENGINE_PREFIXES,
-    Rule,
     rule_for,
 )
 
 __all__ = ["Finding", "lint_source", "lint_paths", "module_name_for_path"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Finding:
-    """One lint violation, pinned to a file, line and rule."""
+    """One static finding (lint, layering or frozen), pinned to a file and line.
+
+    ``code`` names its entry in :mod:`repro.analysis.rules`; findings order
+    by ``(path, line, col, code, message)``.
+    """
 
     path: str
     line: int
@@ -51,16 +54,21 @@ class Finding:
     message: str
 
     @property
-    def rule(self) -> Rule:
-        return rule_for(self.code)
-
-    @property
-    def key(self) -> str:
-        """Stable identity used by the ratchet baseline."""
-        return f"{self.path}:{self.code}:{self.line}"
+    def hint(self) -> str:
+        return rule_for(self.code).hint
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+    def to_json(self) -> Dict[str, object]:
+        return {
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "code": self.code,
+            "message": self.message,
+            "hint": self.hint,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -749,7 +757,7 @@ def lint_source(
     tree = ast.parse(source, filename=path)
     visitor = _Visitor(path, module, source.splitlines())
     visitor.visit(tree)
-    return sorted(visitor.findings, key=lambda f: (f.line, f.col, f.code))
+    return sorted(visitor.findings)
 
 
 _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".pytest_cache", "build", "dist"}
@@ -779,8 +787,8 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths`` (fixture dirs skipped).
 
-    Unparseable files produce a synthetic ``SIM000``-style parse finding so
-    they fail loudly instead of being skipped silently.
+    An unreadable or unparseable file produces one ``PARSE`` finding, so it
+    fails loudly instead of being skipped silently.
     """
     findings: List[Finding] = []
     for f in _iter_py_files(paths, include_fixtures):
@@ -788,7 +796,7 @@ def lint_paths(
         try:
             source = f.read_text(encoding="utf-8")
         except OSError as exc:  # pragma: no cover - filesystem race
-            findings.append(Finding(rel, 1, 0, "SIM003", f"unreadable file: {exc}"))
+            findings.append(Finding(rel, 1, 0, "PARSE", f"unreadable file: {exc}"))
             continue
         try:
             findings.extend(
@@ -797,13 +805,13 @@ def lint_paths(
             )
         except SyntaxError as exc:
             findings.append(
-                Finding(rel, exc.lineno or 1, 0, "SIM003", f"syntax error: {exc.msg}")
+                Finding(rel, exc.lineno or 1, 0, "PARSE", f"syntax error: {exc.msg}")
             )
-    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
+    return sorted(findings)
 
 
 def _relpath(path: Path) -> str:
-    """Repo-relative forward-slash path when possible (stable baseline keys)."""
+    """Cwd-relative forward-slash path when possible (stable report paths)."""
     try:
         rel = path.resolve().relative_to(Path.cwd())
     except ValueError:

@@ -1,8 +1,10 @@
-"""The simulation-invariant rule registry.
+"""The simulation-invariant rule registry, and the table of every finding code.
 
 Each rule has a stable code (``SIM001``…), a one-line title, a rationale
 docstring, an autofix hint, and a *scope* — the set of module prefixes the
-rule applies to.  Scoping matters: wall-clock time is fine in an experiment
+rule applies to.  The codes the linter does not evaluate (``PARSE`` and the
+layering and frozen-manifest codes) share the shape, so :func:`rule_for`
+answers for every :class:`~repro.analysis.linter.Finding`.  Scoping matters: wall-clock time is fine in an experiment
 runner's progress log but poison inside the event kernel, so SIM001 only
 fires in the simulation packages.
 
@@ -322,9 +324,85 @@ RULES: Tuple[Rule, ...] = (
     ),
 )
 
-_BY_CODE = {r.code: r for r in RULES}
+#: The codes the linter does not evaluate: a file it cannot parse, and the
+#: findings of the layering and frozen-manifest passes.  Same shape as
+#: :data:`RULES`, so the text hint and the SARIF descriptor of every code
+#: read one table.
+_EXTRA_RULES: Tuple[Rule, ...] = (
+    Rule(
+        code="PARSE",
+        title="file does not parse",
+        rationale=(
+            "The linter checks the AST; a file it cannot read or parse "
+            "cannot be checked, so it fails loudly instead of being "
+            "skipped."
+        ),
+        hint="Fix the syntax error (or the file's encoding) and lint again.",
+    ),
+    Rule(
+        code="LAYER",
+        title="import edge violates the declared package DAG",
+        rationale=(
+            "Each package may import only the layers below it, so the "
+            "kernel never grows a dependency on the engines built on it."
+        ),
+        hint=(
+            "See repro.analysis.layering.LAYER_DAG for the declared edges "
+            "and EDGE_ALLOWLIST for sanctioned exceptions."
+        ),
+    ),
+    Rule(
+        code="MODULE",
+        title="import outside a module-scoped budget",
+        rationale=(
+            "Some modules (the vectorized batch tier and its pure-array "
+            "helpers) carry an import budget tighter than their "
+            "package's, so they cannot quietly re-enter scalar "
+            "simulation code."
+        ),
+        hint=(
+            "See repro.analysis.layering.MODULE_LAYERS for the module's "
+            "allowed layers."
+        ),
+    ),
+    Rule(
+        code="LEGACY",
+        title="frozen legacy oracle imported from src/",
+        rationale=(
+            "The repro.perf.legacy* modules are bit-identity oracles whose "
+            "value is standing still; production code must never depend "
+            "on one."
+        ),
+        hint="Only tests/ may import repro.perf.legacy* modules.",
+    ),
+    Rule(
+        code="UNDECLARED",
+        title="package missing from the layering DAG",
+        rationale=(
+            "A new package must take an explicit position in the layering "
+            "DAG before it imports across packages."
+        ),
+        hint="Add the package to repro.analysis.layering.LAYER_DAG.",
+    ),
+    Rule(
+        code="FROZEN",
+        title="frozen oracle drifted from its pinned SHA-256",
+        rationale=(
+            "The equivalence gates compare live engines against the "
+            "frozen oracles bit-for-bit; an edit to one moves the goalpost "
+            "silently."
+        ),
+        hint=(
+            "repro/perf/legacy*.py are bit-identity oracles; restore the "
+            "file or (only alongside a new equivalence gate) regenerate "
+            "the manifest with --write-manifest."
+        ),
+    ),
+)
+
+_BY_CODE = {r.code: r for r in RULES + _EXTRA_RULES}
 
 
 def rule_for(code: str) -> Rule:
-    """Look up a rule by its ``SIMxxx`` code."""
+    """Look up the rule of any finding code (``SIMxxx``, ``LAYER``, ...)."""
     return _BY_CODE[code]

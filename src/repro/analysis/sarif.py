@@ -1,8 +1,10 @@
 """SARIF 2.1.0 emitter for the analysis suite.
 
-One shared result shape serves all three static passes (lint, layering,
-frozen-manifest): CI uploads the SARIF log so findings render as GitHub
-annotations on the offending line instead of a wall of job-log text.
+The three static passes (lint, layering, frozen-manifest) all return
+:class:`~repro.analysis.linter.Finding` lists; CI uploads the SARIF log so
+findings render as GitHub annotations on the offending line instead of a
+wall of job-log text.  Every code's rule metadata comes from the one
+table in :mod:`repro.analysis.rules`.
 
 Only the small, stable subset of SARIF that GitHub consumes is emitted:
 ``tool.driver`` with per-rule metadata, and one ``result`` per finding
@@ -12,12 +14,12 @@ with a single physical location.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.analysis.rules import RULES
+from repro.analysis.linter import Finding
+from repro.analysis.rules import rule_for
 
-__all__ = ["SarifResult", "sarif_log", "sarif_dumps"]
+__all__ = ["sarif_log", "sarif_dumps"]
 
 _SARIF_VERSION = "2.1.0"
 _SCHEMA = (
@@ -25,92 +27,28 @@ _SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Rule metadata for the non-lint passes (the lint pass contributes
-#: SIM001–SIM011 from the registry).
-_EXTRA_RULES: Dict[str, Dict[str, str]] = {
-    "LAYER": {
-        "name": "import-layering",
-        "shortDescription": "import edge violates the declared package DAG",
-        "help": (
-            "See repro.analysis.layering.LAYER_DAG for the declared edges "
-            "and EDGE_ALLOWLIST for sanctioned exceptions."
-        ),
-    },
-    "LEGACY": {
-        "name": "frozen-legacy-import",
-        "shortDescription": "frozen legacy oracle imported from src/",
-        "help": (
-            "Only tests/ may import repro.perf.legacy* modules; "
-            "production code must never depend on a frozen oracle."
-        ),
-    },
-    "UNDECLARED": {
-        "name": "undeclared-layer",
-        "shortDescription": "package missing from the layering DAG",
-        "help": "Add the package to repro.analysis.layering.LAYER_DAG.",
-    },
-    "FROZEN": {
-        "name": "frozen-manifest",
-        "shortDescription": "frozen oracle drifted from its pinned SHA-256",
-        "help": (
-            "repro/perf/legacy*.py are bit-identity oracles; restore the "
-            "file or (only alongside a new equivalence gate) regenerate "
-            "the manifest with --write-manifest."
-        ),
-    },
-}
 
-
-@dataclass(frozen=True, slots=True)
-class SarifResult:
-    """One finding in the shared SARIF shape."""
-
-    rule_id: str
-    message: str
-    path: str
-    line: int = 1
-    level: str = "error"
-
-
-def _rule_descriptors(used: Sequence[str]) -> List[Dict[str, object]]:
-    descriptors: List[Dict[str, object]] = []
-    for rule in RULES:
-        if rule.code in used:
-            descriptors.append(
-                {
-                    "id": rule.code,
-                    "name": rule.title,
-                    "shortDescription": {"text": rule.title},
-                    "fullDescription": {"text": rule.rationale},
-                    "help": {"text": rule.hint},
-                }
-            )
-    for rule_id in sorted(set(used) - {r.code for r in RULES}):
-        meta = _EXTRA_RULES.get(rule_id, {})
-        descriptors.append(
-            {
-                "id": rule_id,
-                "name": meta.get("name", rule_id),
-                "shortDescription": {
-                    "text": meta.get("shortDescription", rule_id)
-                },
-                "help": {"text": meta.get("help", "")},
-            }
-        )
-    return descriptors
+def _descriptor(code: str) -> Dict[str, object]:
+    rule = rule_for(code)
+    return {
+        "id": rule.code,
+        "name": rule.title,
+        "shortDescription": {"text": rule.title},
+        "fullDescription": {"text": rule.rationale},
+        "help": {"text": rule.hint},
+    }
 
 
 def sarif_log(
-    results: Sequence[SarifResult],
+    findings: Sequence[Finding],
     tool_name: str = "repro-analysis",
     tool_version: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Build one single-run SARIF log covering ``results``."""
-    used = [r.rule_id for r in results]
+    """Build one single-run SARIF log covering ``findings``."""
     driver: Dict[str, object] = {
         "name": tool_name,
         "informationUri": "https://example.invalid/repro-analysis",
-        "rules": _rule_descriptors(used),
+        "rules": [_descriptor(c) for c in sorted({f.code for f in findings})],
     }
     if tool_version is not None:
         driver["version"] = tool_version
@@ -122,28 +60,28 @@ def sarif_log(
                 "tool": {"driver": driver},
                 "results": [
                     {
-                        "ruleId": r.rule_id,
-                        "level": r.level,
-                        "message": {"text": r.message},
+                        "ruleId": f.code,
+                        "level": "error",
+                        "message": {"text": f.message},
                         "locations": [
                             {
                                 "physicalLocation": {
                                     "artifactLocation": {
-                                        "uri": r.path,
+                                        "uri": f.path,
                                         "uriBaseId": "ROOTPATH",
                                     },
-                                    "region": {"startLine": max(1, r.line)},
+                                    "region": {"startLine": max(1, f.line)},
                                 }
                             }
                         ],
                     }
-                    for r in results
+                    for f in findings
                 ],
             }
         ],
     }
 
 
-def sarif_dumps(results: Sequence[SarifResult], **kwargs: str) -> str:
-    """JSON-serialize a SARIF log for ``results``."""
-    return json.dumps(sarif_log(results, **kwargs), indent=2, sort_keys=False)
+def sarif_dumps(findings: Sequence[Finding], **kwargs: str) -> str:
+    """JSON-serialize a SARIF log for ``findings``."""
+    return json.dumps(sarif_log(findings, **kwargs), indent=2, sort_keys=False)

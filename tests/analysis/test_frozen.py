@@ -33,6 +33,11 @@ def make_tree(tmp_path):
     return tmp_path
 
 
+def kind(finding):
+    """The integrity-failure kind that leads a FROZEN finding's message."""
+    return finding.message.split(" ", 1)[0]
+
+
 # ----------------------------------------------------------------------
 # Manifest mechanics
 # ----------------------------------------------------------------------
@@ -60,8 +65,8 @@ def test_mutated_oracle_is_a_hash_mismatch(tmp_path):
     victim = root / FROZEN_FILES[1]  # legacy_engine.py
     victim.write_text(victim.read_text() + "\n# drive-by edit\n")
     mismatches = verify_manifest(root, manifest)
-    assert [(m.path, m.kind) for m in mismatches] == [
-        (FROZEN_FILES[1], "hash-mismatch")
+    assert [(m.path, m.code, kind(m)) for m in mismatches] == [
+        (FROZEN_FILES[1], "FROZEN", "hash-mismatch")
     ]
 
 
@@ -71,8 +76,8 @@ def test_deleted_oracle_is_a_missing_file(tmp_path):
     write_manifest(root, manifest)
     (root / FROZEN_FILES[0]).unlink()
     mismatches = verify_manifest(root, manifest)
-    assert [(m.path, m.kind) for m in mismatches] == [
-        (FROZEN_FILES[0], "missing-file")
+    assert [(m.path, m.code, kind(m)) for m in mismatches] == [
+        (FROZEN_FILES[0], "FROZEN", "missing-file")
     ]
 
 
@@ -84,7 +89,7 @@ def test_missing_entry_and_stale_entry(tmp_path):
     digest = data["files"].pop(FROZEN_FILES[2])
     data["files"]["src/repro/perf/legacy_ghost.py"] = digest
     manifest.write_text(json.dumps(data))
-    kinds = {(m.path, m.kind) for m in verify_manifest(root, manifest)}
+    kinds = {(m.path, kind(m)) for m in verify_manifest(root, manifest)}
     assert kinds == {
         (FROZEN_FILES[2], "missing-entry"),
         ("src/repro/perf/legacy_ghost.py", "stale-entry"),
@@ -94,7 +99,7 @@ def test_missing_entry_and_stale_entry(tmp_path):
 def test_absent_manifest_is_itself_a_failure(tmp_path):
     root = make_tree(tmp_path)
     mismatches = verify_manifest(root, root / "analysis-frozen.json")
-    assert [m.kind for m in mismatches] == ["missing-manifest"]
+    assert [kind(m) for m in mismatches] == ["missing-manifest"]
 
 
 def test_malformed_manifest_raises(tmp_path):
@@ -134,7 +139,7 @@ def test_cli_frozen_mismatch_exits_one(tmp_path, capsys):
     rc = main(["frozen", "--root", str(root)])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "hash-mismatch" in out and "integrity failure" in out
+    assert "FROZEN hash-mismatch" in out and "frozen: 1 finding(s)" in out
 
 
 def test_cli_write_manifest_regenerates(tmp_path, capsys):
@@ -143,12 +148,3 @@ def test_cli_write_manifest_regenerates(tmp_path, capsys):
     assert rc == 0
     assert "wrote 3 fingerprint(s)" in capsys.readouterr().out
     assert verify_manifest(root, root / "analysis-frozen.json") == []
-
-
-def test_cli_frozen_json_format(tmp_path, capsys):
-    root = make_tree(tmp_path)
-    write_manifest(root, root / "analysis-frozen.json")
-    rc = main(["--format=json", "frozen", "--root", str(root)])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is True and payload["mismatches"] == []

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.__main__ import main
 from repro.analysis.linter import lint_paths, lint_source, module_name_for_path
 from repro.analysis.rules import RULES, rule_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def codes_and_lines(findings):
@@ -372,3 +374,47 @@ def test_sim011_only_fires_in_the_cycle_engine():
 
 def test_good_fixture_passes_all_eleven_rules():
     assert lint_fixture("good_sim.py") == []
+
+
+# ----------------------------------------------------------------------
+# Parse failures and CLI exit codes
+# ----------------------------------------------------------------------
+
+def test_syntax_error_is_one_parse_finding(tmp_path, capsys):
+    bad = tmp_path / "broken.py"
+    bad.write_text("def f(:\n    pass\n")
+    findings = lint_paths([bad])
+    assert [(f.code, f.line) for f in findings] == [("PARSE", 1)]
+    assert findings[0].message.startswith("syntax error")
+    assert findings[0].hint == rule_for("PARSE").hint
+
+    assert main(["lint", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "PARSE syntax error" in out and "SIM003" not in out
+
+
+def test_cli_lint_clean_tree_exits_zero(capsys):
+    # The same four paths CI and `make lint` lint.
+    paths = [str(REPO_ROOT / d) for d in ("src", "tests", "benchmarks", "examples")]
+    rc = main(["lint", *paths])
+    assert rc == 0
+    assert "lint: clean" in capsys.readouterr().out
+
+
+def test_cli_lint_bad_fixture_exits_one(capsys):
+    rc = main(
+        [
+            "lint",
+            str(FIXTURES / "bad_sim003_mutable_default.py"),
+            "--include-fixtures",
+        ]
+    )
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "SIM003" in out and "finding(s)" in out
+
+
+def test_cli_missing_path_exits_two(capsys):
+    rc = main(["lint", "definitely/not/a/path.py"])
+    assert rc == 2
+    assert "no such path" in capsys.readouterr().err
