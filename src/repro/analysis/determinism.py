@@ -21,6 +21,11 @@ leans on incidental iteration order diverges.
 
 The comparison is a SHA-256 digest over the canonicalized trace stream plus
 the metric summary, with a first-divergence diff for humans.
+
+The vectorized :class:`BatchEngine` has no event order to permute; what
+it must not leak is *slab* order.  Its check runs one slab and a fixed
+permutation of it, and every run must fingerprint the same in both: a
+phase that lets one run's state or position steer another's shows here.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
+from repro.core.batch import BatchEngine
 from repro.core.config import ControlParams, ERapidConfig
 from repro.core.detailed import DetailedEngine
 from repro.core.engine import FastEngine
@@ -46,9 +52,11 @@ __all__ = [
     "audit",
     "simulate_fingerprint",
     "simulate_detailed_fingerprint",
+    "batch_slab_fingerprints",
     "sweep_fingerprint",
     "fingerprint_parts",
     "check_repeatable",
+    "check_slab_order",
     "compare_fingerprints",
 ]
 
@@ -252,6 +260,51 @@ def simulate_detailed_fingerprint(
     return fingerprint_parts((), _summary(engine, result, flits_routed=flits_routed))
 
 
+#: The audit slab's ``(pattern, load)`` points, each under all four
+#: policies: light, saturated (parked senders) and mid load.
+_BATCH_POINTS = (("uniform", 0.3), ("complement", 0.9), ("butterfly", 0.6))
+_BATCH_POLICIES = ("NP-NB", "P-NB", "NP-B", "P-B")
+
+
+def batch_slab_fingerprints(
+    seed: int = 1,
+    boards: int = 4,
+    nodes_per_board: int = 4,
+    permuted: bool = False,
+) -> List[RunFingerprint]:
+    """Run the batch audit slab once; one fingerprint per run, in the
+    order of the unpermuted slab.
+
+    ``permuted=True`` hands the engine the same runs in the fixed
+    :func:`_permuted` order, so every run sits at another slab position
+    among other neighbours.
+    """
+    topology = ERapidTopology(boards=boards, nodes_per_board=nodes_per_board)
+    plan = MeasurementPlan(warmup=500.0, measure=1500.0, drain_limit=3000.0)
+    runs = [
+        (
+            ERapidConfig(topology=topology, policy=make_policy(policy), seed=seed),
+            WorkloadSpec(pattern=pattern, load=load, seed=seed),
+            plan,
+        )
+        for pattern, load in _BATCH_POINTS
+        for policy in _BATCH_POLICIES
+    ]
+    order = _permuted(list(range(len(runs)))) if permuted else list(range(len(runs)))
+    results = BatchEngine([runs[i] for i in order]).run()
+    by_run: Dict[int, RunResult] = dict(zip(order, results))
+    return [
+        fingerprint_parts((), _batch_summary(by_run[i])) for i in range(len(runs))
+    ]
+
+
+def _batch_summary(result: RunResult) -> Dict[str, object]:
+    metrics: Dict[str, object] = {k: getattr(result, k) for k in _RESULT_FIELDS}
+    for k, v in sorted(result.extra.items()):
+        metrics[f"extra.{k}"] = v
+    return metrics
+
+
 def sweep_fingerprint(results: Dict[str, List[RunResult]]) -> str:
     """SHA-256 over a ``{policy: [RunResult, ...]}`` sweep outcome.
 
@@ -318,6 +371,31 @@ def check_repeatable(
     )
 
 
+def check_slab_order(
+    name: str,
+    make_fingerprints: Callable[[bool], List[RunFingerprint]],
+) -> AuditCheck:
+    """Every run must fingerprint the same in a slab and in its
+    permutation (``make_fingerprints(permuted)``)."""
+    plain = make_fingerprints(False)
+    shuffled = make_fingerprints(True)
+    for i, (a, b) in enumerate(zip(plain, shuffled)):
+        diff = compare_fingerprints(a, b)
+        if diff is not None:
+            return AuditCheck(
+                name=name, ok=False, detail=f"run {i} of {len(plain)}: {diff}"
+            )
+    digest = hashlib.sha256(
+        "".join(f.digest for f in plain).encode("ascii")
+    ).hexdigest()
+    return AuditCheck(
+        name=name,
+        ok=True,
+        detail=f"{len(plain)} runs bit-identical in both slab orders "
+        f"(sha256 {digest[:12]}…)",
+    )
+
+
 def audit(
     seed: int = 1,
     boards: int = 4,
@@ -326,12 +404,13 @@ def audit(
     detailed_nodes_per_board: int = 2,
     include_detailed: bool = True,
 ) -> AuditReport:
-    """Full determinism audit across both engines.
+    """Full determinism audit across the three engines.
 
-    The abstract FastEngine runs the 16-node default; the flit-level
-    detailed engine runs a smaller 4-node platform (its process-per-NI
-    model is ~100x slower per simulated cycle).  ``include_detailed=False``
-    restores the fast-only audit for quick local iteration.
+    The abstract FastEngine and the batch slab run the 16-node default;
+    the flit-level detailed engine runs a smaller 4-node platform (its
+    process-per-NI model is ~100x slower per simulated cycle).
+    ``include_detailed=False`` restores the fast-only audit for quick
+    local iteration.
     """
     checks: List[AuditCheck] = [
         check_repeatable(
@@ -353,6 +432,16 @@ def audit(
     if include_detailed:
         checks.extend(
             (
+                check_slab_order(
+                    "batch engine: per-run results independent of slab order "
+                    "(permuted slab)",
+                    lambda permuted: batch_slab_fingerprints(
+                        seed=seed,
+                        boards=boards,
+                        nodes_per_board=nodes_per_board,
+                        permuted=permuted,
+                    ),
+                ),
                 check_repeatable(
                     "detailed engine: same-seed repeatability "
                     "(default process-registration order)",

@@ -26,6 +26,18 @@ Runs that drain their labeled packets mid-slab are compacted
 out of the state arrays (their finished metrics scattered to their
 original slab positions) instead of being re-masked every phase.
 
+Each phase of an executed cycle has two twins: a vector path, whose
+tens of numpy calls cost the same for one candidate as for thirty, and
+a pure-Python path that costs a few element accesses per candidate.
+A phase takes its scalar twin when its own candidate count is below a
+measured crossover (the ``_SCALAR_*`` constants), so a cycle of a
+small slab costs about what its few events cost, while a saturated
+slab keeps the vector paths.  The twins have the same side effects in
+the same order wherever that order is observable — ring writes within
+a pair, the ticket order of new parks, the order of unparked senders
+and of the accounting log — and tier-1 pins both, forced, to the same
+payload digests and work counters.
+
 A slab's memory is its state, not scratch: per packet it keeps one
 injection-CSR entry (8 bytes) and one route (4 bytes), and per dispatch
 one float64 accounting record (40 bytes) until the next log flush.  The
@@ -66,7 +78,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -109,8 +124,36 @@ _GAP_DRAW_CHUNK = 4096
 _RING = 512
 
 
+#: Scalar/vector crossovers, in candidates per call.  A phase whose
+#: candidate count is below its crossover runs its pure-Python twin: one
+#: numpy call on a few-element array costs 0.2-0.8 us, so a handful of
+#: candidates is cheaper one element at a time than through the tens of
+#: calls of the vector path.  Each crossover is the count at which the
+#: per-call medians of the two twins meet, timed interleaved with every
+#: phase forced onto one twin, on the twelve 4-run R(1,4,4) service slabs
+#: and the 48-run R(1,8,8) ``reproduce`` slab (2-vCPU host, Python
+#: 3.11.7, numpy 2.4.6); the per-candidate and fixed costs below are
+#: from that host.
+#: (1) Injections: ~0.45 us per packet against a flat ~5 us.
+_SCALAR_INJ = 8
+#: (2) Port exits: ~0.85 us per exit against ~21 us.
+_SCALAR_EXIT = 21
+#: (3) Push, counted as ``fresh senders + 2 * popped pairs`` (a retried
+#: pair scans its board's D parked-sender slots): ~2.7 us per unit
+#: against ~50 us.
+_SCALAR_PUSH = 17
+#: (4) Port starts: ~0.6 us per candidate against ~10 us.
+_SCALAR_START = 14
+#: (5) Dispatch, channel candidates with duplicates: ~2 us per candidate
+#: against ~70 us.
+_SCALAR_DISPATCH = 33
+
 #: "No senders": what the push phase gets when no port exit needs a queue.
 _NO_IDX = np.zeros(0, dtype=np.int64)
+
+#: A phase's candidates travel as a list of parts: an index array from a
+#: vector twin or a list of ints from a scalar twin.
+_Part = Union[np.ndarray, List[int]]
 
 
 class _Schedule(NamedTuple):
@@ -127,15 +170,15 @@ class _Schedule(NamedTuple):
     lab_prefix: np.ndarray  #: prefix sums of the labeled injection cycles
 
 
-def _cat(parts: List[np.ndarray], buf: np.ndarray) -> np.ndarray:
-    """Concatenate index arrays into a preallocated staging buffer.
+def _cat(parts: List[_Part], buf: np.ndarray) -> np.ndarray:
+    """Concatenate index parts into a preallocated staging buffer.
 
-    With a single part the part itself is returned (zero copy); callers
-    treat the result as scratch either way, so the in-place sorts in the
-    dispatch phase stays safe.  Replaces the per-cycle
+    With a single array part the part itself is returned (zero copy);
+    callers treat the result as scratch either way, so the in-place sorts
+    in the dispatch phase stays safe.  Replaces the per-cycle
     ``np.concatenate`` chains — the cycle loop never allocates staging.
     """
-    if len(parts) == 1:
+    if len(parts) == 1 and type(parts[0]) is np.ndarray:
         return parts[0]
     n = 0
     for p in parts:
@@ -143,6 +186,22 @@ def _cat(parts: List[np.ndarray], buf: np.ndarray) -> np.ndarray:
         buf[n : n + k] = p
         n += k
     return buf[:n]
+
+
+def _flat(parts: List[_Part]) -> List[int]:
+    """The scalar twins' read-only view of index parts: one list of ints."""
+    if len(parts) == 1:
+        p = parts[0]
+        return p.tolist() if type(p) is np.ndarray else p
+    out: List[int] = []
+    for p in parts:
+        out.extend(p.tolist() if type(p) is np.ndarray else p)
+    return out
+
+
+def _count(parts: List[_Part]) -> int:
+    """Total candidates across index parts."""
+    return len(parts[0]) if len(parts) == 1 else sum(map(len, parts))
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +507,7 @@ class BatchEngine:
         self.park_cnt = np.zeros(RBB, dtype=np.int64)
         self.n_parked = 0
         self._ticket = 0
-        self._popped: Optional[np.ndarray] = None
+        self._popped: Optional[List[int]] = None  # ascending, distinct
         # Pair transmitter queues: bounded rings of local dest-node ids.
         self.tx_ring = np.zeros(RBB * self.CAP, dtype=np.int16)
         self.tx_head = np.zeros(RBB, dtype=np.int64)
@@ -535,18 +594,23 @@ class BatchEngine:
         self.thr_bmax_rc = np.repeat([t.b_max for t in thr], CH)
         # Precomputed injection schedules + per-packet routes.
         self._build_traffic()
-        # Event rings: python lists of small index arrays per cycle slot.
+        # Event rings: python lists of small index parts per cycle slot.
         # The loop is event-driven — every phase scans only the indices
         # carried by these rings (plus this cycle's injections), never the
         # full state arrays, so per-cycle cost scales with activity.
-        self.ring_pexit: List[List[np.ndarray]] = [[] for _ in range(_RING)]
+        self.ring_pexit: List[List[_Part]] = [[] for _ in range(_RING)]
         # Channels whose service ends (and may redispatch) at a cycle.
-        self.ring_cend: List[List[np.ndarray]] = [[] for _ in range(_RING)]
-        # Per-slot ring occupancy: number of scheduled index arrays across
-        # both rings.  The time-skip loop's next-event index — every ring
-        # append pairs with an increment; the slot is zeroed when the loop
-        # lands on it.
-        self.ring_occ = np.zeros(_RING, dtype=np.int64)
+        self.ring_cend: List[List[_Part]] = [[] for _ in range(_RING)]
+        # Per-slot ring occupancy (a list: it is read and bumped one slot
+        # at a time): number of scheduled index parts across both rings;
+        # every ring append pairs with an increment, and the slot is
+        # zeroed when the loop lands on it.  The heap holds the absolute
+        # cycle of every occupied slot (pushed when the slot fills,
+        # popped when the loop lands on it; a slot a compaction empties
+        # leaves a stale entry, dropped lazily) — the time-skip loop's
+        # next-event index (repro.core.skip.next_event_time).
+        self.ring_occ = [0] * _RING
+        self._ring_heap: List[int] = []
         # Pending control-plane applications, keyed by apply cycle.
         self._pend_dpm: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pend_dbr: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -760,13 +824,13 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def _push_pairs(
         self,
-        pq: np.ndarray,
-        loc: np.ndarray,
-        rn: np.ndarray,
+        pq: _Part,
+        loc: _Part,
+        rn: _Part,
         t: int,
-        poked: List[np.ndarray],
+        poked: List[_Part],
         tel: BatchTelemetry,
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[_Part]:
         """Ranked admission of this cycle's packets into their pair queues.
 
         ``rn``/``pq``/``loc`` are the fresh port exits bound for another
@@ -780,11 +844,110 @@ class BatchEngine:
         differently, inside tolerance).  Senders that do not fit are
         parked; pairs that received packets are appended to ``poked`` so
         the dispatch phase can wake exactly their channels.  Returns the
-        retried senders that were admitted (sorted by pair, then ticket).
+        retried senders that were admitted (sorted by pair, then ticket),
+        or None when nothing was retried.
+
+        Below :data:`_SCALAR_PUSH` the pure-Python twin
+        :meth:`_push_scalar` does the same work element by element.
         """
-        nblk = 0
+        popped = self._popped
+        if len(pq) + 2 * (len(popped) if popped else 0) < _SCALAR_PUSH:
+            if type(pq) is np.ndarray:
+                pq, loc, rn = pq.tolist(), loc.tolist(), rn.tolist()
+            return self._push_scalar(pq, loc, rn, t, poked, tel)
+        if type(pq) is not np.ndarray:
+            pq = np.array(pq, dtype=np.int64)
+            loc = np.array(loc, dtype=np.int64)
+            rn = np.array(rn, dtype=np.int64)
+        return self._push_vector(pq, loc, rn, t, poked, tel)
+
+    def _push_scalar(
+        self,
+        pq: List[int],
+        loc: List[int],
+        rn: List[int],
+        t: int,
+        poked: List[_Part],
+        tel: BatchTelemetry,
+    ) -> Optional[List[int]]:
+        """:meth:`_push_pairs` one sender at a time.
+
+        A stable sort by pair of (retried senders in ticket order, then
+        the fresh ones) is the vector path's stable argsort; walking each
+        pair's group in that order gives the same ranks, ring writes,
+        unparks (sorted by pair, then ticket) and new tickets.
+        """
+        p_blocked, park_pq, park_loc = self.p_blocked, self.park_pq, self.park_loc
+        park_cnt = self.park_cnt
+        ents: List[Tuple[int, int, int, bool]] = []
         retry = self._popped
         if retry is not None:
+            self._popped = None
+            B, D, park_tk = self.B, self.D, self.park_tk
+            blk: List[Tuple[int, int, int]] = []
+            for p in retry:
+                n0 = p // B * D
+                for n in range(n0, n0 + D):
+                    if p_blocked[n] and park_pq.item(n) == p:
+                        blk.append((park_tk.item(n), n, p))
+            blk.sort()
+            tel.blocked_retries += len(blk)
+            ents = [(p, park_loc.item(n), n, True) for _, n, p in blk]
+        ents.extend(zip(pq, loc, rn, repeat(False)))
+        ents.sort(key=itemgetter(0))
+        CAP, tx_ring, q_mom = self.CAP, self.tx_ring, self.q_mom
+        tx_qlen, tx_head = self.tx_qlen, self.tx_head
+        freed: List[int] = []
+        parks: List[Tuple[int, int, int]] = []
+        upq: List[int] = []
+        for p, group in groupby(ents, itemgetter(0)):
+            qlen = tx_qlen.item(p)
+            head = tx_head.item(p) + qlen
+            free = CAP - qlen
+            for rank, (_, lc, n, retried) in enumerate(group):
+                if rank < free:
+                    tx_ring[p * CAP + (head + rank) % CAP] = lc
+                    if retried:
+                        freed.append(n)
+                        p_blocked[n] = False
+                        park_cnt[p] -= 1
+                elif not retried:
+                    parks.append((n, p, lc))
+            adm = min(rank + 1, free)
+            if adm > 0:
+                tx_qlen[p] = qlen + adm
+                q_mom[p] += adm * t
+                upq.append(p)
+        if upq:
+            poked.append(upq)
+        self.n_parked -= len(freed)
+        if parks:
+            park_tk = self.park_tk
+            tk = self._ticket
+            for n, p, lc in parks:
+                p_blocked[n] = True
+                park_pq[n] = p
+                park_loc[n] = lc
+                park_tk[n] = tk
+                park_cnt[p] += 1
+                tk += 1
+            self._ticket = tk
+            self.n_parked += len(parks)
+        return freed or None
+
+    def _push_vector(
+        self,
+        pq: np.ndarray,
+        loc: np.ndarray,
+        rn: np.ndarray,
+        t: int,
+        poked: List[_Part],
+        tel: BatchTelemetry,
+    ) -> Optional[np.ndarray]:
+        """:meth:`_push_pairs` over index arrays."""
+        nblk = 0
+        if self._popped is not None:
+            retry = np.array(self._popped, dtype=np.int64)
             self._popped = None
             cand = ((retry // self.B) * self.D)[:, None] + self._iota_d
             m = self.p_blocked[cand]
@@ -1064,34 +1227,38 @@ class BatchEngine:
         are the ones carried by the event rings (injections, port exits,
         service ends) plus the parked senders of just-popped pairs, so
         per-cycle cost scales with actual activity, not with slab size.
+        Each phase runs its pure-Python twin below its ``_SCALAR_*``
+        crossover and its vector twin above it, so a cycle with a few
+        events pays for a few events, not for tens of numpy calls.
         The loop simulates only what decides future events; receive ports
         and dispatch accounting are logged and reduced on the ``chunk``
         grid and wherever a counter is read (:meth:`_flush_logs`).  With
         ``time_skip`` (the default) the loop additionally jumps over
         cycles that provably execute no event — see
-        :func:`repro.core.skip.next_event_time` — so wall-clock cost
-        scales with events executed, not cycles simulated.  Runs that
+        :func:`repro.core.skip.next_event_time`, which reads the next
+        occupied ring slot off a heap of absolute cycles — so wall-clock
+        cost scales with events executed, not cycles simulated.  Runs that
         drain mid-slab are compacted away (:meth:`_compact`), never
         re-masked.  None of these mechanisms changes a result bit:
         ``tests/test_core_batch.py`` compares ``time_skip=True`` against
-        ``time_skip=False`` payload bytes and pins payload digests
-        recorded before the loop was restructured.
+        ``time_skip=False`` payload bytes and pins payload digests and
+        work counters recorded before the loop was restructured, with
+        every phase at its measured crossover and forced onto either twin.
         """
         SEND = self.SEND
         N, D, BB = self.N, self.D, self.B * self.B
         me, he, Wc, chunk = self.me, self.he, self.Wc, self.chunk
         arr_w = self.recv.horizon
+        recv_scalar = self.recv.scalar
         evt_rn, evt_off = self.evt_rn, self.evt_off
         flat_route, p_off = self.flat_route, self.p_off
         p_started, p_injcnt = self.p_started, self.p_injcnt
         p_busy, p_blocked = self.p_busy, self.p_blocked
         ring_pexit, ring_cend = self.ring_pexit, self.ring_cend
-        ring_occ = self.ring_occ
+        ring_occ, heap = self.ring_occ, self._ring_heap
         push = self._push_pairs
         lockstep = self.lockstep_on
         time_skip = self.time_skip
-        inj_cycles = self.inj_cycles
-        inj_ptr = 0
         tel = BatchTelemetry(horizon=he + 1)
         self.telemetry = tel
         flush_at = chunk
@@ -1100,9 +1267,11 @@ class BatchEngine:
             tel.cycles_executed += 1
             slot_i = t % _RING
             ring_occ[slot_i] = 0
-            send_cand: List[np.ndarray] = []
+            while heap and heap[0] <= t:
+                heappop(heap)
+            send_cand: List[_Part] = []
             disp_cand = ring_cend[slot_i]
-            poked: List[np.ndarray] = []
+            poked: List[_Part] = []
             # (0) Control plane: window boundaries and pending applies.
             if lockstep:
                 if t and t % Wc == 0:
@@ -1120,45 +1289,75 @@ class BatchEngine:
             # blocked are dropped from the start candidates here: if they
             # exit or unblock this same cycle, those phases re-add them,
             # which keeps the candidate parts disjoint (no dedup needed).
-            lo = evt_off[t]
-            hi = evt_off[t + 1]
-            if hi > lo:
-                inj = evt_rn[lo:hi]
-                tel.injections += int(hi - lo)
-                p_injcnt[inj] += 1
-                m = np.bitwise_or(
-                    p_busy[inj], p_blocked[inj], out=self._bm2[: len(inj)]
-                )
-                np.logical_not(m, out=m)
-                inj_f = inj[m]
+            lo = evt_off.item(t)
+            n_inj = evt_off.item(t + 1) - lo
+            if n_inj:
+                tel.injections += n_inj
+                inj = evt_rn[lo : lo + n_inj]
+                inj_f: _Part
+                if n_inj < _SCALAR_INJ:
+                    inj_f = []
+                    for rn in inj.tolist():
+                        p_injcnt[rn] += 1
+                        if not (p_busy[rn] or p_blocked[rn]):
+                            inj_f.append(rn)
+                else:
+                    p_injcnt[inj] += 1
+                    m = np.bitwise_or(
+                        p_busy[inj], p_blocked[inj], out=self._bm2[:n_inj]
+                    )
+                    np.logical_not(m, out=m)
+                    inj_f = inj[m]
                 if len(inj_f):
                     send_cand.append(inj_f)
             # (2) Send-port exits follow their packet's precomputed route:
             # same-board packets are handed to the destination's receive
             # port (logged, this cycle), the rest compete for their pair
             # queue.
-            rem_rn = rem_pq = rem_loc = _NO_IDX
+            rem_rn: _Part = _NO_IDX
+            rem_pq: _Part = _NO_IDX
+            rem_loc: _Part = _NO_IDX
             slot = ring_pexit[slot_i]
             if slot:
-                rn_e = _cat(slot, self._st_pexit)
-                slot.clear()
-                tel.port_exits += len(rn_e)
-                p_busy[rn_e] = False
-                send_cand.append(rn_e)
-                route = flat_route[p_off[rn_e] + p_started[rn_e] - 1]
-                remote = route >= 0
-                n_local = len(rn_e) - int(np.count_nonzero(remote))
-                if n_local:
-                    local = ~remote
-                    lrn = rn_e[local] // N * N - 1 - route[local]
-                    lrn *= arr_w
-                    lrn += t
-                    self.recv.vector.append(lrn)
+                n_ex = _count(slot)
+                tel.port_exits += n_ex
+                if n_ex < _SCALAR_EXIT:
+                    ex = _flat(slot)
+                    send_cand.append(ex)
+                    rem_rn, rem_pq, rem_loc = [], [], []
+                    n_local = 0
+                    for rn in ex:
+                        p_busy[rn] = False
+                        route = flat_route.item(
+                            p_off.item(rn) + p_started.item(rn) - 1
+                        )
+                        if route < 0:
+                            recv_scalar.append((rn // N * N - 1 - route) * arr_w + t)
+                            n_local += 1
+                        else:
+                            rem_rn.append(rn)
+                            rem_pq.append(route // D + rn // N * BB)
+                            rem_loc.append(route % D)
                     self._local_logged += n_local
-                    rn_e, route = rn_e[remote], route[remote]
-                rem_rn = rn_e
-                rem_pq, rem_loc = np.divmod(route.astype(np.int64), D)
-                rem_pq += rem_rn // N * BB
+                else:
+                    rn_e = _cat(slot, self._st_pexit)
+                    p_busy[rn_e] = False
+                    send_cand.append(rn_e)
+                    route = flat_route[p_off[rn_e] + p_started[rn_e] - 1]
+                    remote = route >= 0
+                    n_local = n_ex - int(np.count_nonzero(remote))
+                    if n_local:
+                        local = ~remote
+                        lrn = rn_e[local] // N * N - 1 - route[local]
+                        lrn *= arr_w
+                        lrn += t
+                        self.recv.vector.append(lrn)
+                        self._local_logged += n_local
+                        rn_e, route = rn_e[remote], route[remote]
+                    rem_rn = rn_e
+                    rem_pq, rem_loc = np.divmod(route.astype(np.int64), D)
+                    rem_pq += rem_rn // N * BB
+                slot.clear()
             # (3) Ranked push: parked senders of the pairs popped on the
             # previous executed cycle retry ahead of the fresh exits.
             if len(rem_rn) or self._popped is not None:
@@ -1168,33 +1367,53 @@ class BatchEngine:
             # (4) Send-port starts (same-cycle turnaround): candidates are
             # exactly the nodes whose state changed this cycle.
             if send_cand:
-                cand = _cat(send_cand, self._st_send)
-                m = np.bitwise_or(
-                    p_busy[cand], p_blocked[cand], out=self._bm2[: len(cand)]
-                )
-                np.logical_not(m, out=m)
-                m &= np.greater(
-                    p_injcnt[cand], p_started[cand], out=self._bm3[: len(cand)]
-                )
-                idx = cand[m]
-                if len(idx):
+                idx: _Part
+                if _count(send_cand) < _SCALAR_START:
+                    idx = []
+                    for rn in _flat(send_cand):
+                        if not (p_busy[rn] or p_blocked[rn]) and (
+                            p_injcnt.item(rn) > p_started.item(rn)
+                        ):
+                            p_busy[rn] = True
+                            p_started[rn] += 1
+                            idx.append(rn)
+                else:
+                    cand = _cat(send_cand, self._st_send)
+                    m = np.bitwise_or(
+                        p_busy[cand], p_blocked[cand], out=self._bm2[: len(cand)]
+                    )
+                    np.logical_not(m, out=m)
+                    m &= np.greater(
+                        p_injcnt[cand], p_started[cand], out=self._bm3[: len(cand)]
+                    )
+                    idx = cand[m]
                     p_busy[idx] = True
                     p_started[idx] += 1
-                    s = (t + SEND) % _RING
-                    ring_pexit[s].append(idx)
-                    ring_occ[s] += 1
+                if len(idx):
+                    s = t + SEND
+                    s_i = s % _RING
+                    ring_pexit[s_i].append(idx)
+                    if not ring_occ[s_i]:
+                        heappush(heap, s)
+                    ring_occ[s_i] += 1
             # (5) Channel dispatch: channels whose service just ended, plus
             # channels of pairs that were pushed to, plus fresh grants.
             if poked:
-                chs = self.pair_ch[poked[0]].ravel()
-                chs = chs[chs >= 0]
-                if len(chs):
-                    disp_cand.append(chs)
+                upq = poked[0]
+                if type(upq) is np.ndarray:
+                    chs = self.pair_ch[upq].ravel()
+                    chs = chs[chs >= 0]
+                    if len(chs):
+                        disp_cand.append(chs)
+                else:
+                    pair_ch, pair_nch = self.pair_ch, self.pair_nch
+                    for pq in upq:
+                        k = pair_nch.item(pq)
+                        if k:
+                            disp_cand.append(pair_ch[pq, :k].tolist())
             if disp_cand:
-                rcs = _cat(disp_cand, self._st_disp)
+                tel.dispatches += self._dispatch(t, disp_cand)
                 disp_cand.clear()
-                rcs.sort()
-                tel.dispatches += self._dispatch(t, rcs)
             # (6) Reduce the logs on the chunk grid (bounds their size) and
             # at every drain check, which reads the delivery counters on
             # the scalar engine's chunk grid; drained runs are compacted
@@ -1220,8 +1439,6 @@ class BatchEngine:
                     evt_rn, evt_off = self.evt_rn, self.evt_off
                     flat_route, p_off = self.flat_route, self.p_off
                     lockstep = self.lockstep_on
-                    inj_cycles = self.inj_cycles
-                    inj_ptr = 0
             # Advance: one grid cycle in always-step mode, or jump to the
             # next cycle that can observably do something.  The two
             # mandatory-stop conditions that fire on nearly every busy
@@ -1239,8 +1456,8 @@ class BatchEngine:
                             min(self._pend_dpm, default=he + 1),
                             min(self._pend_dbr, default=he + 1),
                         )
-                    t2, inj_ptr = next_event_time(
-                        t, he, ring_occ, inj_cycles, inj_ptr, lockstep, Wc,
+                    t2 = next_event_time(
+                        t, he, ring_occ, heap, self.inj_cycles, lockstep, Wc,
                         me, chunk, pend_min,
                     )
                     tel.cycles_skipped += t2 - t - 1
@@ -1251,8 +1468,8 @@ class BatchEngine:
         self._flush_base(np.arange(self.R, dtype=np.int64), he)
         return self._payload()
 
-    def _dispatch(self, t: int, cand: np.ndarray) -> int:
-        """Serve the candidate channels (sorted, possibly repeated) at ``t``.
+    def _dispatch(self, t: int, parts: List[_Part]) -> int:
+        """Serve the candidate channels (possibly repeated) at ``t``.
 
         Returns the number of packets taken off pair queues, and leaves
         the popped pairs that have parked senders in ``self._popped``:
@@ -1263,27 +1480,23 @@ class BatchEngine:
         utilisation integrals and when its packet reaches the receive
         port are appended to the accounting and arrival logs.
 
-        Small candidate sets (the common case outside saturation) take a
-        scalar per-channel path that mirrors the vectorized arithmetic
-        operation for operation: iterating channels in ascending id order
-        reproduces the wavelength ranking, sequential queue pops read the
-        same ring slots as the gathered ranks, and a second same-cycle
-        integral flush adds exactly ``0.0`` — IEEE doubles round
-        identically either way, so the fast path is bit-invisible.
+        Below :data:`_SCALAR_DISPATCH` candidates a scalar per-channel
+        path mirrors the vectorized arithmetic operation for operation:
+        iterating channels in ascending id order reproduces the wavelength
+        ranking, sequential queue pops read the same ring slots as the
+        gathered ranks, and a second same-cycle integral flush adds
+        exactly ``0.0`` — IEEE doubles round identically either way, so
+        the fast path is bit-invisible.
         """
+        if _count(parts) < _SCALAR_DISPATCH:
+            return self._dispatch_scalar(t, sorted(_flat(parts)))
+        cand = _cat(parts, self._st_disp)
+        cand.sort()
+        return self._dispatch_vector(t, cand)
+
+    def _dispatch_vector(self, t: int, cand: np.ndarray) -> int:
+        """:meth:`_dispatch` over a sorted candidate array."""
         n = len(cand)
-        if n <= 16:
-            served = 0
-            prev = -1
-            one = self._dispatch_one
-            popped: List[int] = []
-            for rc in cand.tolist():
-                if rc != prev:
-                    prev = rc
-                    served += one(t, rc, popped)
-            if popped:
-                self._popped = np.unique(popped)
-            return served
         keep = self._bm1[:n]
         keep[0] = True
         np.not_equal(cand[1:], cand[:-1], out=keep[1:])
@@ -1345,7 +1558,7 @@ class BatchEngine:
         if self.n_parked:
             waiting = upq[self.park_cnt[upq] > 0]
             if len(waiting):
-                self._popped = waiting
+                self._popped = waiting.tolist()
         runs = chosen // CH
         # Wake DPM-slept lasers (the packet pays wake_cycles; the laser
         # starts drawing idle power immediately).
@@ -1402,56 +1615,80 @@ class BatchEngine:
         times = end_s[cut2].tolist()
         ring_cend = self.ring_cend
         ring_occ = self.ring_occ
+        heap = self._ring_heap
         for i, et in enumerate(times):
             s1 = et % _RING
             ring_cend[s1].append(ch_s[bounds[i] : bounds[i + 1]])
+            if not ring_occ[s1]:
+                heappush(heap, et)
             ring_occ[s1] += 1
         return len(chosen)
 
-    def _dispatch_one(self, t: int, rc: int, popped: List[int]) -> int:
-        """Scalar dispatch of a single candidate channel (see _dispatch).
+    def _dispatch_scalar(self, t: int, rcs: List[int]) -> int:
+        """:meth:`_dispatch` one channel at a time, over sorted candidates.
 
         Every expression mirrors the vectorized path's elementwise
-        arithmetic exactly; only the array machinery is gone.  A popped
-        pair with parked senders is appended to ``popped``.
+        arithmetic exactly; only the array machinery is gone.
         """
-        if self.c_busy_until[rc] > t:
-            return 0
-        pq = int(self.c_pq[rc])
-        qlen = int(self.tx_qlen[pq])
-        if qlen <= 0:
-            return 0
-        CAP = self.CAP
-        head = int(self.tx_head[pq])
-        loc = int(self.tx_ring[pq * CAP + head % CAP])
-        self.q_mom[pq] -= t
-        self.tx_qlen[pq] = qlen - 1
-        self.tx_head[pq] = (head + 1) % CAP
-        if self.n_parked and self.park_cnt[pq]:
-            popped.append(pq)
-        run = rc // self.CH
-        lvl = int(self.c_level[rc])
-        slp = bool(self.c_sleep[rc])
-        if slp:
-            bl = float(self.base_last[run])
-            ovb = max(min(t, self.me) - max(bl, self.wu), 0.0)
-            self.base_E[run] += self.base_A[run] * ovb
-            self.base_last[run] = t
-            self.base_A[run] += self.P_mw[lvl]
-            self.c_sleep[rc] = False
-        start = float(max(t + self.WAKE * slp, int(self.c_stall[rc])))
-        end = start + float(self.svc_by_level[lvl])
-        self.c_busy_until[rc] = end
-        self._acct.scalar.extend((t, rc, start, end, lvl))
-        end_i = math.ceil(end)
-        rn_dest = run * self.N + (pq % self.B) * self.D + loc
-        self.recv.scalar.append(
-            rn_dest * self.recv.horizon + end_i + self.DELIV
+        c_busy_until, c_pq, c_level, c_sleep, c_stall = (
+            self.c_busy_until, self.c_pq, self.c_level, self.c_sleep,
+            self.c_stall,
         )
-        s1 = end_i % _RING
-        self.ring_cend[s1].append(np.array([rc], dtype=np.int64))
-        self.ring_occ[s1] += 1
-        return 1
+        tx_qlen, tx_head, tx_ring, q_mom = (
+            self.tx_qlen, self.tx_head, self.tx_ring, self.q_mom
+        )
+        park_cnt = self.park_cnt if self.n_parked else None
+        CAP, CH, N, B, D = self.CAP, self.CH, self.N, self.B, self.D
+        svc, WAKE, DELIV = self.svc_by_level, self.WAKE, self.DELIV
+        horizon, arrivals = self.recv.horizon, self.recv.scalar
+        acct = self._acct.scalar
+        ring_cend, ring_occ, heap = self.ring_cend, self.ring_occ, self._ring_heap
+        popped: List[int] = []
+        served = 0
+        prev = -1
+        for rc in rcs:
+            if rc == prev:
+                continue
+            prev = rc
+            if c_busy_until.item(rc) > t:
+                continue
+            pq = c_pq.item(rc)
+            qlen = tx_qlen.item(pq)
+            if qlen <= 0:
+                continue
+            head = tx_head.item(pq)
+            loc = tx_ring.item(pq * CAP + head % CAP)
+            q_mom[pq] -= t
+            tx_qlen[pq] = qlen - 1
+            tx_head[pq] = (head + 1) % CAP
+            if park_cnt is not None and park_cnt.item(pq):
+                popped.append(pq)
+            run = rc // CH
+            lvl = c_level.item(rc)
+            slp = c_sleep.item(rc)
+            if slp:
+                ovb = max(min(t, self.me) - max(self.base_last.item(run), self.wu), 0.0)
+                self.base_E[run] += self.base_A.item(run) * ovb
+                self.base_last[run] = t
+                self.base_A[run] += self.P_mw.item(lvl)
+                c_sleep[rc] = False
+            start = float(max(t + WAKE * slp, c_stall.item(rc)))
+            end = start + svc.item(lvl)
+            c_busy_until[rc] = end
+            acct.extend((t, rc, start, end, lvl))
+            # The packet reaches its receive port after fiber + destination
+            # pipeline; the channel may re-dispatch at its completion cycle.
+            end_i = math.ceil(end)
+            arrivals.append((run * N + pq % B * D + loc) * horizon + end_i + DELIV)
+            s1 = end_i % _RING
+            ring_cend[s1].append([rc])
+            if not ring_occ[s1]:
+                heappush(heap, end_i)
+            ring_occ[s1] += 1
+            served += 1
+        if popped:
+            self._popped = sorted(set(popped))
+        return served
 
     def _scatter(self, rows: np.ndarray) -> None:
         """Write these live rows' final metrics at their original slots.
@@ -1540,10 +1777,10 @@ class BatchEngine:
             setattr(self, name, getattr(self, name)[keep_pq])
         self.n_parked = int(self.park_cnt.sum())
         if self._popped is not None:
-            pp = self._popped[keep_pq[self._popped]]
-            self._popped = (
-                new_of_old[pp // BB] * BB + pp % BB if len(pp) else None
-            )
+            pp = [p for p in self._popped if keep_pq[p]]
+            self._popped = [
+                int(new_of_old[p // BB]) * BB + p % BB for p in pp
+            ] or None
         self.tx_ring = self.tx_ring.reshape(R, BB * CAP)[keep_r].ravel()
         pc = self.pair_ch[keep_pq]
         pos = pc >= 0
@@ -1572,7 +1809,7 @@ class BatchEngine:
         self.p_off = np.zeros(len(kept_counts) + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=self.p_off[1:])
         # Event rings: filter each slot's arrays, remap, recount occupancy.
-        self.ring_occ.fill(0)
+        self.ring_occ[:] = [0] * _RING
         for ring, div, keep_i in (
             (self.ring_pexit, N, keep_n),
             (self.ring_cend, CH, keep_rc),
@@ -1582,6 +1819,7 @@ class BatchEngine:
                     continue
                 new_slot = []
                 for arr in slot:
+                    arr = np.asarray(arr, dtype=np.int64)
                     arr = arr[keep_i[arr]]
                     if len(arr):
                         new_slot.append(

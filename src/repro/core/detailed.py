@@ -63,12 +63,19 @@ __all__ = ["DetailedEngine", "coverage_gap"]
 
 def coverage_gap(config: ERapidConfig, *_: object) -> Optional[str]:
     """Why a run point cannot run on the detailed engine (None = it can)."""
-    if not config.policy.dbr:
-        return None
-    return (
-        "the detailed engine models the static wavelength allocation and "
-        f"cannot run DBR policy {config.policy.name!r}; use the fast engine"
-    )
+    policy = config.policy
+    if policy.dbr:
+        return (
+            "the detailed engine models the static wavelength allocation and "
+            f"cannot run DBR policy {policy.name!r}; use the fast engine"
+        )
+    if policy.dpm_smoothing != 0.0:
+        return (
+            "the detailed engine decides DPM on the raw window counter and "
+            f"cannot run dpm_smoothing={policy.dpm_smoothing} "
+            f"({policy.name!r}); use the fast engine"
+        )
+    return None
 
 
 class _TxSink(SinkNI):

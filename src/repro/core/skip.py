@@ -15,14 +15,15 @@ something without changing a single result bit.
 This module holds the two pieces of that machinery that are independent
 of the engine's array layout:
 
-* :func:`next_event_time` — the pure next-event computation: a min over
-  the occupied ring slots (per-slot occupancy counters maintained by the
-  engine), the next nonempty injection cycle (a compressed index over
-  the precomputed injection CSR), the next Lock-Step window boundary and
-  earliest pending ``_pend_dpm``/``_pend_dbr`` apply, and the drain-check
-  grid.  The one blocked-sender stop — a popped pair with parked senders
-  retries on the very next cycle — is checked inline by the loop before
-  it calls here.
+* :func:`next_event_time` — the next-event computation: a min over
+  the occupied ring slots (the top of a heap of their absolute cycles,
+  kept by the engine alongside its per-slot occupancy counters), the
+  next nonempty injection cycle (a binary search of a compressed index
+  over the precomputed injection CSR), the next Lock-Step window
+  boundary and earliest pending ``_pend_dpm``/``_pend_dbr`` apply, and
+  the drain-check grid.  The one blocked-sender stop — a popped pair
+  with parked senders retries on the very next cycle — is checked
+  inline by the loop before it calls here.
 * :class:`BatchTelemetry` — per-slab counters (cycles executed/skipped,
   events per phase) surfaced through ``erapid profile --engine batch``,
   shard reports, and the ledger's ``core.batch.*`` counters.
@@ -34,7 +35,8 @@ Both are covered by the same linter/layering scope as the engine itself
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from heapq import heappop
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,30 +105,32 @@ class BatchTelemetry:
 def next_event_time(
     t: int,
     hard_end: int,
-    ring_occ: np.ndarray,
+    ring_occ: Sequence[int],
+    ring_heap: List[int],
     inj_cycles: np.ndarray,
-    inj_ptr: int,
     lockstep: bool,
     window_cycles: int,
     measure_end: int,
     chunk: int,
     pend_min: Optional[int],
-) -> Tuple[int, int]:
+) -> int:
     """Earliest cycle after ``t`` at which the batch loop must execute.
 
-    Returns ``(t_next, inj_ptr)`` with ``t < t_next <= hard_end + 1``
-    (``hard_end + 1`` terminates the loop) and the advanced injection-
-    cycle pointer.  A cycle is a mandatory stop when any of these can
-    fire on it:
+    Returns ``t_next`` with ``t < t_next <= hard_end + 1`` (``hard_end +
+    1`` terminates the loop).  A cycle is a mandatory stop when any of
+    these can fire on it:
 
     * an occupied ring slot — ``ring_occ[s] > 0`` means slot ``s`` holds
       at least one scheduled port-exit (``ring_pexit``) or service-end
-      (``ring_cend``) array; deliveries and receive completions are
-      logged, never scheduled.  All scheduled times live in ``(t, t +
-      ring_len)`` (the
-      coverage gate bounds every lead below the ring length), so slot
-      ``s`` denotes absolute cycle ``t+1 + ((s - t - 1) mod ring_len)``
-      without aliasing.
+      (``ring_cend``) part; deliveries and receive completions are
+      logged, never scheduled.  ``ring_heap`` is a min-heap of the
+      absolute cycles of occupied slots: the engine pushes a cycle when
+      its slot fills and pops it when the loop lands on it, so the heap
+      holds no cycle ``<= t``.  A slot emptied by a compaction leaves a
+      stale entry, dropped here.  All scheduled times live in ``(t, t +
+      ring_len)`` (the coverage gate bounds every lead below the ring
+      length), so an occupied slot denotes exactly one absolute cycle
+      and a live entry is never aliased.
     * the next nonempty injection cycle (``inj_cycles``, ascending).
     * a Lock-Step window boundary or the earliest pending DPM/DBR apply
       (only when the slab has any power-aware run left).
@@ -139,18 +143,13 @@ def next_event_time(
     pop the loop steps to ``t + 1`` without calling here.
     """
     t1 = t + 1
-    n = len(inj_cycles)
-    while inj_ptr < n and inj_cycles[inj_ptr] <= t:
-        inj_ptr += 1
     ring_len = len(ring_occ)
-    if ring_occ[t1 % ring_len]:
-        return t1, inj_ptr
-    nxt = hard_end + 1
-    if inj_ptr < n:
-        nxt = int(inj_cycles[inj_ptr])
-    occupied = np.flatnonzero(ring_occ)
-    if len(occupied):
-        nxt = min(nxt, t1 + int(((occupied - t1) % ring_len).min()))
+    while ring_heap and not ring_occ[ring_heap[0] % ring_len]:
+        heappop(ring_heap)
+    nxt = ring_heap[0] if ring_heap else hard_end + 1
+    i = int(inj_cycles.searchsorted(t1))
+    if i < len(inj_cycles):
+        nxt = min(nxt, int(inj_cycles[i]))
     if lockstep:
         nxt = min(nxt, (t // window_cycles + 1) * window_cycles)
         if pend_min is not None:
@@ -160,4 +159,4 @@ def next_event_time(
     else:
         grid = measure_end + -((measure_end - t1) // chunk) * chunk
     nxt = min(nxt, grid)
-    return max(t1, min(nxt, hard_end + 1)), inj_ptr
+    return max(t1, min(nxt, hard_end + 1))

@@ -61,7 +61,7 @@ def test_permuted_insertion_order_is_repeatable():
 def test_audit_passes_on_both_engines():
     report = audit(seed=3, boards=2, nodes_per_board=2)
     assert report.ok
-    assert len(report.checks) == 4
+    assert len(report.checks) == 5
     assert all(c.ok for c in report.checks)
     payload = report.to_json()
     assert payload["ok"] is True
@@ -69,6 +69,8 @@ def test_audit_passes_on_both_engines():
     assert names == {
         "fast engine: same-seed repeatability (default event-insertion order)",
         "fast engine: same-seed repeatability (permuted event-insertion order)",
+        "batch engine: per-run results independent of slab order "
+        "(permuted slab)",
         "detailed engine: same-seed repeatability "
         "(default process-registration order)",
         "detailed engine: same-seed repeatability "
@@ -82,6 +84,33 @@ def test_audit_fast_only_skips_the_detailed_engine():
     assert report.ok
     assert len(report.checks) == 2
     assert all(c.name.startswith("fast engine:") for c in report.checks)
+
+
+def test_batch_slab_order_check_flags_a_leaky_slab(monkeypatch):
+    """A batch engine that lets a run's slab position reach its result
+    passes same-order repeats but fails the permuted-slab check."""
+    from dataclasses import replace
+
+    from repro.analysis import determinism
+    from repro.core.batch import BatchEngine
+
+    class Leaky(BatchEngine):
+        def run(self):
+            return [
+                replace(r, avg_latency=r.avg_latency + pos)
+                for pos, r in enumerate(super().run())
+            ]
+
+    def fingerprints(permuted):
+        return determinism.batch_slab_fingerprints(
+            seed=3, boards=2, nodes_per_board=2, permuted=permuted
+        )
+
+    assert determinism.check_slab_order("batch", fingerprints).ok
+    monkeypatch.setattr(determinism, "BatchEngine", Leaky)
+    check = determinism.check_slab_order("batch", fingerprints)
+    assert not check.ok
+    assert "avg_latency" in check.detail
 
 
 def test_detailed_engine_same_seed_same_fingerprint():

@@ -422,6 +422,16 @@ GOLDEN_SLAB_SHA256 = (
 GOLDEN_SUB_SLAB_SHA256 = (
     "8d790b6e637d38a5bfe4e0be788e1bb8008281b9790518320acfde3f3ac11de4"
 )
+#: Work the full slab's loop does, per skip mode, recorded at commit
+#: 7582053: a change that keeps the bytes but executes more cycles or
+#: retries more senders shows here.
+GOLDEN_WORK = {
+    True: {"cycles_executed": 5385, "cycles_skipped": 1616, "blocked_retries": 11160},
+    False: {"cycles_executed": 7001, "cycles_skipped": 0, "blocked_retries": 11160},
+}
+GOLDEN_SUB_SLAB_WORK = {
+    "cycles_executed": 4909, "cycles_skipped": 2092, "blocked_retries": 9811,
+}
 #: Event totals of the full slab at that commit (either skip mode).
 GOLDEN_EVENT_TOTALS = {
     "injections": 19935,
@@ -453,29 +463,33 @@ def payload_sha256(engine):
     return hashlib.sha256(b"".join(payload_bytes(engine))).hexdigest()
 
 
-@pytest.mark.parametrize("time_skip", [True, False])
-def test_saturated_slab_reproduces_the_golden_digest(time_skip):
+def work(telemetry):
+    return {k: getattr(telemetry, k) for k in GOLDEN_SUB_SLAB_WORK}
+
+
+def check_saturated_slab(time_skip):
     engine = BatchEngine(saturated_runs(), time_skip=time_skip)
     assert payload_sha256(engine) == GOLDEN_SLAB_SHA256
-    telemetry = engine.telemetry.to_dict()
-    assert telemetry["blocked_retries"] > 0
+    assert work(engine.telemetry) == GOLDEN_WORK[time_skip]
     # Logged deliveries/completions are counted at reduction time; their
     # totals are those of the per-cycle receive phases.
+    telemetry = engine.telemetry.to_dict()
     assert {k: telemetry[k] for k in GOLDEN_EVENT_TOTALS} == GOLDEN_EVENT_TOTALS
 
 
-def test_sub_slab_reproduces_the_golden_digest():
+def check_sub_slab():
     engine = BatchEngine(saturated_runs()[1::2])
     assert payload_sha256(engine) == GOLDEN_SUB_SLAB_SHA256
     assert engine.telemetry.compactions == 3
+    assert work(engine.telemetry) == GOLDEN_SUB_SLAB_WORK
 
 
-@pytest.mark.parametrize("time_skip", [True, False])
-def test_parked_pairs_without_a_pop_stay_full(time_skip):
+def check_parked_pairs_stay_full(time_skip):
     """The invariant behind retrying only just-popped pairs (and behind
     the time-skip rule): a pair with parked senders that no dispatch
     popped on the previous executed cycle is full, so retrying its
-    senders would be a no-op."""
+    senders would be a no-op.  ``_push_pairs`` is the one entry of both
+    push twins, so the probe sees every push."""
     import numpy as np
 
     seen = []
@@ -500,9 +514,58 @@ def test_parked_pairs_without_a_pop_stay_full(time_skip):
     assert max(seen) > 0  # the slab did park senders
 
 
+@pytest.mark.parametrize("time_skip", [True, False])
+def test_saturated_slab_reproduces_the_golden_digest(time_skip):
+    check_saturated_slab(time_skip)
+
+
+def test_sub_slab_reproduces_the_golden_digest():
+    check_sub_slab()
+
+
+@pytest.mark.parametrize("time_skip", [True, False])
+def test_parked_pairs_without_a_pop_stay_full(time_skip):
+    check_parked_pairs_stay_full(time_skip)
+
+
+#: The scalar/vector crossover constants of the loop's phases.
+CROSSOVERS = (
+    "_SCALAR_INJ", "_SCALAR_EXIT", "_SCALAR_PUSH", "_SCALAR_START",
+    "_SCALAR_DISPATCH",
+)
+
+
+@pytest.mark.parametrize("time_skip", [True, False])
+@pytest.mark.parametrize("twin", ["vector", "scalar"])
+def test_either_twin_of_every_phase_reproduces_the_goldens(
+    twin, time_skip, monkeypatch
+):
+    """Every phase forced onto its vector twin (crossover 0), then onto
+    its scalar twin (a crossover no candidate count reaches): both twins
+    give the golden bytes and do the golden work."""
+    import repro.core.batch as batch
+
+    for name in CROSSOVERS:
+        monkeypatch.setattr(batch, name, 0 if twin == "vector" else 10**9)
+    check_saturated_slab(time_skip)
+    check_parked_pairs_stay_full(time_skip)
+    if time_skip:
+        check_sub_slab()
+
+
 # ----------------------------------------------------------------------
 # next_event_time unit behaviour
 # ----------------------------------------------------------------------
+def occupy(ring, heap, cycle):
+    """Schedule one part at absolute ``cycle``, as the engine does."""
+    from heapq import heappush
+
+    slot = cycle % len(ring)
+    if not ring[slot]:
+        heappush(heap, cycle)
+    ring[slot] += 1
+
+
 def test_next_event_time_stops():
     import numpy as np
 
@@ -515,40 +578,47 @@ def test_next_event_time_stops():
         pend_min=None,
     )
 
-    # An occupied ring slot at t+1 short-circuits to t+1.
-    ring[11 % 16] = 1
-    t, ptr = next_event_time(10, 900, ring, inj, 0, **common)
-    assert t == 11
-    ring[11 % 16] = 0
+    # An occupied ring slot at t+1 stops the jump at t+1.
+    heap = []
+    occupy(ring, heap, 11)
+    assert next_event_time(10, 900, ring, heap, inj, **common) == 11
+    ring[:] = 0
+    heap.clear()
 
     # Otherwise: min over ring slots, injections, and the drain grid.
-    ring[(10 + 5) % 16] = 2  # absolute cycle 15
-    t, _ = next_event_time(10, 900, ring, inj, 0, **common)
-    assert t == 15
+    occupy(ring, heap, 15)
+    occupy(ring, heap, 15)
+    assert next_event_time(10, 900, ring, heap, inj, **common) == 15
     ring[:] = 0
+    heap.clear()
 
-    t, ptr = next_event_time(10, 900, ring, inj, 0, **common)
-    assert (t, ptr) == (40, 0)  # next nonempty injection cycle
+    assert next_event_time(10, 900, ring, heap, inj, **common) == 40
+    # The injection search is a binary search, not a pointer: any t works.
+    assert next_event_time(39, 900, ring, heap, inj, **common) == 40
 
-    t, _ = next_event_time(60, 900, ring, inj, 1, **common)
+    t = next_event_time(60, 900, ring, heap, inj, **common)
     assert t == 500  # measure_end is the first drain-check stop
 
-    t, _ = next_event_time(520, 900, ring, inj, 1, **common)
+    t = next_event_time(520, 900, ring, heap, inj, **common)
     assert t == 600  # then every chunk on the drain grid
 
     # Lock-Step adds window boundaries and the earliest pending apply.
-    t, _ = next_event_time(10, 900, ring, inj, 1, **{
+    t = next_event_time(10, 900, ring, heap, inj[:0], **{
         **common, "lockstep": True,
     })
     assert t == 500  # still the drain grid: boundary 1000 is later
-    t, _ = next_event_time(10, 900, ring, inj, 1, **{
+    t = next_event_time(10, 900, ring, heap, inj, **{
+        **common, "lockstep": True, "pend_min": 123,
+    })
+    assert t == 40
+    t = next_event_time(50, 900, ring, heap, inj, **{
         **common, "lockstep": True, "pend_min": 123,
     })
     assert t == 123
 
     # The jump clamps to hard_end + 1 (loop termination).
-    t, _ = next_event_time(880, 900, ring, np.array([], dtype=np.int64), 0,
-                           **{**common, "measure_end": 100, "chunk": 10000})
+    t = next_event_time(880, 900, ring, heap, inj[:0],
+                        **{**common, "measure_end": 100, "chunk": 10000})
     assert t == 901
 
 
@@ -558,15 +628,21 @@ def test_next_event_time_ring_wraparound():
     from repro.core.skip import next_event_time
 
     ring = np.zeros(16, dtype=np.int64)
+    heap = []
     # Slot index below t % len: the occupied slot is *ahead* of t on the
     # wrapped ring, never behind it.
-    ring[2] = 1  # with t=12, len=16 -> absolute cycle 18
-    t, _ = next_event_time(
-        12, 900, ring, np.array([], dtype=np.int64), 0,
+    occupy(ring, heap, 18)  # with t=12, len=16: slot 2
+    assert ring[2] == 1
+    # A slot a compaction emptied leaves a stale heap entry: skipped.
+    occupy(ring, heap, 14)
+    ring[14] = 0
+    t = next_event_time(
+        12, 900, ring, heap, np.array([], dtype=np.int64),
         lockstep=False, window_cycles=1000, measure_end=800, chunk=100,
         pend_min=None,
     )
     assert t == 18
+    assert heap == [18]
 
 
 # ----------------------------------------------------------------------

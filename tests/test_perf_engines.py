@@ -63,6 +63,22 @@ def test_covers_is_none_exactly_when_the_engine_accepts_the_point(
         assert "cannot run DBR" in reason
 
 
+def test_detailed_engine_refuses_dpm_smoothing():
+    """The detailed link controllers decide DPM on the raw window counter,
+    so a smoothing policy would silently run as its unsmoothed twin; the
+    table must send it to the fast engine instead."""
+    from dataclasses import replace
+
+    config, workload, plan = point("uniform", "P-NB")
+    smooth = replace(
+        config, policy=replace(config.policy, name="P-NB[ewma]", dpm_smoothing=0.7)
+    )
+    reason = ENGINES["detailed"].covers(smooth, workload, plan)
+    assert reason is not None and "dpm_smoothing=0.7" in reason
+    assert reason == rejection(lambda: DetailedEngine(smooth, workload, plan))
+    assert ENGINES["detailed"].covers(config, workload, plan) is None
+
+
 def engine_flags(parser):
     """``{subcommand: --engine action}`` for every subcommand that has one."""
     sub = next(
