@@ -40,4 +40,4 @@ typecheck:
 # benchmarks/ledger untraced + traced, end-to-end and per-layer metrics,
 # output checks against golden.json.  Writes benchmarks/ledger/out/.
 bench-ledger:
-	python3 benchmarks/ledger/run.py
+	$(PYTHON) benchmarks/ledger/run.py

@@ -9,7 +9,7 @@ of several channels serving one queue.
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.node import NodeModel
 from repro.errors import ConfigurationError
@@ -33,11 +33,17 @@ class BoardModel:
         board: int,
         topology: "ERapidTopology",
         tx_queue_capacity: int,
+        nodes: Optional[Sequence[Any]] = None,
     ) -> None:
         self.board = board
-        self.nodes: List[NodeModel] = [
-            NodeModel(sim, node, board) for node in topology.nodes_on_board(board)
-        ]
+        #: The board's node models, local index order.  Engines that drive
+        #: their ports without blocking pass their own (the fast engine's
+        #: plain FIFOs); the default is a :class:`NodeModel` per node.
+        self.nodes: List[Any] = (
+            list(nodes)
+            if nodes is not None
+            else [NodeModel(sim, node, board) for node in topology.nodes_on_board(board)]
+        )
         #: dest board -> transmitter queue (the LC-monitored buffer).
         self.tx_queues: Dict[int, MonitoredStore] = {
             d: MonitoredStore(

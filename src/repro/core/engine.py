@@ -30,11 +30,18 @@ continuation class, which reproduces the coroutine formulation's event
 total order — see the kernel docs), and the send port's serialization +
 pipeline timeouts are fused into a single event.  A waitable is never
 allocated on the hot path; blocking is modelled by flags
-(``OpticalChannel.parked``, ``NodeModel.send_busy``/``recv_busy``) plus an
+(``OpticalChannel.parked``, ``_Node.send_busy``/``recv_busy``) plus an
 engine-side registry of backpressured senders, and
 ``SuperHighway.owned_wavelengths`` makes ``_poke_pair`` /
-``channels_owned_by`` owner-index hits instead of channel scans.  The
-pre-rewrite coroutine engine is frozen in
+``channels_owned_by`` owner-index hits instead of channel scans.
+Since nothing ever blocks inside a node port, the node send/receive
+ports are plain FIFOs (:class:`_Node`), not the statistics-keeping
+:class:`~repro.sim.queues.MonitoredStore` the coroutine oracle blocks
+on, and a packet's destination reaches its node and board through flat
+per-node lists.  The transmitter queues stay monitored: the link
+controllers read their ``Buffer_util``.
+
+The pre-rewrite coroutine engine is frozen in
 :mod:`repro.perf.legacy_engine` as the oracle of
 ``tests/test_engine_equivalence.py``; every
 :class:`~repro.metrics.collector.RunResult` metric except the executed
@@ -50,7 +57,6 @@ from repro.core.board import BoardModel
 from repro.core.config import ERapidConfig
 from repro.core.link_controller import OpticalChannel
 from repro.core.lockstep import LockStepCoordinator
-from repro.core.node import NodeModel
 from repro.core.reconfig_controller import ReconfigController
 from repro.errors import ConfigurationError
 from repro.metrics.collector import Collector, MeasurementPlan, RunResult
@@ -64,6 +70,38 @@ from repro.traffic.injection import TrafficSource
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = ["FastEngine"]
+
+
+class _Node:
+    """One compute node's ports, as the callback machines drive them.
+
+    A port is a FIFO plus a busy flag: a packet that finds the port busy
+    waits in the FIFO, and the port's completion event pops the next.
+    Nothing reads occupancy or dwell statistics of these queues, so they
+    are plain deques (the coroutine oracle keeps its blocking
+    :class:`~repro.core.node.NodeModel` stores).
+    """
+
+    __slots__ = (
+        "node_id",
+        "board",
+        "send_queue",
+        "recv_queue",
+        "injected",
+        "delivered",
+        "send_busy",
+        "recv_busy",
+    )
+
+    def __init__(self, node_id: int, board: int) -> None:
+        self.node_id = node_id
+        self.board = board
+        self.send_queue: Deque[Packet] = deque()
+        self.recv_queue: Deque[Packet] = deque()
+        self.injected = 0
+        self.delivered = 0
+        self.send_busy = False
+        self.recv_busy = False
 
 
 class FastEngine:
@@ -87,9 +125,24 @@ class FastEngine:
         self.accountant = EnergyAccountant(cycle_ns=1.0 / config.router.clock_ghz)
         self.collector = Collector(plan, self.topology.total_nodes)
 
+        topo = self.topology
+        #: Node id -> its ports and its board: the per-packet lookups.
+        self._node_of: List[_Node] = [
+            _Node(n, topo.board_of(n)) for n in range(topo.total_nodes)
+        ]
+        self._board_of: List[int] = [m.board for m in self._node_of]
         self.boards: List[BoardModel] = [
-            BoardModel(self.sim, b, self.topology, config.tx_queue_capacity)
-            for b in range(self.topology.boards)
+            BoardModel(
+                self.sim, b, topo, config.tx_queue_capacity,
+                nodes=[self._node_of[n] for n in topo.nodes_on_board(b)],
+            )
+            for b in range(topo.boards)
+        ]
+        #: [source board][dest board] -> transmitter queue (None on the
+        #: diagonal).
+        self._txq: List[List[Optional[MonitoredStore]]] = [
+            [board.tx_queues.get(d) for d in range(topo.boards)]
+            for board in self.boards
         ]
         #: (wavelength, dest) -> channel state; one per receiver slot.
         self.channels: Dict[Tuple[int, int], OpticalChannel] = {}
@@ -134,7 +187,10 @@ class FastEngine:
             config.optical.fiber_latency_cycles + config.router.pipeline_cycles
         )
         self._hard_end: float = plan.hard_end
-        self._blocked: Dict[Tuple[int, int], Deque[Tuple[NodeModel, Packet]]] = {}
+        self._blocked: Dict[Tuple[int, int], Deque[Tuple[_Node, Packet]]] = {}
+        self._late = self.sim.schedule_late
+        #: owner[dest][wavelength]: the SRS's live ownership table.
+        self._owner = self.srs.owner
 
     # ------------------------------------------------------------------
     # Lookups
@@ -157,10 +213,6 @@ class FastEngine:
             for d in range(self.topology.boards)
             for w in owned(board, d)
         ]
-
-    def node_model(self, node: int) -> NodeModel:
-        b = self.topology.board_of(node)
-        return self.boards[b].nodes[self.topology.local_of(node)]
 
     # ------------------------------------------------------------------
     # Reconfiguration actuation
@@ -209,12 +261,12 @@ class FastEngine:
         ascending order — the same selection the pre-index scan over
         ``_channels_by_dest`` made.
         """
-        channels = self.channels
+        into = self._channels_by_dest[dst_board]
         for w in self.srs.owned_wavelengths(src_board, dst_board):
-            ch = channels[(w, dst_board)]
+            ch = into[w]
             if ch.parked:
                 ch.parked = False
-                self.sim.schedule_late(0.0, self._dispatch, ch)
+                self._late(0.0, self._dispatch, ch)
                 return
 
     # ------------------------------------------------------------------
@@ -248,7 +300,7 @@ class FastEngine:
                 )
             nodes = list(node_order)
         for node in nodes:
-            model = self.node_model(node)
+            model = self._node_of[node]
             source = self.sources[node]
             if hasattr(source.process, "bind_clock"):
                 source.process.bind_clock(lambda: self.sim.now)
@@ -274,7 +326,7 @@ class FastEngine:
     # collisions) reorder same-time events against the coroutine engine,
     # breaking bit-identity of the run metrics.  Timed holds still fuse the
     # coroutine's fire + resume pair into a single event.
-    def _injection_tick(self, model: NodeModel, source: TrafficSource) -> None:
+    def _injection_tick(self, model: _Node, source: TrafficSource) -> None:
         """One injection: make the packet, feed the send port."""
         now = self.sim.now
         if now >= self._hard_end:
@@ -283,25 +335,22 @@ class FastEngine:
         model.injected += 1
         self.collector.on_injected(pkt, now)
         if model.send_busy:
-            model.send_queue.try_put(pkt)
+            model.send_queue.append(pkt)
         else:
-            model.send_queue.record_handoff()
             model.send_busy = True
-            self.sim.schedule_late(0.0, self._send_begin, model, pkt)
-        self.sim.schedule_late(0.0, self._injection_next, model, source)
+            self._late(0.0, self._send_begin, model, pkt)
+        self._late(0.0, self._injection_next, model, source)
 
-    def _injection_next(self, model: NodeModel, source: TrafficSource) -> None:
+    def _injection_next(self, model: _Node, source: TrafficSource) -> None:
         """Draw the next gap and re-arm (the coroutine's loop-around hop)."""
-        self.sim.schedule_late(
-            source.next_gap(), self._injection_tick, model, source
-        )
+        self._late(source.next_gap(), self._injection_tick, model, source)
 
     # Send port -----------------------------------------------------------
-    def _send_begin(self, model: NodeModel, pkt: Packet) -> None:
+    def _send_begin(self, model: _Node, pkt: Packet) -> None:
         pkt.injected_at = self.sim.now
-        self.sim.schedule_late(self._ser, self._send_mid, model, pkt)
+        self._late(self._ser, self._send_mid, model, pkt)
 
-    def _send_mid(self, model: NodeModel, pkt: Packet) -> None:
+    def _send_mid(self, model: _Node, pkt: Packet) -> None:
         # Serialization done; cross the router pipeline.  This anchor event
         # is not fused into ``_send_begin``: same-time continuations run in
         # scheduling order, so the arrival event must be *seeded here*, at
@@ -310,19 +359,19 @@ class FastEngine:
         # same-instant events by the wrong moment and (rarely) swap
         # same-time deliveries.  Each hold is still one event, not the
         # coroutine's fire + resume pair.
-        self.sim.schedule_late(self._pipeline, self._send_done, model, pkt)
+        self._late(self._pipeline, self._send_done, model, pkt)
 
-    def _send_done(self, model: NodeModel, pkt: Packet) -> None:
+    def _send_done(self, model: _Node, pkt: Packet) -> None:
         s = model.board
-        d = self.topology.board_of(pkt.dst)
+        d = self._board_of[pkt.dst]
         if d == s:
             # Intra-board: skip the optical plane.  The coroutine's local
             # branch had no blocking put, so the next pop happens in this
             # event, one cascade level shallower than the remote branch.
-            self._deliver(self.node_model(pkt.dst), pkt)
+            self._deliver(self._node_of[pkt.dst], pkt)
             self._send_pop(model)
             return
-        q = self.pair_queue(s, d)
+        q = self._txq[s][d]
         if not q.offer(pkt):
             # Backpressure: the send port stalls while the LC buffer is
             # full (wormhole blocking into the IBI); a channel pop re-admits
@@ -331,88 +380,82 @@ class FastEngine:
             self._poke_pair(s, d)
             return
         self._poke_pair(s, d)
-        self.sim.schedule_late(0.0, self._send_pop, model)
+        self._late(0.0, self._send_pop, model)
 
-    def _send_pop(self, model: NodeModel) -> None:
+    def _send_pop(self, model: _Node) -> None:
         """Pop the next packet for the send port, or go idle."""
-        ok, pkt = model.send_queue.try_get()
-        if ok:
-            self.sim.schedule_late(0.0, self._send_begin, model, pkt)
+        if model.send_queue:
+            self._late(0.0, self._send_begin, model, model.send_queue.popleft())
         else:
             model.send_busy = False
 
     # Optical channel -----------------------------------------------------
     def _dispatch(self, ch: OpticalChannel) -> None:
         """One dispatch attempt: pop the owner's queue or park."""
-        owner = self.srs.owner[ch.dest][ch.wavelength]
+        dest = ch.dest
+        owner = self._owner[dest][ch.wavelength]
         if owner is not None:
-            q = self.pair_queue(owner, ch.dest)
+            q = self._txq[owner][dest]
             ok, pkt = q.try_get()
             if ok:
-                blocked = self._blocked.get((owner, ch.dest))
+                blocked = self._blocked.get((owner, dest))
                 if blocked:
                     # The pop freed one LC buffer slot: re-admit the oldest
                     # backpressured sender and restart its port.
                     bmodel, bpkt = blocked.popleft()
                     q.admit(bpkt)
-                    self.sim.schedule_late(0.0, self._send_pop, bmodel)
-                self._serve(ch, pkt)
+                    self._late(0.0, self._send_pop, bmodel)
+                # Serve: a slept laser wakes first, then any DVS stall or
+                # residual wake penalty passes, all at the packet boundary.
+                wake_stall = ch.wake() if ch.sleeping else 0.0
+                if wake_stall > 0:
+                    self._late(wake_stall, self._wake_done, ch, pkt)
+                else:
+                    self._wake_done(ch, pkt)
                 return
         ch.parked = True
-
-    def _serve(self, ch: OpticalChannel, pkt: Packet) -> None:
-        wake_stall = ch.wake()
-        if wake_stall > 0:
-            self.sim.schedule_late(wake_stall, self._wake_done, ch, pkt)
-            return
-        self._wake_done(ch, pkt)
 
     def _wake_done(self, ch: OpticalChannel, pkt: Packet) -> None:
         stall = ch.stall_until - self.sim.now
         if stall > 0:
-            # DVS transition / residual wake penalty at the packet boundary.
-            self.sim.schedule_late(stall, self._begin_service, ch, pkt)
+            self._late(stall, self._begin_service, ch, pkt)
             return
         self._begin_service(ch, pkt)
 
     def _begin_service(self, ch: OpticalChannel, pkt: Packet) -> None:
         ch.set_busy(True)
-        self.sim.schedule_late(
-            ch.service_cycles(pkt.size_bytes), self._end_service, ch, pkt
-        )
+        self._late(ch.service_cycles(pkt.size_bytes), self._end_service, ch, pkt)
 
     def _end_service(self, ch: OpticalChannel, pkt: Packet) -> None:
         ch.set_busy(False)
         ch.packets_served += 1
         pkt.wavelength = ch.wavelength
         self.sim.schedule_fast(
-            self._deliver_latency, self._deliver, self.node_model(pkt.dst), pkt
+            self._deliver_latency, self._deliver, self._node_of[pkt.dst], pkt
         )
         # Greedy: grab the next packet in the same event (the coroutine
         # loop did the same within its service-done resume).
         self._dispatch(ch)
 
     # Receive port --------------------------------------------------------
-    def _deliver(self, model: NodeModel, pkt: Packet) -> None:
+    def _deliver(self, model: _Node, pkt: Packet) -> None:
         if model.recv_busy:
-            model.recv_queue.try_put(pkt)
+            model.recv_queue.append(pkt)
         else:
-            model.recv_queue.record_handoff()
             model.recv_busy = True
-            self.sim.schedule_late(0.0, self._recv_start, model, pkt)
+            self._late(0.0, self._recv_start, model, pkt)
 
-    def _recv_start(self, model: NodeModel, pkt: Packet) -> None:
+    def _recv_start(self, model: _Node, pkt: Packet) -> None:
         """Begin ejection serialization (the coroutine's getter-resume hop)."""
-        self.sim.schedule_late(self._ser, self._recv_done, model, pkt)
+        self._late(self._ser, self._recv_done, model, pkt)
 
-    def _recv_done(self, model: NodeModel, pkt: Packet) -> None:
+    def _recv_done(self, model: _Node, pkt: Packet) -> None:
         now = self.sim.now
         pkt.delivered_at = now
         model.delivered += 1
         self.collector.on_delivered(pkt, now)
-        ok, nxt = model.recv_queue.try_get()
-        if ok:
-            self.sim.schedule_late(0.0, self._recv_start, model, nxt)
+        if model.recv_queue:
+            self._late(0.0, self._recv_start, model, model.recv_queue.popleft())
         else:
             model.recv_busy = False
 

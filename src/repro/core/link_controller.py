@@ -51,6 +51,9 @@ class OpticalChannel:
         "sleeps",
         "wakes",
         "util_smoothed",
+        "_owner_row",
+        "_link_power",
+        "_power",
     )
 
     def __init__(self, engine: "FastEngine", wavelength: int, dest: int) -> None:
@@ -80,13 +83,18 @@ class OpticalChannel:
         self.wakes = 0
         #: EWMA of window link utilization (None until the first window).
         self.util_smoothed: Optional[float] = None
+        # Per-packet power pushes read the SRS ownership row and write the
+        # accountant's signal for this channel directly.
+        self._owner_row = engine.srs.owner[dest]
+        self._link_power = cfg.link_power
+        self._power = engine.accountant.signal(self.key, engine.sim.now)
         self._push_power()
 
     # ------------------------------------------------------------------
     @property
     def owner(self) -> Optional[int]:
         """Source board currently owning this channel (None = dark)."""
-        return self.engine.srs.owner_of(self.dest, self.wavelength)
+        return self._owner_row[self.wavelength]
 
     @property
     def enabled(self) -> bool:
@@ -97,11 +105,9 @@ class OpticalChannel:
     # Power
     # ------------------------------------------------------------------
     def _push_power(self) -> None:
-        now = self.engine.sim.now
-        mw = self.engine.config.link_power.instantaneous_mw(
-            self.enabled, self.level, self.busy
-        )
-        self.engine.accountant.set_channel_power(self.key, now, mw)
+        enabled = not self.sleeping and self._owner_row[self.wavelength] is not None
+        mw = self._link_power.instantaneous_mw(enabled, self.level, self.busy)
+        self._power.update(self.engine.sim.now, mw)
 
     def set_busy(self, busy: bool) -> None:
         if busy == self.busy:

@@ -1,8 +1,11 @@
 """Per-node model: network-interface queues and statistics.
 
-Each node owns a send port and a receive port (§2.1).  In the fast engine
-these are single-server queues with the Table-1 electrical serialization
-time (32 cycles/packet at 6.4 Gbps); the engine runs one process per port.
+Each node owns a send port and a receive port (§2.1): single-server
+queues with the Table-1 electrical serialization time (32 cycles/packet
+at 6.4 Gbps).  :class:`NodeModel` is the form a process-per-port engine
+blocks on (``yield send_queue.get()``) — the frozen coroutine oracle in
+:mod:`repro.perf.legacy_engine`.  The callback fast engine never blocks
+inside a port and keeps plain FIFOs instead (``repro.core.engine._Node``).
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ class NodeModel:
         "recv_queue",
         "injected",
         "delivered",
-        "send_busy",
-        "recv_busy",
     )
 
     def __init__(self, sim: "Simulator", node_id: int, board: int) -> None:
@@ -40,10 +41,6 @@ class NodeModel:
         self.recv_queue = MonitoredStore(sim, name=f"n{node_id}.recv")
         self.injected = 0
         self.delivered = 0
-        #: Callback engine: a send/recv completion event is in flight, so
-        #: new arrivals buffer instead of starting the port directly.
-        self.send_busy = False
-        self.recv_busy = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -62,7 +62,9 @@ class BatchTelemetry:
     on the cycle they happen; their totals are those of a per-cycle
     receive phase.  ``blocked_retries`` counts the parked senders actually
     retried (those of a pair popped on the previous executed cycle), not
-    every blocked sender on every cycle.
+    every blocked sender on every cycle.  ``dispatch_candidates`` counts
+    the channel ids handed to the dispatch phase, duplicates included:
+    service ends, fresh grants and the parked channels of pushed pairs.
     """
 
     horizon: int = 0
@@ -72,6 +74,7 @@ class BatchTelemetry:
     deliveries: int = 0
     port_exits: int = 0
     dispatches: int = 0
+    dispatch_candidates: int = 0
     recv_completions: int = 0
     blocked_retries: int = 0
     window_boundaries: int = 0
@@ -94,6 +97,7 @@ class BatchTelemetry:
             "deliveries": self.deliveries,
             "port_exits": self.port_exits,
             "dispatches": self.dispatches,
+            "dispatch_candidates": self.dispatch_candidates,
             "recv_completions": self.recv_completions,
             "blocked_retries": self.blocked_retries,
             "window_boundaries": self.window_boundaries,

@@ -55,6 +55,9 @@ class Collector:
         if n_nodes < 1:
             raise MeasurementError("n_nodes must be >= 1")
         self.plan = plan
+        #: The measure window [warmup, measure_end), read on every packet.
+        self._start = plan.warmup
+        self._end = plan.measure_end
         self.n_nodes = n_nodes
         self.injected_total = 0
         self.injected_measure = 0
@@ -70,21 +73,18 @@ class Collector:
     # ------------------------------------------------------------------
     def labeling(self, now: float) -> bool:
         """Whether packets created at ``now`` should be labeled."""
-        return self.plan.warmup <= now < self.plan.measure_end
-
-    def in_measure(self, now: float) -> bool:
-        return self.plan.warmup <= now < self.plan.measure_end
+        return self._start <= now < self._end
 
     def on_injected(self, pkt: Packet, now: float) -> None:
         self.injected_total += 1
-        if self.in_measure(now):
+        if self._start <= now < self._end:
             self.injected_measure += 1
         if pkt.labeled:
             self.labeled_injected += 1
 
     def on_delivered(self, pkt: Packet, now: float) -> None:
         self.delivered_total += 1
-        if self.in_measure(now):
+        if self._start <= now < self._end:
             self.delivered_measure += 1
         if pkt.labeled:
             self.labeled_delivered += 1

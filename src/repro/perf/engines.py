@@ -43,10 +43,14 @@ class Engine:
 def _profile_batch(*run: Any) -> Tuple[Any, List[Row]]:
     engine = import_module("repro.core.batch").BatchEngine([run])
     result, tel = engine.run()[0], engine.telemetry
+    executed = max(tel.cycles_executed, 1)
     return result, [
         ("cycles executed", tel.cycles_executed, None),
         ("cycles skipped", tel.cycles_skipped, None),
         ("skip ratio", tel.skip_ratio, None),
+        ("dispatch candidates", tel.dispatch_candidates, None),
+        ("dispatch candidates per executed cycle",
+         tel.dispatch_candidates / executed, None),
     ]
 
 

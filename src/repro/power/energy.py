@@ -37,6 +37,16 @@ class EnergyAccountant:
         else:
             sig.update(now, mw)
 
+    def signal(self, key: Hashable, now: float) -> TimeWeighted:
+        """Channel ``key``'s power signal, registered at zero draw from
+        ``now`` if new.  A caller that pushes power on every state change
+        updates it directly (``signal.update(now, mw)`` is what
+        :meth:`set_channel_power` does for a known channel)."""
+        sig = self._signals.get(key)
+        if sig is None:
+            sig = self._signals[key] = TimeWeighted(now, 0.0)
+        return sig
+
     def channel_power(self, key: Hashable) -> float:
         """Current draw of one channel (0 for unknown channels)."""
         sig = self._signals.get(key)

@@ -89,29 +89,18 @@ class MonitoredStore(Store):
             self.dwell.add(0.0)
         return ok
 
-    def record_handoff(self) -> None:
-        """Count an arrival handed straight to its consumer (never buffered).
-
-        Callback consumers take items synchronously instead of parking a
-        getter inside the store, so the direct hand-off statistics a
-        blocking ``put`` would have recorded (arrival + zero-dwell
-        departure, no occupancy) are recorded through this hook.
-        """
-        self.arrivals += 1
-        self.departures += 1
-        self.dwell.add(0.0)
-
     def _on_item_enqueued(self, item: Any) -> None:
-        super()._on_item_enqueued(item)
-        self._enqueue_times[id(item)] = self.sim.now
-        self.occupancy.add(self.sim.now, +1.0)
+        self._items.append(item)
+        now = self.sim.now
+        self._enqueue_times[id(item)] = now
+        self.occupancy.add(now, +1.0)
 
     def _on_item_dequeued(self, item: Any) -> None:
-        super()._on_item_dequeued(item)
-        t0 = self._enqueue_times.pop(id(item), self.sim.now)
-        self.dwell.add(self.sim.now - t0)
+        now = self.sim.now
+        t0 = self._enqueue_times.pop(id(item), now)
+        self.dwell.add(now - t0)
         self.departures += 1
-        self.occupancy.add(self.sim.now, -1.0)
+        self.occupancy.add(now, -1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else self.capacity

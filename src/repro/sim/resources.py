@@ -121,7 +121,8 @@ class Store:
             return False, None
         item = self._items.popleft()
         self._on_item_dequeued(item)
-        self._admit_putter()
+        if self._putters:
+            self._admit_putter()
         return True, item
 
     # ------------------------------------------------------------------

@@ -128,6 +128,7 @@ def test_cli_profile_batch_engine(capsys):
     out = capsys.readouterr().out
     # One in-process run on the batch engine, with its own counters.
     assert "batch engine" in out and "cycles executed" in out
+    assert "dispatch candidates per executed cycle" in out
     assert "== profile summary ==" in out
     # The batch tier is event-free by construction.
     import re

@@ -91,3 +91,25 @@ def test_rewrite_event_count_differs():
     old = LegacyFastEngine(config, wl, PLAN)
     old.run()
     assert new.sim.event_count < old.sim.event_count
+
+
+def test_rewrite_keeps_the_zero_delay_send_pop_hop():
+    """After a remote packet enters its transmitter queue, the send port
+    pops its next packet one zero-delay continuation later, as the
+    coroutine's resume did.  Calling ``_send_pop`` directly instead moves
+    that pop, and everything it schedules, earlier among same-time
+    events; on this point (the R_w = 4000 ablation row, full paper plan)
+    the mean latency then differs from the coroutine engine's, so the
+    hop stays.  The 26 cells above do not tell the two apart."""
+    config = ERapidConfig(
+        topology=ERapidTopology(boards=4, nodes_per_board=4),
+        policy=make_policy("P-B"),
+        control=ControlParams(window_cycles=4000),
+    )
+    workload = WorkloadSpec(pattern="uniform", load=0.5, seed=1)
+    plan = MeasurementPlan(warmup=8000.0, measure=10000.0, drain_limit=16000.0)
+    new = FastEngine(config, workload, plan).run().to_dict()
+    old = LegacyFastEngine(config, workload, plan).run().to_dict()
+    new["extra"].pop("events")
+    old["extra"].pop("events")
+    assert new == old
