@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint layering frozen determinism typecheck bench-ledger
+.PHONY: check test lint layering frozen determinism typecheck bench-ledger ab
 
 # The single correctness gate: tier-1 tests, the simulation-invariant
 # linter, the import-layering DAG, the frozen-oracle integrity manifest,
@@ -41,3 +41,14 @@ typecheck:
 # output checks against golden.json.  Writes benchmarks/ledger/out/.
 bench-ledger:
 	$(PYTHON) benchmarks/ledger/run.py
+
+# A/B two committed revisions on one ledger workload in alternating child
+# runs (benchmarks/ab.py): medians, quartiles, paired ratios, wins and a
+# verdict per end-to-end metric.  For example:
+#   make ab REV_A=HEAD~1 REV_B=HEAD WORKLOAD=service_mix PAIRS=10
+REV_A ?= HEAD~1
+REV_B ?= HEAD
+WORKLOAD ?= service_mix
+PAIRS ?= 10
+ab:
+	$(PYTHON) benchmarks/ab.py $(REV_A) $(REV_B) --workload $(WORKLOAD) --pairs $(PAIRS)

@@ -9,7 +9,7 @@ of several channels serving one queue.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.node import NodeModel
 from repro.errors import ConfigurationError
@@ -34,6 +34,7 @@ class BoardModel:
         topology: "ERapidTopology",
         tx_queue_capacity: int,
         nodes: Optional[Sequence[Any]] = None,
+        tx_queues: Optional[Mapping[int, Any]] = None,
     ) -> None:
         self.board = board
         #: The board's node models, local index order.  Engines that drive
@@ -44,16 +45,23 @@ class BoardModel:
             if nodes is not None
             else [NodeModel(sim, node, board) for node in topology.nodes_on_board(board)]
         )
-        #: dest board -> transmitter queue (the LC-monitored buffer).
-        self.tx_queues: Dict[int, MonitoredStore] = {
-            d: MonitoredStore(
-                sim, capacity=tx_queue_capacity, name=f"b{board}->b{d}.txq"
-            )
-            for d in range(topology.boards)
-            if d != board
-        }
+        #: dest board -> transmitter queue (the LC-monitored buffer).  The
+        #: fast engine passes its own inline-monitored FIFOs; the default
+        #: is the blocking :class:`MonitoredStore` the coroutine oracle
+        #: waits on.
+        self.tx_queues: Dict[int, Any] = (
+            dict(tx_queues)
+            if tx_queues is not None
+            else {
+                d: MonitoredStore(
+                    sim, capacity=tx_queue_capacity, name=f"b{board}->b{d}.txq"
+                )
+                for d in range(topology.boards)
+                if d != board
+            }
+        )
 
-    def tx_queue(self, dest: int) -> MonitoredStore:
+    def tx_queue(self, dest: int) -> Any:
         try:
             return self.tx_queues[dest]
         except KeyError:

@@ -38,8 +38,11 @@ Since nothing ever blocks inside a node port, the node send/receive
 ports are plain FIFOs (:class:`_Node`), not the statistics-keeping
 :class:`~repro.sim.queues.MonitoredStore` the coroutine oracle blocks
 on, and a packet's destination reaches its node and board through flat
-per-node lists.  The transmitter queues stay monitored: the link
-controllers read their ``Buffer_util``.
+per-node lists.  The transmitter queues are engine-owned FIFOs too
+(:class:`_TxQueue`): they keep the two statistics anything reads — the
+windowed occupancy integral behind the link controllers' ``Buffer_util``
+and the per-packet dwell — updated inline, in the floating-point order
+of the :class:`~repro.sim.queues.MonitoredStore` the oracle keeps.
 
 The pre-rewrite coroutine engine is frozen in
 :mod:`repro.perf.legacy_engine` as the oracle of
@@ -50,6 +53,7 @@ The pre-rewrite coroutine engine is frozen in
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -64,7 +68,7 @@ from repro.network.packet import Packet
 from repro.optics.srs import SuperHighway
 from repro.power.energy import EnergyAccountant
 from repro.sim.kernel import Simulator
-from repro.sim.queues import MonitoredStore
+from repro.sim.stats import Tally
 from repro.sim.trace import TraceLog
 from repro.traffic.injection import TrafficSource
 from repro.traffic.workload import WorkloadSpec
@@ -104,6 +108,90 @@ class _Node:
         self.recv_busy = False
 
 
+class _TxQueue:
+    """One board's bounded transmitter queue toward one destination board.
+
+    The LC-monitored buffer DBR's channels drain.  It keeps what the
+    :class:`~repro.sim.queues.MonitoredStore` of the coroutine oracle
+    keeps and something reads: the occupancy integral of the current
+    R_w window (``Buffer_util``) and each packet's dwell.  Both are
+    updated inline, with the store's arithmetic in the store's order:
+    the integral grows by the pre-change item count times the time since
+    the last change, and a dwell sample is the pop time minus the
+    enqueue time.  Samples are kept and folded into a
+    :class:`~repro.sim.stats.Tally` on demand (:attr:`dwell`), which adds
+    them one by one in arrival order, as the store's tally did.
+    """
+
+    __slots__ = (
+        "sim", "capacity", "items", "_enq", "_t_last", "_win_area",
+        "_win_start", "_dwell",
+    )
+
+    def __init__(self, sim: Simulator, capacity: int) -> None:
+        now = sim.now
+        self.sim = sim
+        self.capacity = capacity
+        self.items: Deque[Packet] = deque()
+        #: Enqueue time of each buffered packet, parallel to ``items``.
+        self._enq: Deque[float] = deque()
+        self._t_last = now
+        self._win_area = 0.0
+        self._win_start = now
+        self._dwell = array("d")
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def push(self, pkt: Packet, now: float) -> None:
+        """Buffer ``pkt`` at ``now``; the caller has checked for room."""
+        items = self.items
+        self._win_area += len(items) * (now - self._t_last)
+        self._t_last = now
+        items.append(pkt)
+        self._enq.append(now)
+
+    def pop(self, now: float) -> Packet:
+        """The oldest packet, taken off at ``now``; the queue is non-empty."""
+        items = self.items
+        self._win_area += len(items) * (now - self._t_last)
+        self._t_last = now
+        self._dwell.append(now - self._enq.popleft())
+        return items.popleft()
+
+    def try_put(self, pkt: Packet) -> bool:
+        """Buffer ``pkt`` now if there is room."""
+        if len(self.items) >= self.capacity:
+            return False
+        self.push(pkt, self.sim.now)
+        return True
+
+    def buffer_util(self, now: Optional[float] = None) -> float:
+        """Mean occupancy over the current window, over the capacity."""
+        now = self.sim.now if now is None else now
+        span = now - self._win_start
+        if span <= 0:
+            occ = float(len(self.items))
+        else:
+            occ = (self._win_area + len(self.items) * (now - self._t_last)) / span
+        return min(1.0, occ / self.capacity)
+
+    def reset_window(self, now: Optional[float] = None) -> None:
+        """Start a new R_w window."""
+        now = self.sim.now if now is None else now
+        self._t_last = now
+        self._win_area = 0.0
+        self._win_start = now
+
+    @property
+    def dwell(self) -> Tally:
+        """Dwell statistics of every packet popped so far."""
+        tally = Tally()
+        for sample in self._dwell:
+            tally.add(sample)
+        return tally
+
+
 class FastEngine:
     """Event-driven simulation of one E-RAPID run."""
 
@@ -131,18 +219,24 @@ class FastEngine:
             _Node(n, topo.board_of(n)) for n in range(topo.total_nodes)
         ]
         self._board_of: List[int] = [m.board for m in self._node_of]
+        #: [source board][dest board] -> transmitter queue (None on the
+        #: diagonal).
+        self._txq: List[List[Optional[_TxQueue]]] = [
+            [
+                None if d == b else _TxQueue(self.sim, config.tx_queue_capacity)
+                for d in range(topo.boards)
+            ]
+            for b in range(topo.boards)
+        ]
         self.boards: List[BoardModel] = [
             BoardModel(
                 self.sim, b, topo, config.tx_queue_capacity,
                 nodes=[self._node_of[n] for n in topo.nodes_on_board(b)],
+                tx_queues={
+                    d: q for d, q in enumerate(self._txq[b]) if q is not None
+                },
             )
             for b in range(topo.boards)
-        ]
-        #: [source board][dest board] -> transmitter queue (None on the
-        #: diagonal).
-        self._txq: List[List[Optional[MonitoredStore]]] = [
-            [board.tx_queues.get(d) for d in range(topo.boards)]
-            for board in self.boards
         ]
         #: (wavelength, dest) -> channel state; one per receiver slot.
         self.channels: Dict[Tuple[int, int], OpticalChannel] = {}
@@ -195,7 +289,7 @@ class FastEngine:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def pair_queue(self, src_board: int, dst_board: int) -> MonitoredStore:
+    def pair_queue(self, src_board: int, dst_board: int) -> _TxQueue:
         """The transmitter queue of board ``src_board`` toward ``dst_board``."""
         return self.boards[src_board].tx_queue(dst_board)
 
@@ -372,13 +466,14 @@ class FastEngine:
             self._send_pop(model)
             return
         q = self._txq[s][d]
-        if not q.offer(pkt):
+        if len(q.items) >= q.capacity:
             # Backpressure: the send port stalls while the LC buffer is
             # full (wormhole blocking into the IBI); a channel pop re-admits
             # the packet and restarts the port.
             self._blocked.setdefault((s, d), deque()).append((model, pkt))
             self._poke_pair(s, d)
             return
+        q.push(pkt, self.sim.now)
         self._poke_pair(s, d)
         self._late(0.0, self._send_pop, model)
 
@@ -396,14 +491,15 @@ class FastEngine:
         owner = self._owner[dest][ch.wavelength]
         if owner is not None:
             q = self._txq[owner][dest]
-            ok, pkt = q.try_get()
-            if ok:
+            if q.items:
+                now = self.sim.now
+                pkt = q.pop(now)
                 blocked = self._blocked.get((owner, dest))
                 if blocked:
                     # The pop freed one LC buffer slot: re-admit the oldest
                     # backpressured sender and restart its port.
                     bmodel, bpkt = blocked.popleft()
-                    q.admit(bpkt)
+                    q.push(bpkt, now)
                     self._late(0.0, self._send_pop, bmodel)
                 # Serve: a slept laser wakes first, then any DVS stall or
                 # residual wake penalty passes, all at the packet boundary.

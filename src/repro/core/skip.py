@@ -18,8 +18,8 @@ of the engine's array layout:
 * :func:`next_event_time` — the next-event computation: a min over
   the occupied ring slots (the top of a heap of their absolute cycles,
   kept by the engine alongside its per-slot occupancy counters), the
-  next nonempty injection cycle (a binary search of a compressed index
-  over the precomputed injection CSR), the next Lock-Step window
+  next nonempty injection cycle (the engine's cursor into a compressed
+  index over the precomputed injection CSR), the next Lock-Step window
   boundary and earliest pending ``_pend_dpm``/``_pend_dbr`` apply, and
   the drain-check grid.  The one blocked-sender stop — a popped pair
   with parked senders retries on the very next cycle — is checked
@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "BatchTelemetry",
@@ -111,7 +109,7 @@ def next_event_time(
     hard_end: int,
     ring_occ: Sequence[int],
     ring_heap: List[int],
-    inj_cycles: np.ndarray,
+    next_inj: int,
     lockstep: bool,
     window_cycles: int,
     measure_end: int,
@@ -135,7 +133,8 @@ def next_event_time(
       ring_len)`` (the coverage gate bounds every lead below the ring
       length), so an occupied slot denotes exactly one absolute cycle
       and a live entry is never aliased.
-    * the next nonempty injection cycle (``inj_cycles``, ascending).
+    * the next nonempty injection cycle, ``next_inj`` (> ``t``; the
+      loop keeps it as a cursor, ``hard_end + 1`` once none is left).
     * a Lock-Step window boundary or the earliest pending DPM/DBR apply
       (only when the slab has any power-aware run left).
     * a drain-check grid point ``measure_end + k * chunk`` — mandatory
@@ -150,17 +149,21 @@ def next_event_time(
     ring_len = len(ring_occ)
     while ring_heap and not ring_occ[ring_heap[0] % ring_len]:
         heappop(ring_heap)
-    nxt = ring_heap[0] if ring_heap else hard_end + 1
-    i = int(inj_cycles.searchsorted(t1))
-    if i < len(inj_cycles):
-        nxt = min(nxt, int(inj_cycles[i]))
+    nxt = next_inj
+    if ring_heap and ring_heap[0] < nxt:
+        nxt = ring_heap[0]
     if lockstep:
-        nxt = min(nxt, (t // window_cycles + 1) * window_cycles)
-        if pend_min is not None:
-            nxt = min(nxt, pend_min)
+        boundary = (t // window_cycles + 1) * window_cycles
+        if boundary < nxt:
+            nxt = boundary
+        if pend_min is not None and pend_min < nxt:
+            nxt = pend_min
     if t1 <= measure_end:
         grid = measure_end
     else:
         grid = measure_end + -((measure_end - t1) // chunk) * chunk
-    nxt = min(nxt, grid)
-    return max(t1, min(nxt, hard_end + 1))
+    if grid < nxt:
+        nxt = grid
+    if nxt > hard_end + 1:
+        nxt = hard_end + 1
+    return t1 if nxt < t1 else nxt

@@ -88,8 +88,9 @@ class Collector:
             self.delivered_measure += 1
         if pkt.labeled:
             self.labeled_delivered += 1
-            self.latency.add(pkt.latency)
-            self.latency_hist.add(pkt.latency)
+            latency = pkt.latency
+            self.latency.add(latency)
+            self.latency_hist.add(latency)
 
     # ------------------------------------------------------------------
     @property

@@ -54,7 +54,7 @@ class Packet:
     labeled: bool = False
     #: Set by the optical plane: which wavelength carried the packet.
     wavelength: Optional[int] = None
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = field(default_factory=_packet_ids.__next__)
 
     @property
     def size_bits(self) -> int:
@@ -135,10 +135,5 @@ class PacketFactory:
     ) -> Packet:
         """A new packet created at ``now``."""
         return Packet(
-            src=src,
-            dst=dst,
-            size_flits=self.size_flits,
-            size_bytes=self.size_bytes,
-            created_at=now,
-            labeled=labeled,
+            src, dst, self.size_flits, self.size_bytes, now, None, None, labeled
         )

@@ -6,6 +6,13 @@ free of network dependencies and trivially testable:
 * ``<spool>/incoming/`` — clients drop one JSON job spec per file
   (atomic temp-file + rename, so the server never reads a half-written
   spec).  ``erapid submit`` writes here.
+* ``<spool>/accepted/`` — the server moves each valid spec here when it
+  submits it, and deletes it only after the job's terminal status
+  (``completed`` or ``failed``) is written.  A server killed with jobs
+  queued or running therefore loses none: the next server on the spool
+  re-submits every accepted spec whose job has no terminal status, and
+  deletes the ones that have one.  The run cache makes re-executing a
+  half-done job cheap, and its results are those of an undisturbed run.
 * ``<spool>/status/<job_key>.json`` — the server mirrors each job's
   status here on every transition and progress event (atomic replace).
   ``erapid jobs`` reads here.  The file name is the job's content
@@ -31,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import JobSpecError, QueueFullError
 from repro.perf.cache import _atomic_write
-from repro.service.orchestrator import Job, SweepService
+from repro.service.orchestrator import JOB_TERMINAL_STATES, Job, SweepService
 from repro.service.spec import JobSpec
 
 __all__ = [
@@ -44,6 +51,7 @@ __all__ = [
 ]
 
 _INCOMING = "incoming"
+_ACCEPTED = "accepted"
 _STATUS = "status"
 
 _submission_counter = itertools.count(1)
@@ -51,8 +59,8 @@ _submission_counter = itertools.count(1)
 
 def ensure_spool(spool: Union[str, Path]) -> Path:
     root = Path(spool)
-    (root / _INCOMING).mkdir(parents=True, exist_ok=True)
-    (root / _STATUS).mkdir(parents=True, exist_ok=True)
+    for sub in (_INCOMING, _ACCEPTED, _STATUS):
+        (root / sub).mkdir(parents=True, exist_ok=True)
     return root
 
 
@@ -114,8 +122,13 @@ class SpoolServer:
         self.service = service
         self.log = log
         #: Held from snapshot to file replace, so a status file never
-        #: goes back to an older snapshot than the last one written.
+        #: goes back to an older snapshot than the last one written; also
+        #: guards the two maps below.
         self._status_lock = threading.Lock()
+        #: Accepted spec files this server has submitted -> their job id,
+        #: and job id -> those files, deleted with its terminal status.
+        self._claimed: Dict[Path, str] = {}
+        self._retire: Dict[str, List[Path]] = {}
         # Mirror every job transition/progress event into status files.
         service.on_update = self._write_status
 
@@ -128,7 +141,9 @@ class SpoolServer:
         with self._status_lock:
             status = self.service.snapshot(job)
             _atomic_write_json(status_path(self.spool, job.key), status)
-        if status["state"] in ("completed", "failed"):
+            if status["state"] in JOB_TERMINAL_STATES:
+                self._retire_specs(job.job_id)
+        if status["state"] in JOB_TERMINAL_STATES:
             counts = status.get("counts")
             detail = (
                 f" ({counts['hits']}/{counts['total']} cache hits, "
@@ -138,6 +153,13 @@ class SpoolServer:
             )
             self._say(f"job {job.job_id} {status['state']}{detail}")
 
+    def _retire_specs(self, job_id: str) -> None:
+        """Delete the accepted specs of a job whose terminal status is on
+        disk (callers hold ``_status_lock``)."""
+        for path in self._retire.pop(job_id, ()):
+            del self._claimed[path]
+            path.unlink(missing_ok=True)
+
     def _reject_status(self, name: str, state: str, error: str) -> None:
         _atomic_write_json(
             status_path(self.spool, name),
@@ -146,11 +168,54 @@ class SpoolServer:
         self._say(f"submission {name} {state}: {error}")
 
     # ------------------------------------------------------------------
+    def _unclaimed(self) -> List[Path]:
+        """Accepted specs no job of this server owns: a previous server's."""
+        with self._status_lock:
+            claimed = set(self._claimed)
+        return [
+            p for p in sorted((self.spool / _ACCEPTED).glob("*.json"))
+            if p not in claimed
+        ]
+
+    def _claim(self, path: Path, spec: JobSpec) -> None:
+        """Submit the accepted spec at ``path``; the file now belongs to
+        the job (deleted with its terminal status).  Raises
+        :class:`QueueFullError` under backpressure."""
+        handle = self.service.submit(spec)
+        with self._status_lock:
+            self._claimed[path] = handle.job_id
+            self._retire.setdefault(handle.job_id, []).append(path)
+            if handle.state in JOB_TERMINAL_STATES:
+                # The job ended (and its status was written) before the
+                # file was claimed.
+                self._retire_specs(handle.job_id)
+        self._say(
+            f"submission {path.stem} "
+            f"{'deduped onto' if handle.deduped else 'accepted as'} job "
+            f"{handle.job_id} [{spec.kind}/{spec.priority}, "
+            f"{spec.total_runs} runs]"
+        )
+
     def scan_once(self) -> int:
-        """Ingest every spec currently in ``incoming/``; returns count."""
-        incoming = self.spool / _INCOMING
+        """Ingest every spec currently in ``incoming/``, after the accepted
+        specs a previous server left unfinished; returns count."""
         processed = 0
-        for path in sorted(incoming.glob("*.json")):
+        for path in self._unclaimed():
+            try:
+                spec = JobSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            except (OSError, ValueError, JobSpecError):
+                path.unlink(missing_ok=True)  # was valid when accepted
+                continue
+            status = read_status(self.spool, spec.job_key())
+            if status is not None and status.get("state") in JOB_TERMINAL_STATES:
+                path.unlink(missing_ok=True)
+                continue
+            try:
+                self._claim(path, spec)
+            except QueueFullError:
+                break  # still accepted: retried on the next scan
+            processed += 1
+        for path in sorted((self.spool / _INCOMING).glob("*.json")):
             try:
                 data = json.loads(path.read_text(encoding="utf-8"))
                 spec = JobSpec.from_dict(data)
@@ -159,20 +224,14 @@ class SpoolServer:
                 path.unlink(missing_ok=True)
                 processed += 1
                 continue
+            accepted = self.spool / _ACCEPTED / path.name
+            os.replace(path, accepted)
+            processed += 1
             try:
-                handle = self.service.submit(spec)
+                self._claim(accepted, spec)
             except QueueFullError as exc:
                 self._reject_status(spec.job_key(), "rejected", str(exc))
-                path.unlink(missing_ok=True)
-                processed += 1
-                continue
-            path.unlink(missing_ok=True)
-            processed += 1
-            verb = "deduped onto" if handle.deduped else "accepted as"
-            self._say(
-                f"submission {path.stem} {verb} job {handle.job_id} "
-                f"[{spec.kind}/{spec.priority}, {spec.total_runs} runs]"
-            )
+                accepted.unlink(missing_ok=True)
         return processed
 
     def serve_once(self, timeout: Optional[float] = None) -> None:
@@ -187,8 +246,12 @@ class SpoolServer:
                     raise TimeoutError("serve_once timed out")
             if self.service.drain(timeout=deadline_left):
                 # Drained — but a submission may have landed while the
-                # last job ran; exit only once incoming is empty too.
-                if not list((self.spool / _INCOMING).glob("*.json")):
+                # last job ran, or a recovered spec may have met a full
+                # queue; exit only once nothing is left to ingest.
+                if not (
+                    list((self.spool / _INCOMING).glob("*.json"))
+                    or self._unclaimed()
+                ):
                     return
 
     def serve_forever(

@@ -243,7 +243,7 @@ class TrafficSource:
         """Create the packet injected at ``now``."""
         dst = self.pattern.dest(self.node, self.rng)
         self.generated += 1
-        return self.factory.make(src=self.node, dst=dst, now=now, labeled=labeled)
+        return self.factory.make(self.node, dst, now, labeled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TrafficSource node={self.node} {self.pattern.name}>"

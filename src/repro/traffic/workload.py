@@ -9,7 +9,8 @@ with independent RNG streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 from repro.errors import ConfigurationError
@@ -33,6 +34,13 @@ _PROCESSES = {
     "poisson": PoissonProcess,
     "onoff": OnOffProcess,
 }
+
+
+@lru_cache(maxsize=256)
+def _uniform_capacity(topology: ERapidTopology, params: CapacityParams) -> float:
+    """N_c of one topology, computed once per process (every run of a
+    sweep normalises its load by it)."""
+    return CapacityModel.uniform_capacity(topology, params)
 
 
 @dataclass
@@ -64,7 +72,7 @@ class WorkloadSpec:
         self, topology: ERapidTopology, params: CapacityParams = CapacityParams()
     ) -> float:
         """Absolute per-node injection rate: load × N_c(uniform)."""
-        return self.load * CapacityModel.uniform_capacity(topology, params)
+        return self.load * _uniform_capacity(topology, params)
 
     def build_sources(
         self,

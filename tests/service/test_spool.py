@@ -210,3 +210,90 @@ def test_status_mirror_never_goes_back_to_a_stale_snapshot(
     stale.join(timeout=30)
     terminal.join(timeout=30)
     assert read_status(tmp_path / "spool", job.key)["state"] == "failed"
+
+
+def test_a_killed_server_loses_no_queued_job(tmp_path):
+    """A server dropped with two jobs queued leaves both specs in the
+    spool; a new server on the same spool completes both, with the
+    fingerprints of an undisturbed server, and serve_once returns."""
+    specs = [tiny_spec(), tiny_spec(loads=(0.3,))]
+    undisturbed, service = make_server(tmp_path / "undisturbed")
+    try:
+        for spec in specs:
+            submit_to_spool(undisturbed.spool, spec)
+        undisturbed.serve_once(timeout=60)
+    finally:
+        service.stop()
+    want = {
+        s.job_key(): read_status(undisturbed.spool, s.job_key())["sweep_fingerprint"]
+        for s in specs
+    }
+
+    spool = tmp_path / "spool"
+    killed = SweepService(
+        RunCache(tmp_path / "cache"),
+        ArtifactStore(tmp_path / "store"),
+        execute=fake_execute,
+    )  # never started: its jobs stay queued until the server is dropped
+    for spec in specs:
+        submit_to_spool(spool, spec)
+    assert SpoolServer(spool, killed).scan_once() == 2
+    assert not list((spool / "incoming").glob("*.json"))
+    assert len(list((spool / "accepted").glob("*.json"))) == 2
+    for spec in specs:
+        assert read_status(spool, spec.job_key())["state"] == "queued"
+    del killed
+
+    server, service = make_server(tmp_path)
+    try:
+        server.serve_once(timeout=60)
+        for spec in specs:
+            status = read_status(spool, spec.job_key())
+            assert status["state"] == "completed"
+            assert status["sweep_fingerprint"] == want[spec.job_key()]
+        assert not list((spool / "accepted").glob("*.json"))
+    finally:
+        service.stop()
+
+
+def test_an_accepted_spec_with_a_terminal_status_is_not_rerun(tmp_path):
+    """A spec left behind after its job's terminal status was written (a
+    kill between the two) is deleted by the next server, not re-run."""
+    server, service = make_server(tmp_path)
+    try:
+        spec = tiny_spec()
+        submit_to_spool(tmp_path / "spool", spec)
+        server.serve_once(timeout=60)
+        leftover = server.spool / "accepted" / "leftover.json"
+        leftover.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+    finally:
+        service.stop()
+
+    server, service = make_server(tmp_path)
+    try:
+        server.serve_once(timeout=60)
+        assert not leftover.exists()
+        # The audit log (shared with the first server) holds one job.
+        actions = [r["action"] for r in service.audit.read_all()]
+        assert actions.count("submitted") == 1
+    finally:
+        service.stop()
+
+
+def test_a_spec_stays_accepted_until_its_job_ends(tmp_path):
+    service = SweepService(
+        RunCache(tmp_path / "cache"),
+        ArtifactStore(tmp_path / "store"),
+        execute=fake_execute,
+    )
+    server = SpoolServer(tmp_path / "spool", service)
+    submit_to_spool(tmp_path / "spool", tiny_spec())
+    server.scan_once()
+    # Queued, not yet run: the spec is in the spool.
+    assert len(list((server.spool / "accepted").glob("*.json"))) == 1
+    service.start()
+    try:
+        server.serve_once(timeout=60)
+        assert not list((server.spool / "accepted").glob("*.json"))
+    finally:
+        service.stop()

@@ -650,7 +650,8 @@ def test_next_event_time_stops():
     from repro.core.skip import next_event_time
 
     ring = np.zeros(16, dtype=np.int64)
-    inj = np.array([40], dtype=np.int64)
+    #: The loop's injection cursor: the next injection cycle after t.
+    inj, none = 40, 901
     common = dict(
         lockstep=False, window_cycles=1000, measure_end=500, chunk=100,
         pend_min=None,
@@ -671,17 +672,16 @@ def test_next_event_time_stops():
     heap.clear()
 
     assert next_event_time(10, 900, ring, heap, inj, **common) == 40
-    # The injection search is a binary search, not a pointer: any t works.
     assert next_event_time(39, 900, ring, heap, inj, **common) == 40
 
-    t = next_event_time(60, 900, ring, heap, inj, **common)
+    t = next_event_time(60, 900, ring, heap, none, **common)
     assert t == 500  # measure_end is the first drain-check stop
 
-    t = next_event_time(520, 900, ring, heap, inj, **common)
+    t = next_event_time(520, 900, ring, heap, none, **common)
     assert t == 600  # then every chunk on the drain grid
 
     # Lock-Step adds window boundaries and the earliest pending apply.
-    t = next_event_time(10, 900, ring, heap, inj[:0], **{
+    t = next_event_time(10, 900, ring, heap, none, **{
         **common, "lockstep": True,
     })
     assert t == 500  # still the drain grid: boundary 1000 is later
@@ -689,13 +689,13 @@ def test_next_event_time_stops():
         **common, "lockstep": True, "pend_min": 123,
     })
     assert t == 40
-    t = next_event_time(50, 900, ring, heap, inj, **{
+    t = next_event_time(50, 900, ring, heap, none, **{
         **common, "lockstep": True, "pend_min": 123,
     })
     assert t == 123
 
     # The jump clamps to hard_end + 1 (loop termination).
-    t = next_event_time(880, 900, ring, heap, inj[:0],
+    t = next_event_time(880, 900, ring, heap, none,
                         **{**common, "measure_end": 100, "chunk": 10000})
     assert t == 901
 
@@ -715,7 +715,7 @@ def test_next_event_time_ring_wraparound():
     occupy(ring, heap, 14)
     ring[14] = 0
     t = next_event_time(
-        12, 900, ring, heap, np.array([], dtype=np.int64),
+        12, 900, ring, heap, 901,
         lockstep=False, window_cycles=1000, measure_end=800, chunk=100,
         pend_min=None,
     )

@@ -113,3 +113,44 @@ def test_rewrite_keeps_the_zero_delay_send_pop_hop():
     new["extra"].pop("events")
     old["extra"].pop("events")
     assert new == old
+
+
+# ----------------------------------------------------------------------
+# The executed event stream, pinned
+# ----------------------------------------------------------------------
+#: ``extra["events"]`` and the sweep fingerprint (every RunResult field,
+#: ``events`` included) of service-plan R(1,4,4) runs at 0.5 N_c, seed 1,
+#: recorded before the kernel gained its continuation lane and the fast
+#: engine its own transmitter queues.  The ledger's service_mix and
+#: detailed_xval goldens pin these counts too; the cells above drop them.
+SERVICE_PLAN = MeasurementPlan(warmup=500.0, measure=1000.0, drain_limit=1500.0)
+PINNED_EVENTS = {
+    ("fast", "NP-NB", "uniform"): (
+        4170, "be71405ad08dae2fcc812ead1a12d4d4c13d4ba68b8a34f7e831c20a7ce1b523"),
+    ("fast", "NP-NB", "complement"): (
+        3698, "7e9331013742a0a1220386f9bed346a9cb61f6263213ac84b8a33051673345dc"),
+    ("fast", "P-B", "uniform"): (
+        4138, "742329f2bd3c815f02ee498e6cf0b5eb49d7dc2851607ef14ce9e1cbb726c229"),
+    ("fast", "P-B", "complement"): (
+        3703, "83370596e0bcf003e259cf5c9199ab8e70b6d2541bbb2fb54c67ff1237a9a996"),
+    ("detailed", "NP-NB", "uniform"): (
+        13514, "f5e1d0fec7f4d3cc529df5d8c355abc8bac63cf2a9c63f2d2698ad09763aa522"),
+}
+
+
+@pytest.mark.parametrize("engine,policy,pattern", sorted(PINNED_EVENTS))
+def test_event_stream_is_pinned(engine, policy, pattern):
+    from repro.analysis.determinism import sweep_fingerprint
+    from repro.core.detailed import DetailedEngine
+    from repro.core.policies import POLICIES
+
+    config = ERapidConfig(
+        topology=ERapidTopology(boards=4, nodes_per_board=4),
+        policy=POLICIES[policy],
+    )
+    workload = WorkloadSpec(pattern=pattern, load=0.5, seed=1)
+    cls = FastEngine if engine == "fast" else DetailedEngine
+    result = cls(config, workload, SERVICE_PLAN).run()
+    events, fingerprint = PINNED_EVENTS[(engine, policy, pattern)]
+    assert result.extra["events"] == events
+    assert sweep_fingerprint({"run": [result]}) == fingerprint

@@ -296,6 +296,102 @@ def test_event_storm_matches_frozen_legacy_kernel():
     assert "decoy" not in current[0]
 
 
+def continuation_storm(sim, seed, budget=2500, drive="run"):
+    """Callbacks that schedule zero-delay and timed continuations
+    (``schedule_late``) and direct events (``schedule_fast``) from inside
+    callbacks, in a seeded random mix: zero-delay continuations queue on
+    the kernel's lane while same-instant priority-0 events and earlier
+    priority-1 entries sit on the heap.  Both kernels consume the one
+    random stream in firing order, so any reordering shows up in what
+    fires next.  ``drive`` runs the stream with ``run()``, with an
+    ``on_event`` hook, or one ``step()`` at a time with ``peek()``
+    checked against every fired time."""
+    import random
+
+    rng = random.Random(seed)
+    fired = []
+    left = [budget]
+
+    def hop(tag):
+        fired.append((sim.now, tag))
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+            if left[0] <= 0:
+                return
+            left[0] -= 1
+            delay = rng.choice((0.0, 0.0, 0.0, 0.25, 1.0, 2.0))
+            schedule = sim.schedule_late if rng.random() < 0.6 else sim.schedule_fast
+            schedule(delay, hop, budget - left[0])
+
+    for c in range(6):
+        (sim.schedule_late if c % 2 else sim.schedule_fast)(
+            (c % 3) * 0.5, hop, -1 - c
+        )
+    if drive == "run":
+        sim.run()
+    elif drive == "hook":
+        seen = []
+        sim.on_event = lambda time, fn, args: seen.append(time)
+        sim.run()
+        assert seen == [t for t, _ in fired]
+    else:
+        while True:
+            nxt = sim.peek()
+            if not sim.step():
+                assert nxt is None
+                break
+            assert fired[-1][0] == nxt == sim.now
+    return fired, sim.event_count, sim.now
+
+
+@pytest.mark.parametrize("drive", ["run", "hook", "step"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_continuation_storm_matches_frozen_legacy_kernel(seed, drive):
+    """Zero-delay continuations run in the ``(time, priority, seq)`` order
+    of the frozen single-heap kernel, lane pops count as events, and
+    ``run()``, the ``on_event`` path and ``step()``/``peek()`` agree."""
+    from repro.perf.legacy import LegacySimulator
+
+    current = continuation_storm(Simulator(), seed, drive=drive)
+    assert current == continuation_storm(LegacySimulator(), seed)
+    assert current[1] == len(current[0]) > 2500
+
+
+def test_continuation_storm_over_random_seeds():
+    from hypothesis import given, settings, strategies as st
+
+    from repro.perf.legacy import LegacySimulator
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        assert continuation_storm(Simulator(), seed, budget=400) == (
+            continuation_storm(LegacySimulator(), seed, budget=400)
+        )
+
+    check()
+
+
+def test_lane_waits_for_same_instant_heap_entries():
+    """A zero-delay continuation runs after a same-instant priority-0
+    event scheduled after it, and after a priority-1 entry due now that
+    was scheduled before it; a later-scheduled priority-1 entry due now
+    runs after it."""
+    sim = Simulator()
+    fired = []
+
+    def start():
+        sim.schedule_late(0.0, fired.append, "lane")
+        sim.schedule_fast(0.0, fired.append, "p0")
+        sim.schedule(0.0, fired.append, "p1-later", priority=1)
+
+    sim.schedule_late(1.0, start)
+    sim.schedule_late(1.0, fired.append, "p1-earlier")
+    sim.schedule_fast(1.0, fired.append, "p0-first")
+    sim.run()
+    assert fired == ["p0-first", "p0", "p1-earlier", "lane", "p1-later"]
+    assert sim.event_count == 6
+
+
 def test_due_queue_pops_in_due_order_fifo_among_ties():
     """A push due earlier than the last one (a shorter-latency producer)
     is inserted after every entry due by then: pops follow the kernel's
