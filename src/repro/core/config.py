@@ -50,6 +50,13 @@ class RouterParams:
             raise ConfigurationError("router sizes must be positive")
         if self.clock_ghz <= 0:
             raise ConfigurationError("clock must be positive")
+        # A credit returns at the earliest one cycle after its flit left,
+        # and a VC needs a slot: the clocked router refuses anything less.
+        if min(self.credit_cycles, self.n_vcs, self.buf_depth) < 1:
+            raise ConfigurationError(
+                "credit_cycles, n_vcs and buf_depth must be >= 1, got "
+                f"{self.credit_cycles}, {self.n_vcs}, {self.buf_depth}"
+            )
 
     @property
     def port_gbps(self) -> float:

@@ -12,6 +12,7 @@ the input-first separable allocator used for VC and switch allocation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -33,18 +34,37 @@ class RoundRobinArbiter:
     def arbitrate(self, requests: Sequence[bool]) -> Optional[int]:
         """Grant one of the asserted ``requests``; ``None`` if all idle.
 
-        The granted requester becomes lowest priority for the next round.
+        The granted requester becomes lowest priority for the next round:
+        the scan runs from the pointer to the end, then wraps to the start.
         """
-        if len(requests) != self.n:
+        n = self.n
+        if len(requests) != n:
             raise ConfigurationError(
-                f"expected {self.n} request lines, got {len(requests)}"
+                f"expected {n} request lines, got {len(requests)}"
             )
-        for offset in range(self.n):
-            idx = (self._pointer + offset) % self.n
+        pointer = self._pointer
+        for idx in range(pointer, n):
             if requests[idx]:
-                self._pointer = (idx + 1) % self.n
+                self._pointer = idx + 1 if idx + 1 < n else 0
+                return idx
+        for idx in range(pointer):
+            if requests[idx]:
+                self._pointer = idx + 1
                 return idx
         return None
+
+    def grant(self, requesters: Sequence[int]) -> int:
+        """Grant one of ``requesters`` — a non-empty, ascending list of
+        requester ids — exactly as :meth:`arbitrate` would on their mask:
+        the first id at or after the pointer, else the first id."""
+        pointer = self._pointer
+        idx = requesters[0]
+        if idx < pointer:
+            i = bisect_left(requesters, pointer)
+            if i < len(requesters):
+                idx = requesters[i]
+        self._pointer = idx + 1 if idx + 1 < self.n else 0
+        return idx
 
 
 class MatrixArbiter:

@@ -3,38 +3,34 @@
 Each router input port has one :class:`FlitBuffer` per virtual channel.
 Buffers are strict FIFOs with a hard capacity (credit-based flow control
 guarantees no overflow; overflowing is therefore a protocol bug and raises).
-Occupancy is tracked time-weighted so the link controllers can compute the
-paper's ``Buffer_util`` counter.
+The live router keeps its VC buffers as plain deques in flat per-VC state
+(:mod:`repro.network.router`); this class is the standalone primitive the
+frozen process-driven oracle (``repro.perf.legacy_detailed``) builds its
+input VCs from.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Deque, Optional
 
 from repro.errors import SimulationError
 from repro.network.packet import Flit
-from repro.sim.stats import TimeWeighted
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Simulator
 
 __all__ = ["FlitBuffer"]
 
 
 class FlitBuffer:
-    """A fixed-capacity FIFO of flits with time-weighted occupancy stats."""
+    """A fixed-capacity FIFO of flits."""
 
-    __slots__ = ("sim", "capacity", "name", "_flits", "occupancy")
+    __slots__ = ("capacity", "name", "_flits")
 
-    def __init__(self, sim: "Simulator", capacity: int, name: str = "") -> None:
+    def __init__(self, capacity: int, name: str = "") -> None:
         if capacity < 1:
             raise SimulationError(f"flit buffer capacity must be >= 1, got {capacity}")
-        self.sim = sim
         self.capacity = capacity
         self.name = name
         self._flits: Deque[Flit] = deque()
-        self.occupancy = TimeWeighted(sim.now, 0.0)
 
     def __len__(self) -> int:
         return len(self._flits)
@@ -59,7 +55,6 @@ class FlitBuffer:
                 "credit-based flow control was violated"
             )
         self._flits.append(flit)
-        self.occupancy.add(self.sim.now, +1.0)
 
     def front(self) -> Optional[Flit]:
         """Peek at the oldest flit without removing it."""
@@ -69,17 +64,7 @@ class FlitBuffer:
         """Remove and return the oldest flit."""
         if not self._flits:
             raise SimulationError(f"pop from empty flit buffer {self.name!r}")
-        flit = self._flits.popleft()
-        self.occupancy.add(self.sim.now, -1.0)
-        return flit
-
-    def buffer_util(self, now: Optional[float] = None) -> float:
-        """Windowed occupancy / capacity in [0, 1]."""
-        now = self.sim.now if now is None else now
-        return min(1.0, self.occupancy.window(now) / self.capacity)
-
-    def reset_window(self) -> None:
-        self.occupancy.reset_window(self.sim.now)
+        return self._flits.popleft()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlitBuffer {self.name!r} {len(self._flits)}/{self.capacity}>"

@@ -79,7 +79,8 @@ class Channel:
 
     def send(self, flit: Flit) -> None:
         """Serialize ``flit``; it comes due at the sink after ser + latency."""
-        if self.sink is None:
+        sink = self.sink
+        if sink is None:
             raise SimulationError(f"channel {self.name!r} has no sink")
         now = self.sim.now
         if now < self.busy_until:
@@ -87,12 +88,9 @@ class Channel:
                 f"channel {self.name!r} busy until {self.busy_until}; "
                 "router ST stage must check Channel.busy"
             )
-        self.busy_until = now + self.cycles_per_flit
+        self.busy_until = free = now + self.cycles_per_flit
         self.flits_sent += 1
-        self.ring.push(
-            now + self.cycles_per_flit + self.latency,
-            (self.sink, self.sink_port, flit),
-        )
+        self.ring.push(free + self.latency, (sink, self.sink_port, flit))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Channel {self.name!r} cpf={self.cycles_per_flit} lat={self.latency}>"

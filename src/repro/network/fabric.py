@@ -21,14 +21,17 @@ Each tick runs four phases in a fixed order:
    due now, in creation order.  Pumps woken at fractional times (by
    injection draws or fiber relays) poll on their own ``wake + k`` grid.
 
-A parked pump (``next_due == inf``) costs nothing: the fabric keeps the
+A parked pump (``awake`` false) costs nothing: the fabric keeps the
 awake pumps in buckets keyed by their next due time, a wake puts the
-pump in the bucket for *now*, and phase 4 ticks only the bucket for the
-tick's time, sorted into creation order.  A pump still awake afterwards
-joins the bucket of its new ``next_due``; the first pump into a bucket
-arms the driver for that time.  Every tick re-arms the driver at its
-other obligations: the next integer cycle while any router is busy, and
-the due-queues' next due times.  The driver schedules ticks in the
+pump in the bucket for *now*, and phase 4 visits only the bucket for the
+tick's time, sorted into creation order.  A pump waiting mid-packet on a
+credit or on the wire costs one attribute read: its tick would be a
+no-op until its ``hold`` time, so the fabric skips the call.  Every
+pump still awake afterwards polls again one cycle later, so the whole
+survivor list becomes the bucket for ``now + 1``, which the tick arms.
+Every tick re-arms the driver at its other obligations: the next integer
+cycle while any router is busy, and the due-queues' next due times.
+The driver schedules ticks in the
 kernel's priority-1 class, so every priority-0 event at time *t*
 (injection draws, packet hand-offs, fiber relays, DPM window decisions)
 is visible to the tick at *t*.
@@ -36,7 +39,6 @@ is visible to the tick at *t*.
 
 from __future__ import annotations
 
-from math import inf
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.network.channel import Delivery
@@ -142,18 +144,14 @@ class Fabric:
         """One synchronous cycle of the whole electrical substrate."""
         # Phase 1 — due credit restores (traversal + ejection returns).
         credit_ring = self.credits
-        while True:
-            entry = credit_ring.pop_if_due(now)
-            if entry is None:
-                break
-            entry[0](entry[1])
+        while credit_ring and credit_ring[0][0] <= now:
+            restore, vc = credit_ring.popleft()[1]
+            restore(vc)
         # Phase 2 — due channel deliveries.
         delivery_ring = self.deliveries
-        while True:
-            dentry = delivery_ring.pop_if_due(now)
-            if dentry is None:
-                break
-            dentry[0].receive_flit(dentry[2], dentry[1])
+        while delivery_ring and delivery_ring[0][0] <= now:
+            sink, port, flit = delivery_ring.popleft()[1]
+            sink.receive_flit(flit, port)
         # Phase 3 — router pipelines, on the integer cycle grid, creation
         # order, idle-skip.  A router still busy after it needs the next
         # integer cycle.
@@ -172,29 +170,29 @@ class Fabric:
                     break
         if busy:
             arm(float(int(now)) + 1.0)
-        # Phase 4 — the pumps due now, in creation order, each on its own
-        # grid.  A pump still awake joins the bucket of its next due time;
-        # the first pump into a bucket arms it.  Parked pumps drop out.
+        # Phase 4 — the pumps due now, in creation order.  A pump on hold
+        # (waiting on a credit or on the wire) would tick as a no-op: keep
+        # it awake without the call.  Every pump still awake polls again
+        # at now + 1, so they all join that bucket, which this tick arms.
         due = self._pumps_due.pop(now, None)
         if due is not None:
             if len(due) > 1:
                 due.sort()
             pumps = self.pumps
-            pumps_due = self._pumps_due
+            awake: List[int] = []
             for index in due:
                 ni = pumps[index]
-                ni.tick(now)
-                nd = ni.next_due
-                if nd != inf:
-                    later = pumps_due.get(nd)
-                    if later is None:
-                        pumps_due[nd] = [index]
-                        arm(nd)
-                    else:
-                        later.append(index)
-        nd = credit_ring.next_due()
-        if nd is not None:
-            arm(nd)
-        nd = delivery_ring.next_due()
-        if nd is not None:
-            arm(nd)
+                if ni.hold > now or ni.tick(now):
+                    awake.append(index)
+            if awake:
+                nxt = now + 1.0
+                later = self._pumps_due.get(nxt)
+                if later is None:
+                    self._pumps_due[nxt] = awake
+                    arm(nxt)
+                else:
+                    later.extend(awake)
+        if credit_ring:
+            arm(credit_ring[0][0])
+        if delivery_ring:
+            arm(delivery_ring[0][0])

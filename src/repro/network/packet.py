@@ -80,23 +80,25 @@ class Packet:
         return f"<Packet #{self.pid} {self.src}->{self.dst} {self.size_flits}f>"
 
 
-@dataclass(slots=True)
 class Flit:
-    """One flow-control unit of a packet."""
+    """One flow-control unit of a packet.
 
-    packet: Packet
-    index: int
-    ftype: FlitType
-    #: Assigned by VC allocation at each hop.
-    vc: Optional[int] = None
+    ``is_head`` / ``is_tail`` are plain slots set once from ``ftype``: the
+    routers and NIs read them for every flit at every hop.
+    """
 
-    @property
-    def is_head(self) -> bool:
-        return self.ftype in (FlitType.HEAD, FlitType.HEAD_TAIL)
+    __slots__ = ("packet", "index", "ftype", "vc", "is_head", "is_tail")
 
-    @property
-    def is_tail(self) -> bool:
-        return self.ftype in (FlitType.TAIL, FlitType.HEAD_TAIL)
+    def __init__(
+        self, packet: Packet, index: int, ftype: FlitType, vc: Optional[int] = None
+    ) -> None:
+        self.packet = packet
+        self.index = index
+        self.ftype = ftype
+        #: Assigned by VC allocation at each hop.
+        self.vc = vc
+        self.is_head = ftype is FlitType.HEAD or ftype is FlitType.HEAD_TAIL
+        self.is_tail = ftype is FlitType.TAIL or ftype is FlitType.HEAD_TAIL
 
     @property
     def dst(self) -> int:

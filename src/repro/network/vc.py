@@ -7,6 +7,12 @@ Per-packet router state follows Dally & Towles: an input VC cycles through
 Route computation (RC) moves ROUTING -> WAITING_VC; VC allocation (VA) moves
 WAITING_VC -> ACTIVE; switch allocation/traversal (SA/ST) drain flits while
 ACTIVE.
+
+:class:`VCStatus` is the live router's state vocabulary; the router keeps
+the rest of this state flat, per VC (:mod:`repro.network.router`).
+:class:`InputVC` and :class:`OutputVC` are the same machines as checked
+objects, the primitives the frozen process-driven oracle
+(``repro.perf.legacy_detailed``) builds its router from.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ class InputVC:
     __slots__ = ("buffer", "status", "out_port", "out_vc")
 
     def __init__(self, sim: "Simulator", depth: int, name: str = "") -> None:
-        self.buffer = FlitBuffer(sim, depth, name=name)
+        # ``sim`` stays in the signature the frozen oracle calls; the
+        # buffer keeps no time-weighted statistics, so it needs no clock.
+        self.buffer = FlitBuffer(depth, name=name)
         self.status = VCStatus.IDLE
         self.out_port: Optional[int] = None
         self.out_vc: Optional[int] = None

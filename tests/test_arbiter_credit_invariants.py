@@ -74,6 +74,24 @@ def test_persistent_requester_bounded_wait(n, rounds):
         assert granted_gap < n
 
 
+@given(st.integers(1, 8), st.lists(st.lists(st.booleans(), min_size=8,
+                                           max_size=8), max_size=40))
+def test_grant_on_requester_ids_equals_arbitrate_on_the_mask(n, rounds):
+    """The routers grant from ascending requester-id lists; every grant and
+    every pointer move must equal a mask arbitration's."""
+    by_mask = RoundRobinArbiter(n)
+    by_ids = RoundRobinArbiter(n)
+    for row in rounds:
+        mask = row[:n]
+        ids = [i for i, req in enumerate(mask) if req]
+        expected = by_mask.arbitrate(mask)
+        if ids:
+            assert by_ids.grant(ids) == expected
+        else:
+            assert expected is None
+        assert by_ids._pointer == by_mask._pointer
+
+
 @given(st.integers(2, 6), st.integers(1, 30))
 def test_full_load_grant_counts_balanced(n, rounds):
     """Under saturation the grant-count spread never exceeds one."""
@@ -136,9 +154,15 @@ def test_credit_returns_exactly_latency_after_traversal(latency):
     assert restores == [(traversal + latency, 0)]
 
 
-def test_zero_latency_credit_returns_during_traversal():
-    traversal, restores = _one_flit_through(0)
-    assert restores == [(traversal, 0)]
+@pytest.mark.parametrize("latency", [0, -1])
+def test_credit_latency_below_one_cycle_is_refused(latency):
+    """The router refuses a credit that would return in the cycle its
+    flit traverses, or earlier: it would be applied before the router's
+    own stage ran (the fabric ticks credits, then routers, then pumps)."""
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="credit latency"):
+        _one_flit_through(latency)
 
 
 @pytest.mark.parametrize("latency", [1, 3, 7])

@@ -99,6 +99,16 @@ def test_config_validation():
         ControlParams(window_cycles=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("credit_cycles", 0), ("credit_cycles", -1), ("n_vcs", 0), ("buf_depth", 0),
+])
+def test_router_params_refuse_what_the_clocked_router_cannot_run(field, value):
+    """A negative credit latency used to pass, get a cache key and queue
+    credit returns in the past; the router needs >= 1 of each."""
+    with pytest.raises(ConfigurationError, match=field):
+        RouterParams(**{field: value})
+
+
 # ----------------------------------------------------------------------
 # DPM decision rule (§3.1)
 # ----------------------------------------------------------------------

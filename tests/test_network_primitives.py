@@ -82,8 +82,7 @@ def test_labeled_flag_propagates():
 # ----------------------------------------------------------------------
 
 def test_flit_buffer_fifo_and_overflow():
-    sim = Simulator()
-    buf = FlitBuffer(sim, capacity=2)
+    buf = FlitBuffer(capacity=2)
     pkt = Packet(0, 1, size_flits=3)
     f0, f1, f2 = pkt.flits()
     buf.push(f0)
@@ -99,30 +98,9 @@ def test_flit_buffer_fifo_and_overflow():
         buf.pop()
 
 
-def test_flit_buffer_occupancy_window():
-    sim = Simulator()
-    buf = FlitBuffer(sim, capacity=4)
-    pkt = Packet(0, 1, size_flits=2)
-    f0, f1 = pkt.flits()
-
-    def scenario():
-        buf.push(f0)
-        yield sim.timeout(10)
-        buf.push(f1)
-        yield sim.timeout(10)
-        buf.pop()
-        buf.pop()
-        yield sim.timeout(10)
-
-    sim.process(scenario())
-    sim.run(until=30)
-    # occupancy area: 1*10 + 2*10 + 0*10 = 30 over 30 cycles -> 1.0 avg
-    assert buf.buffer_util(30.0) == pytest.approx(1.0 / 4)
-
-
 def test_flit_buffer_bad_capacity():
     with pytest.raises(SimulationError):
-        FlitBuffer(Simulator(), capacity=0)
+        FlitBuffer(capacity=0)
 
 
 # ----------------------------------------------------------------------
