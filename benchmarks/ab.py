@@ -22,7 +22,11 @@ traced runs.
 
 No verdict is given, and the exit status is 2, when any run reports
 ``"correct": false`` or ``failed > 0``, or when the two sides' golden
-status (``checked`` / ``stale``) differs.
+status (``checked`` / ``stale``) differs.  With ``--trace`` the same
+holds when a noise-free counter (:data:`COUNTERS`: events, runs, packets,
+flits, batch cycles, cache puts) differs between the sides or between
+two runs of one side: the sides did not do the same work, so their
+timings do not compare.
 """
 
 from __future__ import annotations
@@ -41,6 +45,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = Path("benchmarks") / "ledger" / "run.py"
 SIDES = ("A", "B")
+#: Per-layer counts no timing noise can move; a traced run of either side
+#: must read the same value of each as every other.
+COUNTERS = (
+    "sim.events",
+    "core.engine.runs",
+    "core.engine.pkts",
+    "core.detailed.runs",
+    "core.detailed.flits",
+    "core.detailed.events",
+    "core.batch.cycles_executed",
+    "core.batch.cycles_skipped",
+    "core.batch.events",
+    "core.batch.blocked_retries",
+    "perf.cache.puts",
+)
 
 
 @dataclass(frozen=True)
@@ -85,6 +104,19 @@ def refusal(runs: Dict[str, List[ChildRun]]) -> Optional[str]:
     return None
 
 
+def counter_mismatch(traced: Dict[str, List[ChildRun]]) -> Optional[str]:
+    """The first :data:`COUNTERS` entry that differs between two traced
+    runs (of one side or of the two), or None."""
+    for name in COUNTERS:
+        seen = {side: [r.metrics.get(name) for r in traced[side]] for side in SIDES}
+        for side in SIDES:
+            if len(set(seen[side])) > 1:
+                return f"{name} differs between {side}'s traced runs: {seen[side]}"
+        if seen["A"] and seen["B"] and seen["A"][0] != seen["B"][0]:
+            return f"{name} differs: A {seen['A'][0]}, B {seen['B'][0]}"
+    return None
+
+
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     """(q1, median, q3); a single value is all three."""
     if len(values) < 2:
@@ -126,7 +158,7 @@ def report(
     out: Callable[[str], None] = print,
 ) -> int:
     """Print the comparison; returns the exit status (2: no verdict)."""
-    why = refusal({s: plain[s] + traced[s] for s in SIDES})
+    why = refusal({s: plain[s] + traced[s] for s in SIDES}) or counter_mismatch(traced)
     if why is not None:
         out(f"ab: no verdict: {why}")
         return 2

@@ -19,13 +19,19 @@ DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 LAYER = DECLARED["per_layer"][0]["name"]
 
 
-def child(wall, correct=True, failed=0, golden="checked", layer=None):
-    """Canned stdout of one ``run.py --workload`` child."""
+def child(wall, correct=True, failed=0, golden="checked", layer=None,
+          counters=None):
+    """Canned stdout of one ``run.py --workload`` child; a traced one
+    (``layer`` set) reads 1000 on every noise-free counter unless
+    ``counters`` overrides some."""
     metrics = {m["name"]: {"value": wall, "unit": m["unit"]} for m in DECLARED["end_to_end"]}
     if layer is not None:
         metrics = {LAYER: {"value": layer, "unit": "s"}} | {
             m["name"]: {"value": layer, "unit": m["unit"]} for m in DECLARED["per_layer"]
         }
+        for name in ab.COUNTERS:
+            value = (counters or {}).get(name, 1000)
+            metrics[name] = {"value": value, "unit": "count"}
     return "\n".join([
         "workload service_mix: seed=1 passes=20+0 traced cpu_count=2 "
         f"pool_width=2 golden: {golden}",
@@ -35,16 +41,23 @@ def child(wall, correct=True, failed=0, golden="checked", layer=None):
     ])
 
 
-def fake_runs(a_walls, b_walls, **b_overrides):
-    """``run(side, traced)`` answering from the two lists in call order."""
+def fake_runs(a_walls, b_walls, traced_counters=None, **b_overrides):
+    """``run(side, traced)`` answering from the two lists in call order;
+    ``traced_counters(side, i)`` gives the counters of a side's i-th
+    traced run."""
     left = {"A": list(a_walls), "B": list(b_walls)}
     calls = []
+    n_traced = {"A": 0, "B": 0}
 
     def run(side, traced):
         calls.append((side, traced))
         wall = left[side].pop(0)
         if traced:
-            return child(wall, layer=wall / 2)
+            counters = None
+            if traced_counters is not None:
+                counters = traced_counters(side, n_traced[side])
+            n_traced[side] += 1
+            return child(wall, layer=wall / 2, counters=counters)
         return child(wall, **(b_overrides if side == "B" else {}))
 
     return run, calls
@@ -107,3 +120,33 @@ def test_no_verdict_on_wrong_output_or_golden_mismatch(overrides, why):
     assert ab.report(plain, traced, DECLARED, out=lines.append) == 2
     assert lines == [lines[0]] and why in lines[0]
     assert not any("->" in line for line in lines)
+
+
+def test_counters_are_the_noise_free_layer_metrics():
+    layers = {m["name"]: m["unit"] for m in DECLARED["per_layer"]}
+    assert all(layers[name] == "count" for name in ab.COUNTERS)
+
+
+@pytest.mark.parametrize("counters,why", [
+    # B flits more than A in every run: the sides did different work.
+    (lambda side, i: {"core.detailed.flits": 5 if side == "B" else 4},
+     "core.detailed.flits differs: A 4.0, B 5.0"),
+    # One of A's runs executed one more event than its others.
+    (lambda side, i: {"sim.events": 7 + (side == "A" and i == 1)},
+     "sim.events differs between A's traced runs"),
+])
+def test_no_verdict_when_a_counter_differs(counters, why):
+    run, _ = fake_runs([1.0] * 6, [0.5] * 6, traced_counters=counters)
+    plain, traced = ab.run_pairs(3, True, run, out=lambda line: None)
+    lines = []
+    assert ab.report(plain, traced, DECLARED, out=lines.append) == 2
+    assert lines == [lines[0]] and why in lines[0]
+
+
+def test_equal_counters_on_both_sides_keep_the_verdict():
+    run, _ = fake_runs([1.0] * 20, [0.5] * 20,
+                       traced_counters=lambda side, i: {"sim.events": 42})
+    plain, traced = ab.run_pairs(10, True, run, out=lambda line: None)
+    lines = []
+    assert ab.report(plain, traced, DECLARED, out=lines.append) == 0
+    assert any(line.endswith("-> B better") for line in lines)
