@@ -1,11 +1,14 @@
 """Credit-based flow control.
 
 Table 1 of the paper: credit-based flow control, single-flit buffers, and a
-one-cycle channel delay for credits.  A :class:`CreditCounter` lives at each
-router *output* VC and mirrors the free space of the downstream input VC
-buffer.  A credit travels back upstream as a :data:`CreditReturn` entry on
-the fabric's credit due-queue (:mod:`repro.network.fabric`), which applies
-it once the configured latency has passed.
+one-cycle channel delay for credits.  Each router *output* VC, and each
+send port, holds a credit count that mirrors the free space of the
+downstream input VC buffer: a plain integer in the live router and NIs,
+checked in place, and a :class:`CreditCounter` in the frozen
+process-driven oracle.  A credit travels back upstream as a
+:data:`CreditReturn` entry on the fabric's credit due-queue
+(:mod:`repro.network.fabric`), which applies it once the configured
+latency (at least one cycle) has passed.
 """
 
 from __future__ import annotations

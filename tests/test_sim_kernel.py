@@ -399,10 +399,10 @@ def test_due_queue_pops_in_due_order_fifo_among_ties():
     q = DueQueue()
     for due, item in [(1.0, "a"), (3.0, "b"), (2.0, "c"), (1.0, "d"), (3.0, "e")]:
         q.push(due, item)
-    assert q.next_due() == 1.0
-    assert q.pop_if_due(0.5) is None
+    assert q[0][0] == 1.0
+    # The fabric's drain: pop while the front is due.
     popped = []
-    while (item := q.pop_if_due(3.0)) is not None:
-        popped.append(item)
+    while q and q[0][0] <= 3.0:
+        popped.append(q.popleft()[1])
     assert popped == ["a", "d", "c", "b", "e"]
-    assert q.next_due() is None
+    assert not q
