@@ -65,6 +65,40 @@ def test_negative_delay_raises():
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sim, fn: sim.schedule(float("nan"), fn),
+        lambda sim, fn: sim.schedule_fast(float("nan"), fn),
+        lambda sim, fn: sim.schedule_late(float("nan"), fn),
+        lambda sim, fn: sim.schedule_at(float("nan"), fn),
+    ],
+    ids=["schedule", "schedule_fast", "schedule_late", "schedule_at"],
+)
+def test_nan_time_is_refused(call):
+    """A NaN time compares false both ways, so ``delay < 0`` would let it
+    through: queued, it would run ahead of t = 1 with ``now`` set to NaN."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, "t=1")
+    with pytest.raises(SchedulingError):
+        call(sim, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == ["t=1"] and sim.now == 1.0
+
+
+def test_run_until_nan_is_refused():
+    """``run(until=nan)`` would ignore its bound and drain the heap."""
+    sim = Simulator()
+    fired = []
+    sim.schedule(5.0, fired.append, "x")
+    with pytest.raises(SchedulingError):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0 and sim.event_count == 0
+    sim.run(until=10.0)
+    assert fired == ["x"] and sim.now == 10.0
+
+
 def test_schedule_at_absolute_time():
     sim = Simulator()
     fired = []
