@@ -44,11 +44,18 @@ bench-ledger:
 
 # A/B two committed revisions on one ledger workload in alternating child
 # runs (benchmarks/ab.py): medians, quartiles, paired ratios, wins and a
-# verdict per end-to-end metric.  For example:
-#   make ab REV_A=HEAD~1 REV_B=HEAD WORKLOAD=service_mix PAIRS=10
+# verdict per end-to-end metric.  SECONDS and SEED, when set, are passed
+# as --seconds and --seed; TRACE=1 adds --trace (one traced child per side
+# and pair, per-layer medians, the noise-free counter check).  For example:
+#   make ab REV_A=HEAD~1 REV_B=HEAD WORKLOAD=reproduce_warm PAIRS=10 SEED=2 TRACE=1
 REV_A ?= HEAD~1
 REV_B ?= HEAD
 WORKLOAD ?= service_mix
 PAIRS ?= 10
+SECONDS ?=
+SEED ?=
+TRACE ?=
 ab:
-	$(PYTHON) benchmarks/ab.py $(REV_A) $(REV_B) --workload $(WORKLOAD) --pairs $(PAIRS)
+	$(PYTHON) benchmarks/ab.py $(REV_A) $(REV_B) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		$(if $(SECONDS),--seconds $(SECONDS)) $(if $(SEED),--seed $(SEED)) \
+		$(if $(filter 1,$(TRACE)),--trace)

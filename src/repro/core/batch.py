@@ -79,6 +79,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -99,6 +100,7 @@ from repro.metrics.collector import MeasurementPlan, RunResult
 from repro.optics.rwa import StaticRWA
 from repro.sim.rng import RngRegistry, geometric_gap_array, integer_array
 from repro.traffic.capacity import CapacityParams
+from repro.traffic.patterns import make_pattern
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = [
@@ -332,6 +334,20 @@ def decode_payload(
 # ----------------------------------------------------------------------
 # Coverage and slab partitioning
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=256)
+def _pattern_gap(name: str, n_nodes: int) -> Optional[str]:
+    """:func:`coverage_gap`'s pattern verdict, built once per (pattern,
+    node count) per process: the pattern is resolved as
+    :meth:`WorkloadSpec.resolve_pattern` does, only to be classified."""
+    try:
+        pattern = make_pattern(name, n_nodes)
+    except Exception as exc:  # noqa: BLE001 - reason string for fallback
+        return f"pattern {name!r} not resolvable: {exc}"
+    if not pattern.is_permutation and pattern.name != "uniform":
+        return f"pattern {name!r} is neither uniform nor a permutation"
+    return None
+
+
 def coverage_gap(
     config: ERapidConfig, workload: WorkloadSpec, plan: MeasurementPlan
 ) -> Optional[str]:
@@ -342,12 +358,9 @@ def coverage_gap(
     """
     if workload.process != "bernoulli":
         return f"injection process {workload.process!r} is not vectorized"
-    try:
-        pattern = workload.resolve_pattern(config.topology)
-    except Exception as exc:  # noqa: BLE001 - reason string for fallback
-        return f"pattern {workload.pattern!r} not resolvable: {exc}"
-    if not pattern.is_permutation and pattern.name != "uniform":
-        return f"pattern {workload.pattern!r} is neither uniform nor a permutation"
+    gap = _pattern_gap(workload.pattern, config.topology.total_nodes)
+    if gap is not None:
+        return gap
     if config.policy.dpm_smoothing != 0.0:
         return "dpm_smoothing requires per-window EWMA state (scalar only)"
     for name in ("warmup", "measure", "drain_limit"):

@@ -15,8 +15,6 @@ quarter-window.  The four corners then show exactly the paper's story:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +25,7 @@ from repro.metrics.collector import MeasurementPlan
 from repro.metrics.timeseries import ChannelProbe, ProbeSample
 from repro.network.packet import PacketFactory
 from repro.network.topology import ERapidTopology
-from repro.perf.cache import RunCache, canonical_payload
+from repro.perf.cache import RunCache, key_digest, key_texts
 from repro.perf.engines import DEFAULT_ENGINE
 from repro.sim.rng import RngRegistry
 from repro.traffic.injection import ProfiledBernoulliProcess, TrafficSource
@@ -87,16 +85,19 @@ class ProbedRun:
     def cache_key(self) -> str:
         """Content address over every field.  The run description (with
         ``KERNEL_VERSION`` and ``CACHE_FORMAT``) is
-        :func:`repro.perf.cache.canonical_payload`'s; the ``stage`` field
+        :func:`repro.perf.cache.canonical_payload`'s, as
+        :func:`~repro.perf.cache.key_texts` spells it; the ``stage`` field
         keeps the payload apart from every plain run's."""
-        payload = canonical_payload(self.config, self.workload, self.plan)
-        payload["stage"] = "fig3"
-        payload["profile"] = [[float(t), float(rate)] for t, rate in self.profile]
-        payload["horizon"] = float(self.horizon)
-        payload["sample_period"] = float(self.sample_period)
-        payload["probe"] = list(self.probe)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return key_digest(
+            key_texts(self.config, self.workload, self.plan),
+            extra={
+                "stage": "fig3",
+                "profile": [[float(t), float(rate)] for t, rate in self.profile],
+                "horizon": float(self.horizon),
+                "sample_period": float(self.sample_period),
+                "probe": list(self.probe),
+            },
+        )
 
     def execute(self) -> DesignSpaceResult:
         """Simulate to ``horizon``, sampling the ``probe`` pair's static

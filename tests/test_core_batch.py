@@ -22,9 +22,11 @@ from repro.core.batch import (
 )
 from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
+from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan
 from repro.network.topology import ERapidTopology
 from repro.perf.executor import RunTask, execute_tasks, run_sweep_batched
+from repro.traffic.patterns import make_pattern
 from repro.traffic.workload import WorkloadSpec
 
 PLAN = MeasurementPlan(warmup=500, measure=1000, drain_limit=2000)
@@ -74,6 +76,39 @@ def test_coverage_gap_reasons_stay_accurate():
     fractional = MeasurementPlan(warmup=500.5, measure=1000, drain_limit=2000)
     ok = WorkloadSpec(pattern="complement", load=0.5)
     assert "integer cycle grid" in coverage_gap(config, ok, fractional)
+
+
+def test_coverage_pattern_verdict_is_memoised_per_pattern_and_node_count(
+    monkeypatch,
+):
+    """The pattern verdict is built once per (pattern, node count): the
+    reason strings are the ones the pattern itself gives, and the verdict
+    follows the node count, not the pattern name alone."""
+    import repro.core.batch as batch_mod
+
+    built = []
+
+    def counting_make_pattern(name, n_nodes):
+        built.append((name, n_nodes))
+        return make_pattern(name, n_nodes)
+
+    batch_mod._pattern_gap.cache_clear()
+    monkeypatch.setattr(batch_mod, "make_pattern", counting_make_pattern)
+    complement = WorkloadSpec(pattern="complement", load=0.5)
+    hotspot = WorkloadSpec(pattern="hotspot", load=0.5)
+    twelve, sixteen = make_config(boards=3), make_config(boards=4)
+    with pytest.raises(ConfigurationError) as unresolvable:
+        make_pattern("complement", 12)
+    for _ in range(3):
+        assert coverage_gap(twelve, complement, PLAN) == (
+            f"pattern 'complement' not resolvable: {unresolvable.value}"
+        )
+        assert coverage_gap(sixteen, complement, PLAN) is None
+        assert coverage_gap(sixteen, hotspot, PLAN) == (
+            "pattern 'hotspot' is neither uniform nor a permutation"
+        )
+    assert built == [("complement", 12), ("complement", 16), ("hotspot", 16)]
+    batch_mod._pattern_gap.cache_clear()
 
 
 def capped_config(cap, policy="P-B"):

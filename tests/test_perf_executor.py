@@ -209,6 +209,90 @@ def test_run_cached_rejects_unknown_engine_before_any_cache_io(
 
 
 # ----------------------------------------------------------------------
+# cache_keys: one identity memo per call
+# ----------------------------------------------------------------------
+def test_cache_keys_memo_is_by_identity_never_equality(tmp_path):
+    """Equal twins of different field types key differently, and equal
+    content that compares unequal keys alike: in one call each task gets
+    exactly its own standalone key."""
+    from repro.core.config import ControlParams, ERapidConfig
+    from repro.perf.cache import RunCache, run_cache_key
+    from repro.perf.executor import cache_keys
+    from repro.traffic.workload import WorkloadSpec
+
+    int_cfg = ERapidConfig(control=ControlParams(window_cycles=2000))
+    float_cfg = ERapidConfig(
+        control=ControlParams(window_cycles=2000.0),
+        power_levels=int_cfg.power_levels,
+    )
+    fresh_cfg = ERapidConfig(control=ControlParams(window_cycles=2000))
+    int_plan = MeasurementPlan(8000, 10000, 16000)
+    float_plan = MeasurementPlan(8000.0, 10000.0, 16000.0)
+    assert int_cfg == float_cfg and hash(int_cfg) == hash(float_cfg)
+    assert int_plan == float_plan and hash(int_plan) == hash(float_plan)
+    assert fresh_cfg != int_cfg  # its PowerLevelTable compares by identity
+
+    workload = WorkloadSpec("uniform", 0.5, seed=1)
+    tasks = [
+        RunTask(config, workload, plan)
+        for config in (int_cfg, float_cfg, fresh_cfg)
+        for plan in (int_plan, float_plan)
+    ]
+    for engine in ("fast", "batch"):
+        keyed = cache_keys(tasks, RunCache(tmp_path), engine)
+        assert keyed == [
+            (run_cache_key(t.config, t.workload, t.plan, engine=engine), engine)
+            for t in tasks
+        ]
+        keys = [k for k, _ in keyed]
+        assert len(set(keys[:4])) == 4
+        assert keys[4:] == keys[:2]  # fresh_cfg encodes as int_cfg does
+
+
+def test_reproduce_grid_encodes_each_config_object_once(tmp_path, monkeypatch):
+    """The 48-run ``reproduce`` sweep derives 48 keys through
+    ``key_for``, yet encodes each of its 16 config objects (one per panel
+    and policy) and its one plan exactly once."""
+    from collections import Counter
+
+    import repro.perf.cache as cache_mod
+    from repro.core.config import ERapidConfig
+    from repro.experiments.runner import FIGURE_PATTERNS
+    from repro.metrics.collector import RunResult
+
+    class AllHits(cache_mod.RunCache):
+        def get_many(self, keys, decode=None):
+            return [RunResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)] * len(keys)
+
+    encoded = Counter()
+    derived = []
+    encode, key_for = cache_mod._encode, cache_mod.RunCache.key_for
+
+    def counting_encode(obj):
+        if isinstance(obj, (ERapidConfig, MeasurementPlan)):
+            encoded[id(obj)] += 1
+        return encode(obj)
+
+    def counting_key_for(self, *args, **kwargs):
+        derived.append(args)
+        return key_for(self, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "_encode", counting_encode)
+    monkeypatch.setattr(cache_mod.RunCache, "key_for", counting_key_for)
+    plan = MeasurementPlan(warmup=8000, measure=10000, drain_limit=16000)
+    specs = {
+        name: SweepSpec(pattern=pattern, loads=(0.1, 0.5, 0.9), plan=plan)
+        for name, pattern in FIGURE_PATTERNS.items()
+    }
+    run_sweep_matrix(specs, cache=AllHits(tmp_path), engine="batch")
+
+    assert len(derived) == 48
+    objects = {id(part) for config, _, plan in derived for part in (config, plan)}
+    assert len(objects) == 16 + 1
+    assert encoded == Counter({obj: 1 for obj in objects})
+
+
+# ----------------------------------------------------------------------
 # Sharded batch execution: hooks and error paths
 # ----------------------------------------------------------------------
 def mixed_tasks():
