@@ -7,13 +7,16 @@ so downstream users can re-plot with real tooling.
 from __future__ import annotations
 
 import csv
+import io
+import locale
+import os
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from repro.errors import MeasurementError
 from repro.metrics.collector import RunResult
 
-__all__ = ["sweep_rows", "write_csv", "read_csv"]
+__all__ = ["sweep_rows", "write_csv", "read_csv", "write_text"]
 
 _FIELDS = [
     "policy",
@@ -51,17 +54,30 @@ def sweep_rows(results: Dict[str, List[RunResult]]) -> List[Dict[str, object]]:
     return rows
 
 
+def write_text(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` through one descriptor: the locale
+    encoding, no newline translation (``Path.write_text``'s bytes on
+    POSIX)."""
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def write_csv(path: Union[str, Path], rows: Sequence[Dict[str, object]]) -> Path:
     """Write rows (must cover the standard fields) to ``path``."""
     path = Path(path)
     if not rows:
         raise MeasurementError("refusing to write an empty CSV")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=_FIELDS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
     return path
 
 

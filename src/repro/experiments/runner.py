@@ -30,11 +30,11 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.fig3 import render_fig3, run_fig3
 from repro.experiments.figures import FigurePanel
-from repro.experiments.io import sweep_rows, write_csv
+from repro.experiments.io import sweep_rows, write_csv, write_text
 from repro.experiments.sweep import SweepSpec, run_sweep_matrix
 from repro.experiments.table1 import render_table1, table1_checks
 from repro.metrics.collector import MeasurementPlan, RunResult
-from repro.perf.cache import RunCache
+from repro.perf.cache import RunCache, key_scope
 from repro.perf.engines import DEFAULT_ENGINE
 
 __all__ = ["reproduce_all", "FIGURE_PATTERNS"]
@@ -57,6 +57,9 @@ def _resolve_cache(cache: Union[bool, RunCache, None]) -> Optional[RunCache]:
     return None
 
 
+# One key scope per call: Figure 3, the sweeps and the ablations encode
+# each shared frozen config object once, and the memo dies on return.
+@key_scope()
 def reproduce_all(
     out_dir: Union[str, Path],
     loads: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
@@ -94,7 +97,7 @@ def reproduce_all(
 
     def save(name: str, text: str) -> None:
         path = out / f"{name}.txt"
-        path.write_text(text + "\n")
+        write_text(path, text + "\n")
         written[name] = path
         log(f"  wrote {path}")
 

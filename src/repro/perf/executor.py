@@ -69,7 +69,7 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
-from repro.perf.cache import KeyMemo, RunCache
+from repro.perf.cache import RunCache, key_scope
 from repro.perf.engines import CACHED, DEFAULT_ENGINE, ENGINES
 from repro.perf.shards import ShardPlan, ShardReport, ShardSpec, plan_shards
 from repro.traffic.workload import WorkloadSpec
@@ -390,18 +390,19 @@ def cache_keys(
     result.  ``engine`` must be a cached engine of :data:`repro.perf.
     engines.ENGINES`, else :class:`~repro.errors.ConfigurationError`.
 
-    Each key is still derived per task through ``cache.key_for``, but the
-    call shares one identity memo (:data:`~repro.perf.cache.KeyMemo`), so
-    a config, workload or plan object that several tasks hold is encoded
-    once: a panel's runs share one config per policy and one plan.
+    Each key is still derived per task through ``cache.key_for``, inside
+    the caller's :func:`~repro.perf.cache.key_scope` or one of its own, so
+    a frozen object that several tasks hold is encoded once: a panel's
+    runs share one config per policy and one plan, and every config its
+    default sub-objects.
     """
     entry = _cached_entry(engine)
-    memo: KeyMemo = {}
     out: List[KeyedRun] = []
-    for t in tasks:
-        run = (t.config, t.workload, t.plan)
-        e = engine if entry.covers(*run) is None else DEFAULT_ENGINE
-        out.append((cache.key_for(*run, engine=e, memo=memo), e))
+    with key_scope():
+        for t in tasks:
+            run = (t.config, t.workload, t.plan)
+            e = engine if entry.covers(*run) is None else DEFAULT_ENGINE
+            out.append((cache.key_for(*run, engine=e), e))
     return out
 
 
