@@ -17,6 +17,7 @@ def test_fig3_design_space(benchmark, save_result):
         rounds=1,
         iterations=1,
     )
+    save_result("fig3_design_space", render_fig3(results))
     # Panel (a): non-power-aware corners never leave P_high.
     for corner in ("NP-NB", "NP-B"):
         assert all(s.level_name == "P_high" for s in results[corner].samples)
@@ -38,4 +39,3 @@ def test_fig3_design_space(benchmark, save_result):
         for k, v in results.items()
     }
     assert avg["P-B"] < avg["NP-B"]
-    save_result("fig3_design_space", render_fig3(results))

@@ -15,6 +15,7 @@ def test_fig5_uniform(benchmark, save_result, results_dir):
     panel = benchmark.pedantic(
         lambda: run_panel("uniform"), rounds=1, iterations=1
     )
+    save_panel(panel, "fig5_uniform", save_result, results_dir)
     s = shapes(panel)
 
     # NP-B == NP-NB: below saturation no grants fire and the curves match.
@@ -33,5 +34,3 @@ def test_fig5_uniform(benchmark, save_result, results_dir):
     assert s["P-NB"]["power"] < 0.97 * s["NP-NB"]["power"]
     assert s["P-B"]["power"] < 0.80 * s["NP-NB"]["power"]
     assert s["P-B"]["power"] < s["P-NB"]["power"]
-
-    save_panel(panel, "fig5_uniform", save_result, results_dir)

@@ -27,8 +27,6 @@ discipline mechanically:
   engines twice under one seed plus twice under a permuted
   event-insertion order and diffs trace streams and metric summaries — a
   race detector for the event kernel.
-* :mod:`repro.analysis.sarif` — a SARIF 2.1.0 emitter shared by the three
-  static passes so CI renders findings as GitHub annotations.
 
 The three static passes (lint, layering, frozen) return one result type,
 :class:`~repro.analysis.linter.Finding` (path, line, col, code, message);
@@ -62,7 +60,6 @@ from repro.analysis.layering import (
 )
 from repro.analysis.linter import Finding, lint_paths, lint_source
 from repro.analysis.rules import RULES, Rule
-from repro.analysis.sarif import sarif_dumps, sarif_log
 
 __all__ = [
     "AuditCheck",
@@ -82,8 +79,6 @@ __all__ = [
     "compute_manifest",
     "lint_paths",
     "lint_source",
-    "sarif_dumps",
-    "sarif_log",
     "verify_manifest",
     "write_manifest",
 ]

@@ -17,9 +17,8 @@ Subcommands
 
 The three static passes (lint, layering, frozen) return one
 :class:`~repro.analysis.linter.Finding` list each and print it through
-one reporter: ``--format=json`` emits ``{"ok": bool, "findings": [...]}``
-and ``--format=sarif`` a SARIF 2.1.0 log, which CI uploads as GitHub
-annotations.  ``determinism`` has its own JSON report and no SARIF.
+one reporter: ``--format=json`` emits ``{"ok": bool, "findings": [...]}``.
+``determinism`` has its own JSON report.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.analysis.determinism import audit
 from repro.analysis.frozen import verify_manifest, write_manifest
 from repro.analysis.layering import analyze_paths, format_dag
 from repro.analysis.linter import Finding, lint_paths
-from repro.analysis.sarif import sarif_dumps
 from repro.errors import ReproError
 
 __all__ = ["main"]
@@ -46,9 +44,7 @@ def _report(
     args: argparse.Namespace, name: str, findings: Sequence[Finding], clean: str
 ) -> int:
     """Print one static pass's findings in ``args.format``; exit 1 on any."""
-    if args.format == "sarif":
-        print(sarif_dumps(findings))
-    elif args.format == "json":
+    if args.format == "json":
         payload = {"ok": not findings, "findings": [f.to_json() for f in findings]}
         print(json.dumps(payload, indent=2))
     else:
@@ -108,13 +104,6 @@ def _run_frozen(args: argparse.Namespace) -> int:
 
 
 def _run_determinism(args: argparse.Namespace) -> int:
-    if args.format == "sarif":
-        print(
-            "error: --format=sarif applies to the static passes "
-            "(lint, layering, frozen) only",
-            file=sys.stderr,
-        )
-        return 2
     try:
         report = audit(
             seed=args.seed,
@@ -141,10 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="output format (default: text; sarif applies to the static "
-        "passes only)",
+        help="output format (default: text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,7 +23,7 @@ with :mod:`ast` (the code under analysis is never imported):
 * Any import of a ``repro.perf.legacy*`` module is a violation
   regardless of the DAG.
 
-Run it with ``python -m repro.analysis layering`` (text/json/sarif).
+Run it with ``python -m repro.analysis layering`` (text/json).
 """
 
 from __future__ import annotations

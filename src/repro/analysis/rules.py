@@ -326,8 +326,8 @@ RULES: Tuple[Rule, ...] = (
 
 #: The codes the linter does not evaluate: a file it cannot parse, and the
 #: findings of the layering and frozen-manifest passes.  Same shape as
-#: :data:`RULES`, so the text hint and the SARIF descriptor of every code
-#: read one table.
+#: :data:`RULES`, so the hint of every code, in text or JSON, reads one
+#: table.
 _EXTRA_RULES: Tuple[Rule, ...] = (
     Rule(
         code="PARSE",

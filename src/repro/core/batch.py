@@ -26,17 +26,12 @@ Runs that drain their labeled packets mid-slab are compacted
 out of the state arrays (their finished metrics scattered to their
 original slab positions) instead of being re-masked every phase.
 
-Each phase of an executed cycle but the push has two twins: a vector
-path, whose tens of numpy calls cost the same for one candidate as for
-thirty, and a pure-Python path that costs a few element accesses per
-candidate.  A phase takes its scalar twin when its own candidate count
-is below a measured crossover (the ``_SCALAR_*`` constants), so a cycle
-of a small slab costs about what its few events cost, while a saturated
-slab keeps the vector paths; the push is always pure Python.  The twins
-have the same side effects in the same order wherever that order is
-observable — the parking order within a pair, the order of unparked
-senders and of the accounting log — and tier-1 pins both, forced, to
-the same payload digests and work counters.
+Arrays serve the whole-slab steps: state construction, the Lock-Step
+window snapshot, DPM/DBR application, compaction and the log
+reductions.  The phases of an executed cycle touch a few elements
+each, so they run element by element over plain int lists (through the
+``_py`` views, see :data:`_SHARED`): a cycle costs about what its few
+events cost, not the tens of fixed-cost numpy calls a vector form pays.
 
 A slab's memory is its state, not scratch: per packet it keeps one
 injection-CSR entry (8 bytes) and one route (4 bytes), and per dispatch
@@ -81,7 +76,7 @@ from array import array
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,37 +120,11 @@ _GAP_DRAW_CHUNK = 4096
 _RING = 512
 
 
-#: Scalar/vector crossovers, in candidates per call.  A phase whose
-#: candidate count is below its crossover runs its pure-Python twin: one
-#: numpy call on a few-element array costs 0.2-0.8 us, so a handful of
-#: candidates is cheaper one element at a time (through the ``_py``
-#: views, see :data:`_SHARED`) than through the tens of calls of the
-#: vector path.  Each crossover is the count at which the per-call
-#: medians of the two twins meet, timed call by call on the 48-run
-#: R(1,8,8) ``reproduce`` slab run twice, every phase forced onto one
-#: twin (both runs make the same calls in the same states), rounded
-#: between two such measurements: within ten candidates of a crossover
-#: the twins differ by about a microsecond.  The 4-run R(1,4,4) service
-#: slabs never reach one.  2-vCPU host, Python 3.11.7, numpy 2.4.6; the
-#: per-candidate and fixed costs below are from that host.
-#: (1) Injections: ~0.3 us per packet against a flat ~7 us.
-_SCALAR_INJ = 24
-#: (2) Port exits: ~0.85 us per exit against ~30 us.
-_SCALAR_EXIT = 34
-#: (3) Push: pure Python only.  A vector push is slower below 98 fresh
-#: senders, and 425 of the cold slab's 26 719 pushes reach 96 (at most
-#: 267), so it would not pay for its second code path.
-#: (4) Port starts: ~0.4 us per candidate against ~14 us.
-_SCALAR_START = 36
-#: (5) Dispatch, channel candidates: ~1.25 us per candidate against
-#: ~95 us.
-_SCALAR_DISPATCH = 70
-
-#: The state arrays the scalar twins read and write one element at a time.
+#: The state arrays the cycle loop reads and writes one element at a time.
 #: :meth:`BatchEngine._share` backs each with an ``array.array`` that the
 #: numpy array views: ``name_py[i]`` reads a plain int or float and
 #: writes in place at a fraction of the cost of numpy scalar access,
-#: while the vector twins keep indexing ``name``.
+#: while the whole-slab steps keep indexing ``name``.
 _SHARED = (
     "p_injcnt", "p_started", "p_busy", "p_blocked", "p_off",
     "tx_ring", "tx_head", "tx_qlen", "q_mom", "park_cnt", "pair_ch",
@@ -176,12 +145,8 @@ _COUNT_BLOCK = 1024
 #: Python objects before they are packed into arrays.
 _SEAL_FLOATS = 512 * ACCT_FIELDS
 
-#: "No senders": what the push phase gets when no port exit needs a queue.
+#: An empty index array: the routes a drawn schedule no longer carries.
 _NO_IDX = np.zeros(0, dtype=np.int64)
-
-#: A phase's candidates travel as a list of parts: an index array from a
-#: vector twin or a list of ints from a scalar twin.
-_Part = Union[np.ndarray, List[int]]
 
 
 class _Schedule(NamedTuple):
@@ -196,50 +161,6 @@ class _Schedule(NamedTuple):
     pre_wu: int  #: packets injected before warmup ends
     pre_me: int  #: packets injected before the measure window ends
     lab_prefix: np.ndarray  #: prefix sums of the labeled injection cycles
-
-
-def _cat(parts: List[_Part], buf: np.ndarray) -> np.ndarray:
-    """Concatenate index parts into a preallocated staging buffer.
-
-    With a single array part the part itself is returned (zero copy);
-    callers treat the result as scratch either way, so the in-place sorts
-    in the dispatch phase stays safe.  Replaces the per-cycle
-    ``np.concatenate`` chains — the cycle loop never allocates staging.
-    """
-    if len(parts) == 1 and type(parts[0]) is np.ndarray:
-        return parts[0]
-    n = 0
-    for p in parts:
-        k = len(p)
-        buf[n : n + k] = p
-        n += k
-    return buf[:n]
-
-
-def _flat(parts: List[_Part]) -> List[int]:
-    """The scalar twins' read-only view of index parts: one list of ints."""
-    if len(parts) == 1:
-        p = parts[0]
-        return p.tolist() if type(p) is np.ndarray else p
-    out: List[int] = []
-    for p in parts:
-        out.extend(p.tolist() if type(p) is np.ndarray else p)
-    return out
-
-
-def _count(parts: List[_Part]) -> int:
-    """Total candidates across index parts."""
-    return len(parts[0]) if len(parts) == 1 else sum(map(len, parts))
-
-
-def _scalar(parts: List[_Part], limit: int) -> Optional[List[int]]:
-    """The parts as one list of ints when there are fewer than ``limit``
-    candidates (a scalar twin's input), else None.  One list part, the
-    common case on small slabs, is returned as it is."""
-    if len(parts) == 1 and type(parts[0]) is list:
-        one = parts[0]
-        return one if len(one) < limit else None
-    return _flat(parts) if _count(parts) < limit else None
 
 
 # ----------------------------------------------------------------------
@@ -548,9 +469,10 @@ class BatchEngine:
         self.p_blocked = np.zeros(RN, dtype=bool)
         # Blocked senders park in a FIFO per full pair they wait on, as
         # (node, local destination) in parking order — their admission
-        # order.  A pair has at most D of them: a list is enough.  Only the senders of a pair popped on the previous
-        # executed cycle are retried (self._popped): a pair with parked
-        # senders and no pop is still full.
+        # order.  A pair has at most D of them: a list is enough.  Only
+        # the senders of a pair popped on the previous executed cycle are
+        # retried (self._popped): a pair with parked senders and no pop
+        # is still full.
         self.park_q: Dict[int, List[Tuple[int, int]]] = {}
         self.park_cnt = np.zeros(RBB, dtype=np.int64)
         self.n_parked = 0
@@ -658,44 +580,27 @@ class BatchEngine:
         self.thr_bmax_rc = np.repeat([t.b_max for t in thr], CH)
         # Precomputed injection schedules + per-packet routes.
         self._build_traffic()
-        # Event rings: python lists of small index parts per cycle slot.
-        # The loop is event-driven — every phase scans only the indices
-        # carried by these rings (plus this cycle's injections), never the
-        # full state arrays, so per-cycle cost scales with activity.
-        # A slot holds at most one part: only the start phase of cycle
-        # ``s - SEND`` schedules exits at ``s``.
-        self.ring_pexit: List[Optional[_Part]] = [None] * _RING
+        # Event rings: one list of ints per cycle slot.  The loop is
+        # event-driven — every phase scans only the indices carried by
+        # these rings (plus this cycle's injections), never the full state
+        # arrays, so per-cycle cost scales with activity.  Only the start
+        # phase of cycle ``s - SEND`` schedules port exits at ``s``.
+        self.ring_pexit: List[Optional[List[int]]] = [None] * _RING
         # Channels whose service ends (and may redispatch) at a cycle.
-        self.ring_cend: List[List[_Part]] = [[] for _ in range(_RING)]
-        # Per-slot ring occupancy (a list: it is read and bumped one slot
-        # at a time): number of scheduled index parts across both rings;
-        # every ring append pairs with an increment, and the slot is
-        # zeroed when the loop lands on it.  The heap holds the absolute
-        # cycle of every occupied slot (pushed when the slot fills,
-        # popped when the loop lands on it; a slot a compaction empties
-        # leaves a stale entry, dropped lazily) — the time-skip loop's
-        # next-event index (repro.core.skip.next_event_time).
+        self.ring_cend: List[List[int]] = [[] for _ in range(_RING)]
+        # Per-slot ring occupancy: how many of the two rings hold events
+        # in the slot; a ring that fills a slot pairs with an increment,
+        # and the slot is zeroed when the loop lands on it.  The heap
+        # holds the absolute cycle of every occupied slot (pushed when the
+        # slot fills, popped when the loop lands on it; a slot a
+        # compaction empties leaves a stale entry, dropped lazily) — the
+        # time-skip loop's next-event index
+        # (repro.core.skip.next_event_time).
         self.ring_occ = [0] * _RING
         self._ring_heap: List[int] = []
         # Pending control-plane applications, keyed by apply cycle.
         self._pend_dpm: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pend_dbr: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # Preallocated staging/scratch: per-cycle candidate concatenation
-        # and mask temporaries never allocate.  Sizing: each send part is
-        # a disjoint node set (<= RN total); dispatch candidates are
-        # bounded by service ends + poked pair channels + fresh grants
-        # (3 * RC).
-        self._st_send = np.empty(RN, dtype=np.int64)
-        self._st_disp = np.empty(3 * RC, dtype=np.int64)
-        scratch = max(3 * RC, RN)
-        self._bm1 = np.empty(scratch, dtype=bool)
-        # Rank-scan scratch (dispatch group ranking): a read-only
-        # iota, two int64 work buffers, and bool mask buffers.
-        self._iota = np.arange(scratch, dtype=np.int64)
-        self._rk1 = np.empty(scratch, dtype=np.int64)
-        self._rk2 = np.empty(scratch, dtype=np.int64)
-        self._bm2 = np.empty(scratch, dtype=bool)
-        self._bm3 = np.empty(scratch, dtype=bool)
         self._share()
 
     def _share(self) -> None:
@@ -712,7 +617,7 @@ class BatchEngine:
             buf.frombytes(a.reshape(-1).view(np.uint8))
             setattr(self, name, np.frombuffer(buf, dtype=a.dtype).reshape(a.shape))
             setattr(self, name + "_py", buf)
-        #: What every scalar dispatch reads, bound once per rebuild.
+        #: What every dispatch reads, bound once per rebuild.
         self._dispatch_views = (
             self.c_busy_until_py, self.c_pq_py, self.c_level_py,
             self.c_sleep_py, self.c_stall_py, self.c_parked_py,
@@ -924,13 +829,13 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def _push_pairs(
         self,
-        pq: _Part,
-        loc: _Part,
-        rn: _Part,
+        pq: List[int],
+        loc: List[int],
+        rn: List[int],
         t: int,
-        poked: List[Iterable[int]],
+        poked: List[int],
         tel: BatchTelemetry,
-    ) -> Optional[List[int]]:
+    ) -> List[int]:
         """Ranked admission of this cycle's packets into their pair queues.
 
         ``rn``/``pq``/``loc`` are the fresh port exits bound for another
@@ -939,28 +844,45 @@ class BatchEngine:
         executed cycle — are admitted first (:meth:`_retry_parked`), so
         they keep their earlier admission priority; every other parked
         sender's pair is still full (only a pop frees a slot), so retrying
-        it would be an exact no-op.  The fresh exits then rank within each
-        pair in exit order against the slots left (the scalar engine
-        admits in event order — a same-cycle tie broken differently,
-        inside tolerance).  Senders that do not fit park at the back of
-        their pair's FIFO; pairs that received packets are appended to
-        ``poked`` so the dispatch phase can wake exactly their parked
-        channels.  Returns the retried senders that were admitted (sorted
-        by pair, then parking order), or None when none was.
-
-        The fresh exits are admitted by :meth:`_push_scalar`, element by
-        element.
+        it would be an exact no-op.  The fresh exits are then taken in
+        exit order, and each pair's length is updated as it admits, so a
+        sender's rank within its pair is the number of its pair's senders
+        before it (the scalar engine admits in event order — a same-cycle
+        tie broken differently, inside tolerance).  Senders that do not
+        fit park at the back of their pair's FIFO.  The pairs that
+        received packets are appended to ``poked``, each once per half, so
+        the dispatch phase can wake exactly their parked channels.
+        Returns the retried senders that were admitted, by pair, then
+        parking order.
         """
-        freed = self._retry_parked(t, poked, tel) if self._popped is not None else None
-        if len(pq):
-            if type(pq) is np.ndarray:
-                pq, loc, rn = pq.tolist(), loc.tolist(), rn.tolist()
-            self._push_scalar(pq, loc, rn, t, poked)
+        freed = self._retry_parked(t, poked, tel) if self._popped is not None else []
+        CAP, tx_ring, q_mom = self.CAP, self.tx_ring_py, self.q_mom_py
+        tx_qlen, tx_head = self.tx_qlen_py, self.tx_head_py
+        park_q, park_cnt, p_blocked = self.park_q, self.park_cnt_py, self.p_blocked_py
+        parked = 0
+        upq: Dict[int, None] = {}
+        for p, lc, n in zip(pq, loc, rn):
+            qlen = tx_qlen[p]
+            if qlen < CAP:
+                tx_ring[p * CAP + (tx_head[p] + qlen) % CAP] = lc
+                tx_qlen[p] = qlen + 1
+                q_mom[p] += t
+                upq[p] = None
+            else:
+                p_blocked[n] = True
+                fifo = park_q.get(p)
+                if fifo is None:
+                    fifo = park_q[p] = []
+                fifo.append((n, lc))
+                park_cnt[p] += 1
+                parked += 1
+        poked.extend(upq)
+        self.n_parked += parked
         return freed
 
     def _retry_parked(
-        self, t: int, poked: List[Iterable[int]], tel: BatchTelemetry
-    ) -> Optional[List[int]]:
+        self, t: int, poked: List[int], tel: BatchTelemetry
+    ) -> List[int]:
         """Admit the oldest parked senders of the just-popped pairs.
 
         Each pair's parked senders form a FIFO in parking order; a pair
@@ -975,7 +897,6 @@ class BatchEngine:
         CAP, tx_ring, q_mom = self.CAP, self.tx_ring_py, self.q_mom_py
         tx_qlen, tx_head = self.tx_qlen_py, self.tx_head_py
         freed: List[int] = []
-        upq: List[int] = []
         for p in popped:
             fifo = park_q[p]
             tel.blocked_retries += len(fifo)
@@ -997,52 +918,9 @@ class BatchEngine:
             tx_qlen[p] = qlen + adm
             q_mom[p] += adm * t
             park_cnt[p] -= adm
-            upq.append(p)
-        if upq:
-            poked.append(upq)
+            poked.append(p)
         self.n_parked -= len(freed)
-        return freed or None
-
-    def _push_scalar(
-        self,
-        pq: List[int],
-        loc: List[int],
-        rn: List[int],
-        t: int,
-        poked: List[Iterable[int]],
-    ) -> None:
-        """The fresh half of :meth:`_push_pairs`, one sender at a time.
-
-        Senders are taken in exit order and each pair's length is updated
-        as it admits, so a sender's rank within its pair is the number of
-        its pair's senders before it: the ring writes, the parking order
-        within each pair and the queue integrals (exact integers) are
-        those of ranking within each pair in exit order.  A sender that
-        does not fit parks at the back of its pair's FIFO.
-        """
-        CAP, tx_ring, q_mom = self.CAP, self.tx_ring_py, self.q_mom_py
-        tx_qlen, tx_head = self.tx_qlen_py, self.tx_head_py
-        park_q, park_cnt, p_blocked = self.park_q, self.park_cnt_py, self.p_blocked_py
-        parked = 0
-        upq: Dict[int, None] = {}
-        for p, lc, n in zip(pq, loc, rn):
-            qlen = tx_qlen[p]
-            if qlen < CAP:
-                tx_ring[p * CAP + (tx_head[p] + qlen) % CAP] = lc
-                tx_qlen[p] = qlen + 1
-                q_mom[p] += t
-                upq[p] = None
-            else:
-                p_blocked[n] = True
-                fifo = park_q.get(p)
-                if fifo is None:
-                    fifo = park_q[p] = []
-                fifo.append((n, lc))
-                park_cnt[p] += 1
-                parked += 1
-        if upq:
-            poked.append(upq)
-        self.n_parked += parked
+        return freed
 
     # ------------------------------------------------------------------
     # Control plane
@@ -1177,7 +1055,7 @@ class BatchEngine:
 
     def _apply_dbr(
         self, t: int, pend: Tuple[np.ndarray, np.ndarray]
-    ) -> Optional[np.ndarray]:
+    ) -> List[int]:
         """Apply a pending grant plan; returns the granted channel ids.
 
         Pending plans are remapped (and emptied entries dropped) when runs
@@ -1185,7 +1063,7 @@ class BatchEngine:
         """
         rc_idx, new_owner = pend
         if not len(rc_idx):
-            return None
+            return []
         CH, B = self.CH, self.B
         runs = rc_idx // CH
         self._flush_base(np.unique(runs), t)
@@ -1203,8 +1081,9 @@ class BatchEngine:
         # Maintain the pair -> channels reverse index (grant plans are
         # small, so a python loop is fine here).
         pair_ch, pair_nch = self.pair_ch, self.pair_nch
+        granted = rc_idx.tolist()
         for rc, was, po, pn in zip(
-            rc_idx.tolist(), owner_before.tolist(), old_pq.tolist(), new_pq.tolist()
+            granted, owner_before.tolist(), old_pq.tolist(), new_pq.tolist()
         ):
             if was >= 0:
                 row = pair_ch[po]
@@ -1218,7 +1097,7 @@ class BatchEngine:
             row = pair_ch[pn]
             row[pair_nch[pn]] = rc
             pair_nch[pn] += 1
-        return rc_idx
+        return granted
 
     # ------------------------------------------------------------------
     # The cycle loop
@@ -1239,10 +1118,9 @@ class BatchEngine:
         are the ones carried by the event rings (injections, port exits,
         service ends) plus the parked senders of just-popped pairs, so
         per-cycle cost scales with actual activity, not with slab size.
-        Each phase runs its pure-Python twin below its ``_SCALAR_*``
-        crossover and its vector twin above it (the push is always pure
-        Python), so a cycle with a few events pays for a few events, not
-        for tens of numpy calls.
+        The phases walk those indices one element at a time, over plain
+        int lists and the ``_py`` element views (:data:`_SHARED`), so a
+        cycle with a few events pays for a few events.
         The loop simulates only what decides future events; receive ports
         and dispatch accounting are logged and reduced on the ``chunk``
         grid and wherever a counter is read (:meth:`_flush_logs`).  With
@@ -1254,20 +1132,15 @@ class BatchEngine:
         drain mid-slab are compacted away (:meth:`_compact`), never
         re-masked.  None of these mechanisms changes a result bit:
         ``tests/test_core_batch.py`` compares ``time_skip=True`` against
-        ``time_skip=False`` payload bytes and pins payload digests and
-        work counters recorded before the loop was restructured, with
-        every phase at its measured crossover and forced onto either twin.
+        ``time_skip=False`` payload bytes and pins payload digests,
+        work counters and dispatch candidates recorded before the loop
+        was restructured.
         """
         SEND = self.SEND
         N, D, BB = self.N, self.D, self.B * self.B
         me, he, Wc, chunk = self.me, self.he, self.Wc, self.chunk
         arr_w = self.recv.horizon
         recv_scalar = self.recv.scalar
-        evt_rn, evt_off = self.evt_rn, self.evt_off
-        flat_route, p_off = self.flat_route, self.p_off
-        p_started, p_injcnt = self.p_started, self.p_injcnt
-        p_busy, p_blocked = self.p_busy, self.p_blocked
-        # The scalar twins' element views of the same state (see _share).
         started_py, injcnt_py = self.p_started_py, self.p_injcnt_py
         busy_py, blocked_py = self.p_busy_py, self.p_blocked_py
         off_py = self.p_off_py
@@ -1283,10 +1156,10 @@ class BatchEngine:
         # The injection cursor: ``next_inj`` is the first injection cycle
         # not yet reached (``he + 1`` past the last), read off element
         # views of the CSR index; t only grows, so no search is needed.
-        inj_at, off_at = memoryview(self.inj_cycles), memoryview(evt_off)
+        inj_at, off_at = memoryview(self.inj_cycles), memoryview(self.evt_off)
         n_ic, ic = len(inj_at), 0
         next_inj = inj_at[0] if n_ic else he + 1
-        rn_at, route_at = memoryview(evt_rn), memoryview(flat_route)
+        rn_at, route_at = memoryview(self.evt_rn), memoryview(self.flat_route)
         t = 0
         while t <= he:
             tel.cycles_executed += 1
@@ -1294,9 +1167,9 @@ class BatchEngine:
             ring_occ[slot_i] = 0
             while heap and heap[0] <= t:
                 heappop(heap)
-            send_cand: List[_Part] = []
+            send_cand: List[int] = []
             disp_cand = ring_cend[slot_i]
-            poked: List[Iterable[int]] = []
+            poked: List[int] = []
             # (0) Control plane: window boundaries and pending applies.
             if lockstep:
                 if t and t % Wc == 0:
@@ -1309,120 +1182,61 @@ class BatchEngine:
                 if pend_dbr:
                     pend2 = pend_dbr.pop(t, None)
                     if pend2 is not None:
-                        granted = self._apply_dbr(t, pend2)
-                        if granted is not None:
-                            disp_cand.append(granted)
+                        disp_cand.extend(self._apply_dbr(t, pend2))
             # (1) Injections arriving this cycle.  Nodes that are busy or
             # blocked are dropped from the start candidates here: if they
             # exit or unblock this same cycle, those phases re-add them,
-            # which keeps the candidate parts disjoint (no dedup needed).
+            # which keeps the start candidates distinct (no dedup needed).
             if t == next_inj:
                 ic += 1
                 next_inj = inj_at[ic] if ic < n_ic else he + 1
                 lo = off_at[t]
-                n_inj = off_at[t + 1] - lo
-                tel.injections += n_inj
-                inj_f: _Part
-                if n_inj < _SCALAR_INJ:
-                    inj_f = []
-                    for rn in rn_at[lo : lo + n_inj]:
-                        injcnt_py[rn] += 1
-                        if not (busy_py[rn] or blocked_py[rn]):
-                            inj_f.append(rn)
-                else:
-                    # Widened once: every phase downstream indexes with
-                    # and computes in int64 (an arrival key can pass 2**31).
-                    inj = evt_rn[lo : lo + n_inj].astype(np.int64)
-                    p_injcnt[inj] += 1
-                    m = np.bitwise_or(
-                        p_busy[inj], p_blocked[inj], out=self._bm2[:n_inj]
-                    )
-                    np.logical_not(m, out=m)
-                    inj_f = inj[m]
-                if len(inj_f):
-                    send_cand.append(inj_f)
+                hi = off_at[t + 1]
+                tel.injections += hi - lo
+                for rn in rn_at[lo:hi]:
+                    injcnt_py[rn] += 1
+                    if not (busy_py[rn] or blocked_py[rn]):
+                        send_cand.append(rn)
             # (2) Send-port exits follow their packet's precomputed route:
             # same-board packets are handed to the destination's receive
             # port (logged, this cycle), the rest compete for their pair
             # queue.
-            rem_rn: _Part = _NO_IDX
-            rem_pq: _Part = _NO_IDX
-            rem_loc: _Part = _NO_IDX
-            part = ring_pexit[slot_i]
-            if part is not None:
+            rem_rn: List[int] = []
+            rem_pq: List[int] = []
+            rem_loc: List[int] = []
+            ex = ring_pexit[slot_i]
+            if ex is not None:
                 ring_pexit[slot_i] = None
-                n_ex = len(part)
-                tel.port_exits += n_ex
-                if n_ex < _SCALAR_EXIT:
-                    ex = part if type(part) is list else part.tolist()
-                    send_cand.append(ex)
-                    rem_rn, rem_pq, rem_loc = [], [], []
-                    n_local = 0
-                    for rn in ex:
-                        busy_py[rn] = False
-                        route = route_at[off_py[rn] + started_py[rn] - 1]
-                        if route < 0:
-                            recv_scalar.append((rn // N * N - 1 - route) * arr_w + t)
-                            n_local += 1
-                        else:
-                            rem_rn.append(rn)
-                            rem_pq.append(route // D + rn // N * BB)
-                            rem_loc.append(route % D)
-                    self._local_logged += n_local
-                else:
-                    rn_e = (
-                        part if type(part) is np.ndarray
-                        else np.array(part, dtype=np.int64)
-                    )
-                    p_busy[rn_e] = False
-                    send_cand.append(rn_e)
-                    route = flat_route[p_off[rn_e] + p_started[rn_e] - 1]
-                    remote = route >= 0
-                    n_local = n_ex - int(np.count_nonzero(remote))
-                    if n_local:
-                        local = ~remote
-                        lrn = rn_e[local] // N * N - 1 - route[local]
-                        lrn *= arr_w
-                        lrn += t
-                        self.recv.vector.append(lrn)
-                        self._local_logged += n_local
-                        rn_e, route = rn_e[remote], route[remote]
-                    rem_rn = rn_e
-                    rem_pq, rem_loc = np.divmod(route.astype(np.int64), D)
-                    rem_pq += rem_rn // N * BB
+                tel.port_exits += len(ex)
+                send_cand.extend(ex)
+                n_local = 0
+                for rn in ex:
+                    busy_py[rn] = False
+                    route = route_at[off_py[rn] + started_py[rn] - 1]
+                    if route < 0:
+                        recv_scalar.append((rn // N * N - 1 - route) * arr_w + t)
+                        n_local += 1
+                    else:
+                        rem_rn.append(rn)
+                        rem_pq.append(route // D + rn // N * BB)
+                        rem_loc.append(route % D)
+                self._local_logged += n_local
             # (3) Ranked push: parked senders of the pairs popped on the
             # previous executed cycle retry ahead of the fresh exits.
-            if len(rem_rn) or self._popped is not None:
-                freed = push(rem_pq, rem_loc, rem_rn, t, poked, tel)
-                if freed is not None and len(freed):
-                    send_cand.append(freed)
+            if rem_rn or self._popped is not None:
+                send_cand.extend(push(rem_pq, rem_loc, rem_rn, t, poked, tel))
             # (4) Send-port starts (same-cycle turnaround): candidates are
             # exactly the nodes whose state changed this cycle.
             if send_cand:
-                idx: _Part
-                scalar = _scalar(send_cand, _SCALAR_START)
-                if scalar is not None:
-                    idx = []
-                    for rn in scalar:
-                        if not (busy_py[rn] or blocked_py[rn]) and (
-                            injcnt_py[rn] > started_py[rn]
-                        ):
-                            busy_py[rn] = True
-                            started_py[rn] += 1
-                            idx.append(rn)
-                else:
-                    cand = _cat(send_cand, self._st_send)
-                    m = np.bitwise_or(
-                        p_busy[cand], p_blocked[cand], out=self._bm2[: len(cand)]
-                    )
-                    np.logical_not(m, out=m)
-                    m &= np.greater(
-                        p_injcnt[cand], p_started[cand], out=self._bm3[: len(cand)]
-                    )
-                    idx = cand[m]
-                    p_busy[idx] = True
-                    p_started[idx] += 1
-                if len(idx):
+                idx: List[int] = []
+                for rn in send_cand:
+                    if not (busy_py[rn] or blocked_py[rn]) and (
+                        injcnt_py[rn] > started_py[rn]
+                    ):
+                        busy_py[rn] = True
+                        started_py[rn] += 1
+                        idx.append(rn)
+                if idx:
                     s = t + SEND
                     s_i = s % _RING
                     ring_pexit[s_i] = idx
@@ -1436,15 +1250,12 @@ class BatchEngine:
             if poked:
                 W, pair_ch, pair_nch = self.W, self.pair_ch_py, self.pair_nch_py
                 parked = self.c_parked_py
-                chl = [
+                disp_cand.extend(
                     rc
-                    for upq in poked
-                    for pq in upq
+                    for pq in poked
                     for rc in pair_ch[pq * W : pq * W + pair_nch[pq]]
                     if parked[rc]
-                ]
-                if chl:
-                    disp_cand.append(chl)
+                )
             if disp_cand:
                 self._dispatch(t, disp_cand, tel)
                 disp_cand.clear()
@@ -1460,28 +1271,22 @@ class BatchEngine:
                 tel.drain_checks += 1
                 done = self.lab_del == self.lab_inj
                 if done.any():
-                    # Drop the loop's references to the old CSR (the last
-                    # injection slice is a view of it), so _compact frees
-                    # it as soon as the rebuilt one exists.
-                    evt_rn = evt_off = flat_route = p_off = inj = _NO_IDX
+                    # Drop the loop's views of the old CSR, so _compact
+                    # frees it as soon as the rebuilt one exists.
                     inj_at = off_at = rn_at = route_at = memoryview(_NO_IDX)
                     self._compact(done, t)
                     tel.compactions += 1
                     if self.R == 0:
                         break
-                    p_started, p_injcnt = self.p_started, self.p_injcnt
-                    p_busy, p_blocked = self.p_busy, self.p_blocked
                     started_py, injcnt_py = self.p_started_py, self.p_injcnt_py
                     busy_py, blocked_py = self.p_busy_py, self.p_blocked_py
                     off_py = self.p_off_py
-                    evt_rn, evt_off = self.evt_rn, self.evt_off
-                    flat_route, p_off = self.flat_route, self.p_off
                     lockstep = self.lockstep_on
                     # The rebuilt CSR holds no cycle <= t.
-                    inj_at, off_at = memoryview(self.inj_cycles), memoryview(evt_off)
+                    inj_at, off_at = memoryview(self.inj_cycles), memoryview(self.evt_off)
                     n_ic, ic = len(inj_at), 0
                     next_inj = inj_at[0] if n_ic else he + 1
-                    rn_at, route_at = memoryview(evt_rn), memoryview(flat_route)
+                    rn_at, route_at = memoryview(self.evt_rn), memoryview(self.flat_route)
             # Advance: one grid cycle in always-step mode, or jump to the
             # next cycle that can observably do something.  The three
             # mandatory-stop conditions that fire on nearly every busy
@@ -1515,7 +1320,7 @@ class BatchEngine:
         self._flush_base(np.arange(self.R, dtype=np.int64), he)
         return self._payload()
 
-    def _dispatch(self, t: int, parts: List[_Part], tel: BatchTelemetry) -> None:
+    def _dispatch(self, t: int, cand: List[int], tel: BatchTelemetry) -> None:
         """Serve the candidate channels (possibly repeated) at ``t``.
 
         Counts the candidates and the packets taken off pair queues in
@@ -1527,157 +1332,12 @@ class BatchEngine:
         utilisation integrals and when its packet reaches the receive
         port are appended to the accounting and arrival logs.
 
-        Below :data:`_SCALAR_DISPATCH` candidates a scalar per-channel
-        path mirrors the vectorized arithmetic operation for operation:
-        iterating channels in ascending id order reproduces the wavelength
-        ranking, sequential queue pops read the same ring slots as the
-        gathered ranks, and a second same-cycle integral flush adds
-        exactly ``0.0`` — IEEE doubles round identically either way, so
-        the fast path is bit-invisible.
+        Channels are served in ascending id order, which within a pair is
+        ascending wavelength order, each taking the head of its pair's
+        queue while the queue lasts; an idle channel that finds its queue
+        empty parks (``c_parked``) until a push to its pair wakes it.
         """
-        rcs = _scalar(parts, _SCALAR_DISPATCH)
-        tel.dispatch_candidates += len(rcs) if rcs is not None else _count(parts)
-        if rcs is not None:
-            tel.dispatches += self._dispatch_scalar(t, sorted(rcs))
-            return
-        cand = _cat(parts, self._st_disp)
-        cand.sort()
-        tel.dispatches += self._dispatch_vector(t, cand)
-
-    def _dispatch_vector(self, t: int, cand: np.ndarray) -> int:
-        """:meth:`_dispatch` over a sorted candidate array."""
-        n = len(cand)
-        keep = self._bm1[:n]
-        keep[0] = True
-        np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-        keep &= self.c_busy_until[cand] <= t
-        cand = cand[keep]
-        if not len(cand):
-            return 0
-        # Every idle candidate parks unless it is served below.
-        self.c_parked[cand] = True
-        pqs = self.c_pq[cand]
-        has = self.tx_qlen[pqs] > 0
-        cand = cand[has]
-        n = len(cand)
-        if not n:
-            return 0
-        pqs = pqs[has]
-        CAP, CH = self.CAP, self.CH
-        # Rank same-pair channels by ascending wavelength (cand is sorted
-        # rc-ascending = wavelength-ascending within a pair).
-        order = pqs.argsort(kind="stable")
-        spq = pqs[order]
-        # Rank within each pair group.  spq is sorted, so the first index
-        # of the group containing i is the running maximum of group-start
-        # indices — an O(n) scan instead of searchsorted's n·log n binary
-        # searches, with identical (integer) results.  Temporaries live in
-        # preallocated scratch (allocation-free cycle loop).
-        idx = self._iota[:n]
-        sneq = self._bm2[:n]
-        sneq[0] = True
-        np.not_equal(spq[1:], spq[:-1], out=sneq[1:])
-        rank = self._rk1[:n]
-        np.multiply(sneq, idx, out=rank)
-        np.maximum.accumulate(rank, out=rank)
-        np.subtract(idx, rank, out=rank)
-        serve = sneq
-        np.less(rank, self.tx_qlen[spq], out=serve)
-        chosen = cand[order][serve]
-        if not len(chosen):
-            return 0
-        self.c_parked[chosen] = False
-        cpq = spq[serve]
-        crank = rank[serve]
-        ri = self._rk2[: len(cpq)]
-        np.add(self.tx_head[cpq], crank, out=ri)
-        ri %= CAP
-        slot_base = self._rk1[: len(cpq)]  # rank's storage, dead here
-        np.multiply(cpq, CAP, out=slot_base)
-        ri += slot_base
-        H = self.recv.horizon
-        loc_h = np.multiply(self.tx_ring[ri], H, dtype=np.int64)
-        m = len(cpq)
-        neq = np.empty(m, dtype=bool)
-        neq[0] = True
-        np.not_equal(cpq[1:], cpq[:-1], out=neq[1:])
-        cut = neq.nonzero()[0]
-        upq = cpq[cut]
-        counts = np.empty(len(cut), dtype=np.int64)
-        np.subtract(cut[1:], cut[:-1], out=counts[:-1])
-        counts[-1] = m - cut[-1]
-        self.tx_qlen[upq] -= counts
-        self.tx_head[upq] = (self.tx_head[upq] + counts) % CAP
-        counts *= t
-        self.q_mom[upq] -= counts
-        if self.n_parked:
-            waiting = upq[self.park_cnt[upq] > 0]
-            if len(waiting):
-                self._popped = waiting.tolist()
-        # Wake DPM-slept lasers (the packet pays wake_cycles; the laser
-        # starts drawing idle power immediately).
-        slp = self.c_sleep[chosen]
-        if np.count_nonzero(slp):
-            widx = chosen[slp]
-            wruns = widx // CH
-            self._flush_base(np.unique(wruns), t)
-            np.add.at(self.base_A, wruns, self.P_mw[self.c_level[widx]])
-            self.c_sleep[widx] = False
-        k2 = len(chosen)
-        wake = self._rk1[:k2]  # rank/slot_base storage, dead here
-        np.multiply(slp, self.WAKE, out=wake)
-        wake += t
-        start = self.c_stall[chosen].astype(float)
-        np.maximum(start, wake, out=start)
-        lvl = self.c_level[chosen]
-        end = self.svc_by_level[lvl]
-        end += start
-        self.c_busy_until[chosen] = end
-        # Accounting records (t, channel, start, end, level), row-major.
-        rec = np.empty((k2, ACCT_FIELDS))
-        rec[:, 0] = t
-        rec[:, 1] = chosen
-        rec[:, 2] = start
-        rec[:, 3] = end
-        rec[:, 4] = lvl
-        self._acct.append(rec)
-        # The packet reaches its receive port after fiber + destination
-        # pipeline; the channel may re-dispatch at its completion cycle.
-        np.ceil(end, out=end)
-        end_i = end.astype(np.int64)
-        arrive = self.pair_arr[cpq]
-        arrive += loc_h
-        arrive += end_i
-        self.recv.vector.append(arrive)
-        # Group the re-dispatch moments by completion cycle.
-        order2 = end_i.argsort(kind="stable")
-        end_s = end_i[order2]
-        ch_s = chosen[order2]
-        k = len(end_s)
-        neq2 = np.empty(k, dtype=bool)
-        neq2[0] = True
-        np.not_equal(end_s[1:], end_s[:-1], out=neq2[1:])
-        cut2 = neq2.nonzero()[0]
-        bounds = cut2.tolist()
-        bounds.append(k)
-        times = end_s[cut2].tolist()
-        ring_cend = self.ring_cend
-        ring_occ = self.ring_occ
-        heap = self._ring_heap
-        for i, et in enumerate(times):
-            s1 = et % _RING
-            ring_cend[s1].append(ch_s[bounds[i] : bounds[i + 1]])
-            if not ring_occ[s1]:
-                heappush(heap, et)
-            ring_occ[s1] += 1
-        return len(chosen)
-
-    def _dispatch_scalar(self, t: int, rcs: List[int]) -> int:
-        """:meth:`_dispatch` one channel at a time, over sorted candidates.
-
-        Every expression mirrors the vectorized path's elementwise
-        arithmetic exactly; only the array machinery is gone.
-        """
+        tel.dispatch_candidates += len(cand)
         (
             c_busy_until, c_pq, c_level, c_sleep, c_stall, c_parked,
             tx_qlen, tx_head, tx_ring, q_mom, pair_arr,
@@ -1692,7 +1352,7 @@ class BatchEngine:
         popped: List[int] = []
         served = 0
         prev = -1
-        for rc in rcs:
+        for rc in sorted(cand):
             if rc == prev:
                 continue
             prev = rc
@@ -1714,6 +1374,8 @@ class BatchEngine:
             lvl = c_level[rc]
             slp = c_sleep[rc]
             if slp:
+                # Wake a DPM-slept laser: the packet pays wake_cycles, the
+                # laser draws idle power from now on.
                 run = rc // CH
                 ovb = max(min(t, self.me) - max(self.base_last.item(run), self.wu), 0.0)
                 self.base_E[run] += self.base_A.item(run) * ovb
@@ -1728,26 +1390,22 @@ class BatchEngine:
             # pipeline; the channel may re-dispatch at its completion cycle.
             end_i = ceil(end)
             arrivals.append(pair_arr[pq] + loc * horizon + end_i)
-            # Same-slot service ends of scalar dispatches share one list
-            # part (only this method appends lists to a future slot).
             s1 = end_i % _RING
             slot = ring_cend[s1]
-            if slot and type(slot[-1]) is list:
-                slot[-1].append(rc)
-            else:
-                slot.append([rc])
+            if not slot:
                 if not ring_occ[s1]:
                     heappush(heap, end_i)
                 ring_occ[s1] += 1
+            slot.append(rc)
             served += 1
+        tel.dispatches += served
         if popped:
             self._popped = sorted(set(popped))
         if len(acct) >= _SEAL_FLOATS:
-            # Between vector dispatches the scalar records pile up as
-            # Python objects; pack them (and the arrival keys) as arrays.
+            # Pack the records (and the arrival keys) logged since the
+            # last seal as arrays: 8 bytes a value instead of a boxed one.
             self._acct.seal()
             self.recv.seal()
-        return served
 
     def _scatter(self, rows: np.ndarray) -> None:
         """Write these live rows' final metrics at their original slots.
@@ -1873,23 +1531,24 @@ class BatchEngine:
         # tables, which stay as they are (a removed run's routes are not
         # worth a copy of the kept ones).
         self.p_off = self.p_off[keep_n]
-        # Event rings: filter each slot's arrays, remap, recount occupancy.
-        def remap(part: _Part, div: int, keep_i: np.ndarray) -> Optional[np.ndarray]:
-            arr = np.asarray(part, dtype=np.int64)
+        # Event rings: filter each slot's ids, remap, recount occupancy.
+        def remap(ids: List[int], div: int, keep_i: np.ndarray) -> List[int]:
+            arr = np.array(ids, dtype=np.int64)
             arr = arr[keep_i[arr]]
-            return new_of_old[arr // div] * div + arr % div if len(arr) else None
+            return (new_of_old[arr // div] * div + arr % div).tolist()
 
         ring_occ = self.ring_occ
         ring_occ[:] = [0] * _RING
-        for s, part in enumerate(self.ring_pexit):
-            if part is not None:
-                self.ring_pexit[s] = part = remap(part, N, keep_n)
-                if part is not None:
+        for s, ids in enumerate(self.ring_pexit):
+            if ids is not None:
+                self.ring_pexit[s] = ids = remap(ids, N, keep_n) or None
+                if ids is not None:
                     ring_occ[s] += 1
-        for s, slot in enumerate(self.ring_cend):
-            kept = [remap(p, CH, keep_rc) for p in slot]
-            slot[:] = [p for p in kept if p is not None]
-            ring_occ[s] += len(slot)
+        for s, ids in enumerate(self.ring_cend):
+            if ids:
+                ids[:] = remap(ids, CH, keep_rc)
+                if ids:
+                    ring_occ[s] += 1
         # Pending control-plane plans: snapshots shrink with the state.
         for key in list(self._pend_dpm):
             util, bu, qe, run_power = self._pend_dpm[key]

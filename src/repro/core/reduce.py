@@ -55,9 +55,9 @@ class ReceiveLog:
 
     Arrivals are logged as packed keys ``port * horizon + cycle`` (every
     arrival cycle is below ``horizon``), so one integer sort orders them
-    by port, then time.  The engine appends single keys to
-    :attr:`scalar` and key arrays to :attr:`vector`; arrival order within
-    the log is irrelevant (equal keys are interchangeable packets).
+    by port, then time.  The engine appends keys to :attr:`scalar`, and
+    :meth:`seal` packs them into int64 blocks; arrival order within the
+    log is irrelevant (equal keys are interchangeable packets).
 
     :meth:`flush` consumes every arrival that has landed by ``now`` and
     returns the completions due by ``now``.  Two things carry over to the
@@ -68,7 +68,7 @@ class ReceiveLog:
     """
 
     __slots__ = (
-        "nodes", "ser", "horizon", "c_last", "scalar", "vector",
+        "nodes", "ser", "horizon", "c_last", "scalar", "_blocks",
         "_arrivals", "_pend_run", "_pend_c",
     )
 
@@ -78,7 +78,7 @@ class ReceiveLog:
         self.horizon = horizon
         self.c_last = np.zeros(runs * nodes, dtype=np.int64)
         self.scalar: List[int] = []
-        self.vector: List[np.ndarray] = []
+        self._blocks: List[np.ndarray] = []
         self._arrivals = _EMPTY
         self._pend_run = _EMPTY
         self._pend_c = _EMPTY
@@ -91,8 +91,8 @@ class ReceiveLog:
         ``c <= now`` not returned before, sorted by run, then time.
         """
         self.seal()
-        parts = [self._arrivals, *self.vector]
-        self.vector.clear()
+        parts = [self._arrivals, *self._blocks]
+        self._blocks.clear()
         keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
         due = keys % self.horizon <= now
         self._arrivals = keys[~due]
@@ -115,7 +115,7 @@ class ReceiveLog:
         """Move the keys logged one at a time into an int64 block (8
         bytes a key instead of a Python int's 36)."""
         if self.scalar:
-            self.vector.append(np.array(self.scalar, dtype=np.int64))
+            self._blocks.append(np.array(self.scalar, dtype=np.int64))
             self.scalar.clear()
 
     def _fifo(self, port: np.ndarray, arrive: np.ndarray) -> np.ndarray:
@@ -149,8 +149,8 @@ class ReceiveLog:
 
         ``keep_run`` is the boolean keep mask over the current runs; the
         renumbering preserves relative order (as the engine's own
-        compaction does).  Call right after a :meth:`flush` — the
-        unflushed :attr:`scalar`/:attr:`vector` logs are not remapped.
+        compaction does).  Call right after a :meth:`flush` — unflushed
+        keys are not remapped.
         """
         new_of_old = np.cumsum(keep_run, dtype=np.int64) - 1
         N, H = self.nodes, self.horizon
@@ -208,14 +208,12 @@ def tally_completions(
 class AccountingLog:
     """Dispatch-ordered accounting records, held as float64 blocks.
 
-    A vectorized dispatch logs its ``(k, ACCT_FIELDS)`` record block with
-    :meth:`append`; the scalar dispatch path extends :attr:`scalar` with
-    one flat record at a time (no array per packet).  Before the next
-    block is appended, the buffered scalar records are sealed into a block
-    of their own (and the engine seals a long run of scalar records
-    early, :meth:`seal`), so the log keeps dispatch order while holding
-    40 bytes per record.  :meth:`take` returns everything logged so far
-    as one array and empties the log.
+    A dispatch extends :attr:`scalar` with one flat record at a time (no
+    array per packet); :meth:`seal` packs the buffered records into a
+    block in order (the engine seals every few hundred records), so the
+    log keeps dispatch order while holding 40 bytes per record.
+    :meth:`take` returns everything logged so far as one array and
+    empties the log.
     """
 
     __slots__ = ("scalar", "_blocks")
@@ -232,11 +230,6 @@ class AccountingLog:
                 np.array(self.scalar, dtype=np.float64).reshape(-1, ACCT_FIELDS)
             )
             self.scalar.clear()
-
-    def append(self, block: np.ndarray) -> None:
-        """Log a vector dispatch's float64 records, after any scalar ones."""
-        self.seal()
-        self._blocks.append(block)
 
     def take(self) -> np.ndarray:
         """Every record logged since the last take, in dispatch order."""

@@ -123,8 +123,8 @@ def next_event_time(
     these can fire on it:
 
     * an occupied ring slot — ``ring_occ[s] > 0`` means slot ``s`` holds
-      at least one scheduled port-exit (``ring_pexit``) or service-end
-      (``ring_cend``) part; deliveries and receive completions are
+      at least one scheduled port exit (``ring_pexit``) or service end
+      (``ring_cend``); deliveries and receive completions are
       logged, never scheduled.  ``ring_heap`` is a min-heap of the
       absolute cycles of occupied slots: the engine pushes a cycle when
       its slot fills and pops it when the loop lands on it, so the heap

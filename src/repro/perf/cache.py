@@ -412,10 +412,12 @@ def append_json_line(path: Path, record: Dict[str, Any]) -> int:
     """Append ``record`` to ``path`` as one JSON line: one ``os.write`` on
     an ``O_APPEND`` descriptor under a shared ``flock``, so concurrent
     appenders interleave whole lines and a crash tears at most the last.
-    A file replaced (compacted) while the append waited for the lock is
-    reopened.  Returns the file's size after the append."""
+    A torn last line (the file does not end in a newline) is closed off
+    first, so it cannot swallow this record.  A file replaced (compacted)
+    while the append waited for the lock is reopened.  Returns the file's
+    size after the append."""
     data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+    flags = os.O_RDWR | os.O_CREAT | os.O_APPEND
     while True:
         try:
             fd = os.open(path, flags, 0o644)
@@ -426,6 +428,8 @@ def append_json_line(path: Path, record: Dict[str, Any]) -> int:
             fcntl.flock(fd, fcntl.LOCK_SH)
             st = os.fstat(fd)
             if st.st_nlink:
+                if st.st_size and os.pread(fd, 1, st.st_size - 1) != b"\n":
+                    data = b"\n" + data
                 os.write(fd, data)
                 return st.st_size + len(data)
         finally:
@@ -528,7 +532,7 @@ class RunCache:
         prefix = os.path.join(self.root, "")
         out = [self._load(prefix + key + ".json", decode) for key in keys]
         misses = out.count(None)
-        self._count(hits=len(out) - misses, misses=misses, batched_gets=1)
+        self._tally(hits=len(out) - misses, misses=misses, batched_gets=1)
         return out
 
     def put_many(self, items: Sequence[Tuple[str, Any, str]]) -> int:
@@ -571,7 +575,7 @@ class RunCache:
         try:
             _atomic_write(self.root, files, published=published)
         finally:  # count only what was actually published
-            self._count(puts=len(published), batched_puts=1)
+            self._tally(puts=len(published), batched_puts=1)
         return len(published)
 
     # ------------------------------------------------------------------
@@ -636,7 +640,7 @@ class RunCache:
         with self._lock:
             return dict(self._session)
 
-    def _count(self, **deltas: int) -> None:
+    def _tally(self, **deltas: int) -> None:
         with self._lock:
             for name, n in deltas.items():
                 self._session[name] += n

@@ -1,5 +1,5 @@
-"""Reporter tests: the SARIF 2.1.0 emitter (structure, rule metadata) and
-the one JSON and SARIF output of the three static passes."""
+"""Reporter tests: the rule registry every finding's hint comes from, and
+the one JSON output of the three static passes."""
 
 import json
 import shutil
@@ -9,112 +9,30 @@ import pytest
 
 from repro.analysis.__main__ import main
 from repro.analysis.frozen import FROZEN_FILES, write_manifest
-from repro.analysis.linter import Finding
-from repro.analysis.sarif import sarif_dumps, sarif_log
+from repro.analysis.rules import rule_for
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_log_shape_and_location():
-    log = sarif_log(
-        [
-            Finding(
-                path="src/repro/core/engine.py",
-                line=42,
-                col=4,
-                code="SIM007",
-                message="iteration over a set",
-            )
-        ]
-    )
-    assert log["version"] == "2.1.0"
-    (run,) = log["runs"]
-    (result,) = run["results"]
-    assert result["ruleId"] == "SIM007"
-    assert result["level"] == "error"
-    loc = result["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"] == "src/repro/core/engine.py"
-    assert loc["region"]["startLine"] == 42
-
-
 def test_rule_metadata_comes_from_the_registry():
-    log = sarif_log(
-        [Finding("p.py", 1, 0, "SIM011", "m")]
-    )
-    (rule,) = log["runs"][0]["tool"]["driver"]["rules"]
-    assert rule["id"] == "SIM011"
-    assert rule["shortDescription"]["text"]
-    assert rule["fullDescription"]["text"]
-    assert rule["help"]["text"]
+    rule = rule_for("SIM011")
+    assert rule.code == "SIM011"
+    assert rule.title and rule.rationale and rule.hint
 
 
 def test_non_lint_rule_ids_get_descriptors():
-    log = sarif_log(
-        [
-            Finding("a.py", 1, 0, code, "m")
-            for code in ("PARSE", "LAYER", "MODULE", "LEGACY", "UNDECLARED", "FROZEN")
-        ]
-    )
-    rules = log["runs"][0]["tool"]["driver"]["rules"]
-    assert [r["id"] for r in rules] == sorted(
-        ["PARSE", "LAYER", "MODULE", "LEGACY", "UNDECLARED", "FROZEN"]
-    )
-    for rule in rules:
-        # Every code has its own descriptor, not a bare-id fallback.
-        assert rule["name"] != rule["id"]
-        assert rule["fullDescription"]["text"] and rule["help"]["text"]
-
-
-def test_zero_findings_is_a_valid_empty_log():
-    log = sarif_log([])
-    assert log["runs"][0]["results"] == []
-    assert log["runs"][0]["tool"]["driver"]["rules"] == []
-
-
-def test_dumps_round_trips():
-    results = [Finding("y.py", 3, 0, "SIM001", "x")]
-    assert json.loads(sarif_dumps(results)) == sarif_log(results)
-
-
-def test_line_floor_is_one():
-    log = sarif_log([Finding("p", 0, 0, "FROZEN", "m")])
-    region = log["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 1
+    codes = ("PARSE", "LAYER", "MODULE", "LEGACY", "UNDECLARED", "FROZEN")
+    for code in codes:
+        rule = rule_for(code)
+        # Every code has its own entry, not a bare-id fallback.
+        assert rule.code == code and rule.title != code
+        assert rule.rationale and rule.hint
 
 
 # ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
-
-def test_cli_lint_sarif_on_bad_fixture(capsys):
-    rc = main(
-        [
-            "--format=sarif",
-            "lint",
-            str(FIXTURES / "bad_sim007_unordered_iter.py"),
-            "--include-fixtures",
-        ]
-    )
-    assert rc == 1
-    log = json.loads(capsys.readouterr().out)
-    results = log["runs"][0]["results"]
-    assert {r["ruleId"] for r in results} == {"SIM007"}
-    assert len(results) == 5
-
-
-def test_cli_layering_sarif_on_clean_tree(capsys):
-    rc = main(["--format=sarif", "layering", str(REPO_ROOT / "src")])
-    assert rc == 0
-    log = json.loads(capsys.readouterr().out)
-    assert log["runs"][0]["results"] == []
-
-
-def test_cli_determinism_rejects_sarif(capsys):
-    rc = main(["--format=sarif", "determinism"])
-    assert rc == 2
-    assert "static passes" in capsys.readouterr().err
-
 
 def _lint_case(tmp_path):
     fixture = FIXTURES / "bad_sim004_float_eq.py"

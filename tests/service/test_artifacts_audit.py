@@ -124,5 +124,17 @@ def test_audit_survives_torn_final_line(tmp_path):
     assert [r["action"] for r in log.read_all()] == ["submitted"]
 
 
+def test_an_append_after_a_torn_line_keeps_its_record(tmp_path):
+    """The next append after a crash mid-append starts a new line, so the
+    torn bytes cannot swallow the record written after them."""
+    path = tmp_path / "audits.jsonl"
+    log = AuditLog(path)
+    log.append("submitted", job_id="j1")
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"action": "torn"')  # crash mid-append
+    log.append("completed", job_id="j1")
+    assert [r["action"] for r in log.read_all()] == ["submitted", "completed"]
+
+
 def test_audit_read_missing_file_is_empty(tmp_path):
     assert AuditLog(tmp_path / "nope.jsonl").read_all() == []

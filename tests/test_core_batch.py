@@ -458,14 +458,22 @@ GOLDEN_SUB_SLAB_SHA256 = (
     "8d790b6e637d38a5bfe4e0be788e1bb8008281b9790518320acfde3f3ac11de4"
 )
 #: Work the full slab's loop does, per skip mode, recorded at commit
-#: 7582053: a change that keeps the bytes but executes more cycles or
-#: retries more senders shows here.
+#: 7582053 (dispatch candidates at a7488a3): a change that keeps the
+#: bytes but executes more cycles, retries more senders or offers more
+#: channels to the dispatch shows here.
 GOLDEN_WORK = {
-    True: {"cycles_executed": 5385, "cycles_skipped": 1616, "blocked_retries": 11160},
-    False: {"cycles_executed": 7001, "cycles_skipped": 0, "blocked_retries": 11160},
+    True: {
+        "cycles_executed": 5385, "cycles_skipped": 1616,
+        "blocked_retries": 11160, "dispatch_candidates": 15778,
+    },
+    False: {
+        "cycles_executed": 7001, "cycles_skipped": 0,
+        "blocked_retries": 11160, "dispatch_candidates": 15778,
+    },
 }
 GOLDEN_SUB_SLAB_WORK = {
-    "cycles_executed": 4909, "cycles_skipped": 2092, "blocked_retries": 9811,
+    "cycles_executed": 4909, "cycles_skipped": 2092,
+    "blocked_retries": 9811, "dispatch_candidates": 10389,
 }
 #: Event totals of the full slab at that commit (either skip mode).
 GOLDEN_EVENT_TOTALS = {
@@ -502,7 +510,8 @@ def work(telemetry):
     return {k: getattr(telemetry, k) for k in GOLDEN_SUB_SLAB_WORK}
 
 
-def check_saturated_slab(time_skip):
+@pytest.mark.parametrize("time_skip", [True, False])
+def test_saturated_slab_reproduces_the_golden_digest(time_skip):
     engine = BatchEngine(saturated_runs(), time_skip=time_skip)
     assert payload_sha256(engine) == GOLDEN_SLAB_SHA256
     assert work(engine.telemetry) == GOLDEN_WORK[time_skip]
@@ -512,19 +521,20 @@ def check_saturated_slab(time_skip):
     assert {k: telemetry[k] for k in GOLDEN_EVENT_TOTALS} == GOLDEN_EVENT_TOTALS
 
 
-def check_sub_slab():
+def test_sub_slab_reproduces_the_golden_digest():
     engine = BatchEngine(saturated_runs()[1::2])
     assert payload_sha256(engine) == GOLDEN_SUB_SLAB_SHA256
     assert engine.telemetry.compactions == 3
     assert work(engine.telemetry) == GOLDEN_SUB_SLAB_WORK
 
 
-def check_parked_pairs_stay_full(time_skip):
+@pytest.mark.parametrize("time_skip", [True, False])
+def test_parked_pairs_without_a_pop_stay_full(time_skip):
     """The invariant behind retrying only just-popped pairs (and behind
     the time-skip rule): a pair with parked senders that no dispatch
     popped on the previous executed cycle is full, so retrying its
-    senders would be a no-op.  ``_push_pairs`` is the one entry of both
-    push twins, so the probe sees every push."""
+    senders would be a no-op.  ``_push_pairs`` is the one entry of the
+    push, so the probe sees every push."""
     import numpy as np
 
     seen = []
@@ -567,8 +577,6 @@ def check_parked_channels_are_the_idle_ones(runs, time_skip):
     its pair's queue lasts.  Returns the slab's payload."""
     import numpy as np
 
-    from repro.core.batch import _flat
-
     checked = []
 
     class Probe(BatchEngine):
@@ -577,11 +585,11 @@ def check_parked_channels_are_the_idle_ones(runs, time_skip):
         def _push_pairs(self, pq, loc, rn, t, poked, tel):
             first = len(poked)
             freed = super()._push_pairs(pq, loc, rn, t, poked, tel)
-            self.pushed = (t, _flat(poked[first:]) if len(poked) > first else [])
+            self.pushed = (t, poked[first:])
             return freed
 
-        def _dispatch(self, t, parts, tel):
-            cand = set(_flat(parts))
+        def _dispatch(self, t, candidates, tel):
+            cand = set(candidates)
             if self.pushed[0] == t:
                 for p in self.pushed[1]:
                     cand.update(self.pair_ch[p, : self.pair_nch[p]].tolist())
@@ -595,7 +603,7 @@ def check_parked_channels_are_the_idle_ones(runs, time_skip):
                     want.add(rc)
                     left[p] -= 1
             before = self.c_busy_until.copy()
-            super()._dispatch(t, parts, tel)
+            super()._dispatch(t, candidates, tel)
             got = set(np.flatnonzero(self.c_busy_until != before).tolist())
             assert got == want, t
             checked.append(len(got))
@@ -627,50 +635,11 @@ def test_dispatch_candidates_are_counted():
     assert tel.dispatches <= tel.dispatch_candidates < 2 * tel.dispatches
 
 
-@pytest.mark.parametrize("time_skip", [True, False])
-def test_saturated_slab_reproduces_the_golden_digest(time_skip):
-    check_saturated_slab(time_skip)
-
-
-def test_sub_slab_reproduces_the_golden_digest():
-    check_sub_slab()
-
-
-@pytest.mark.parametrize("time_skip", [True, False])
-def test_parked_pairs_without_a_pop_stay_full(time_skip):
-    check_parked_pairs_stay_full(time_skip)
-
-
-#: The scalar/vector crossover constants of the loop's phases.
-CROSSOVERS = (
-    "_SCALAR_INJ", "_SCALAR_EXIT", "_SCALAR_START", "_SCALAR_DISPATCH",
-)
-
-
-@pytest.mark.parametrize("time_skip", [True, False])
-@pytest.mark.parametrize("twin", ["vector", "scalar"])
-def test_either_twin_of_every_phase_reproduces_the_goldens(
-    twin, time_skip, monkeypatch
-):
-    """Every phase forced onto its vector twin (crossover 0), then onto
-    its scalar twin (a crossover no candidate count reaches): both twins
-    give the golden bytes and do the golden work."""
-    import repro.core.batch as batch
-
-    for name in CROSSOVERS:
-        monkeypatch.setattr(batch, name, 0 if twin == "vector" else 10**9)
-    check_saturated_slab(time_skip)
-    check_parked_pairs_stay_full(time_skip)
-    check_parked_channels_are_the_idle_ones(saturated_runs(), time_skip)
-    if time_skip:
-        check_sub_slab()
-
-
 # ----------------------------------------------------------------------
 # next_event_time unit behaviour
 # ----------------------------------------------------------------------
 def occupy(ring, heap, cycle):
-    """Schedule one part at absolute ``cycle``, as the engine does."""
+    """Schedule one event at absolute ``cycle``, as the engine does."""
     from heapq import heappush
 
     slot = cycle % len(ring)
@@ -867,8 +836,9 @@ def test_compaction_keeps_only_the_unconsumed_csr_suffix(time_skip, monkeypatch)
     """After every compaction at cycle t the CSR holds exactly the events
     after t of the surviving runs, renumbered, and nothing at or before t;
     its offsets stay a well-formed CSR, whatever the block of cycles its
-    survivors are counted over.  Every state array the scalar twins use
-    still views its ``_py`` buffer, so both twins see one state."""
+    survivors are counted over.  Every state array the cycle loop reads
+    element by element still views its ``_py`` buffer, so the loop and
+    the whole-slab steps see one state."""
     import numpy as np
 
     import repro.core.batch as batch

@@ -58,8 +58,8 @@ class NaivePorts:
 
 
 #: Bursts of same-cycle arrivals at one port (so ports back up): (arrival
-#: cycle, port, burst size, how many cycles ahead it is logged, logged as
-#: single keys rather than in an array).
+#: cycle, port, burst size, how many cycles ahead it is logged, whether
+#: the log is sealed into a block right after the burst's keys).
 bursts_st = st.lists(
     st.tuples(
         st.integers(0, HORIZON - 1),
@@ -88,9 +88,9 @@ def test_receive_reduction_matches_per_cycle_ports(
 ):
     runs = 3
     arrivals = [
-        (a, port, lead, single)
-        for a, port, size, lead, single in bursts
-        for _ in range(size)
+        (a, port, lead, sealed and i == size - 1)
+        for a, port, size, lead, sealed in bursts
+        for i in range(size)
     ]
     wu, me = window[0], window[0] + window[1]
     pre = np.array(pre_wu_inj, dtype=np.int64)
@@ -111,19 +111,13 @@ def test_receive_reduction_matches_per_cycle_ports(
     for i, now in enumerate(sorted(flushes)):
         # What the engine would have logged during cycles (prev, now]:
         # arrivals for live runs, possibly some cycles ahead of landing.
-        vector = []
-        for a, port, lead, single in arrivals:
+        for a, port, lead, seal in arrivals:
             row = np.flatnonzero(live == port // NODES)
             if prev < max(a - lead, 0) <= now and len(row):
                 key = (int(row[0]) * NODES + port % NODES) * HORIZON + a
-                if single:
-                    log.scalar.append(key)
-                else:
-                    vector.append(key)
-        if vector:
-            cut = len(vector) // 2
-            log.vector.append(np.array(vector[:cut], dtype=np.int64))
-            log.vector.append(np.array(vector[cut:], dtype=np.int64))
+                log.scalar.append(key)
+                if seal:
+                    log.seal()
         landed, run, c = log.flush(now)
         landed_total += landed
         assert (c <= now).all() and (c > prev).all()
@@ -155,7 +149,8 @@ def test_receive_log_carries_backlog_across_flushes():
     port of the same run finishes in between, and a later arrival on the
     backed-up port queues behind the carried backlog."""
     log = ReceiveLog(1, 2, 4, 64)
-    log.vector.append(np.array([0 * 64 + 2] * 3, dtype=np.int64))
+    log.scalar.extend([0 * 64 + 2] * 3)
+    log.seal()
     log.scalar.append(1 * 64 + 7)  # port 1, lands at 7 -> completes at 11
     log.scalar.append(0 * 64 + 9)  # port 0, lands at 9 -> behind 14 -> 18
     landed, run, c = log.flush(6)
@@ -186,10 +181,10 @@ record_st = st.tuples(
 )
 def test_accounting_replay_matches_inline_accumulation(groups, cuts):
     """Replaying the dispatch-ordered log gives the accumulators the same
-    bits as updating them at dispatch time, whether a dispatch logged its
-    records one by one (scalar path) or as one block (vector path), and
-    wherever the log is cut into flushes.  The float64 block log replays
-    bit for bit like the flat list of boxed values it replaced."""
+    bits as updating them at dispatch time, wherever the logged records
+    are sealed into blocks and wherever the log is cut into flushes.  The
+    float64 block log replays bit for bit like the flat list of boxed
+    values it replaced."""
     CH, Wc, wu, me = 3, 16, 5, 30
     power = np.array([0.3, 1.7, 4.9])
     inline = [np.zeros(2), np.zeros(6), np.zeros(6)]
@@ -204,7 +199,7 @@ def test_accounting_replay_matches_inline_accumulation(groups, cuts):
         replay_accounting(records, CH, Wc, wu, me, power, *from_flat)
         flat.clear()
 
-    for g, (records, as_block) in enumerate(groups):
+    for g, (records, seal) in enumerate(groups):
         records = [(t, rc, t + ds, t + ds + de, lvl) for t, rc, ds, de, lvl in records]
         for t, rc, start, end, lvl in records:
             wend = (t // Wc + 1) * Wc
@@ -213,11 +208,10 @@ def test_accounting_replay_matches_inline_accumulation(groups, cuts):
             )
             inline[1][rc] += max(min(end, wend) - start, 0.0)
             inline[2][rc] += max(end - max(start, wend), 0.0)
-        if as_block:
-            log.append(np.array(records, dtype=np.float64))
-        else:
-            for record in records:
-                log.scalar.extend(record)
+        for record in records:
+            log.scalar.extend(record)
+        if seal:
+            log.seal()
         for record in records:
             flat.extend(record)
         if g in cuts:

@@ -609,7 +609,7 @@ def test_counter_log_skips_a_torn_record_and_folds_in_a_legacy_sidecar(tmp_path)
     from repro.cli import main
 
     cache = RunCache(tmp_path)
-    cache._count(misses=3, batched_gets=1)
+    cache._tally(misses=3, batched_gets=1)
     cache.flush_counters()
     with (tmp_path / "_stats.log").open("a") as fh:
         fh.write('{"hits": 7, "misses"')  # crash mid-append
@@ -628,6 +628,20 @@ def test_counter_log_skips_a_torn_record_and_folds_in_a_legacy_sidecar(tmp_path)
     assert set(cache.persistent_stats().values()) == {0}
 
 
+def test_a_torn_counter_record_does_not_swallow_the_next_flush(tmp_path):
+    """The flush after a crash mid-append starts a new line: only the torn
+    record is lost, never the whole record appended after it."""
+    cache = RunCache(tmp_path)
+    cache.get_many(["absent"])
+    cache.flush_counters()
+    with (tmp_path / "_stats.log").open("a") as fh:
+        fh.write('{"misses": 5')  # crash mid-append
+    cache.get_many(["absent", "also-absent"])
+    cache.flush_counters()
+    assert cache.persistent_stats()["misses"] == 3
+    assert cache.persistent_stats()["batched_gets"] == 2
+
+
 def test_compaction_keeps_every_total(tmp_path, monkeypatch):
     """Past the size bound a flush folds the log into one record: the
     totals are exact before and after, and the log stays short."""
@@ -638,7 +652,7 @@ def test_compaction_keeps_every_total(tmp_path, monkeypatch):
     sizes = []
     for i in range(60):
         deltas = dict(hits=i, misses=i % 3, puts=2 * i, batched_gets=1, batched_puts=1)
-        cache._count(**deltas)
+        cache._tally(**deltas)
         for name, n in deltas.items():
             expected[name] += n
         cache.flush_counters()
@@ -651,15 +665,16 @@ def test_compaction_keeps_every_total(tmp_path, monkeypatch):
 
 
 def test_flush_never_reads_the_log(tmp_path, monkeypatch):
-    """A flush is one append of deltas: it reads nothing, so its cost does
-    not grow with the log."""
+    """A flush is one append of deltas: it reads nothing but the log's
+    last byte (is its last line whole?), so its cost does not grow with
+    the log."""
     import builtins
     import os
     from pathlib import Path
 
     cache = RunCache(tmp_path)
     for _ in range(20):
-        cache._count(misses=1)
+        cache._tally(misses=1)
         cache.flush_counters()
     reads = []
     for owner, name in ((os, "read"), (builtins, "open"), (Path, "read_bytes"),
@@ -667,14 +682,15 @@ def test_flush_never_reads_the_log(tmp_path, monkeypatch):
         original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
-            reads.append(_name)
+            reads.append((_name, args[1:] if _name == "pread" else None))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    cache._count(misses=1)
+    size = (tmp_path / "_stats.log").stat().st_size
+    cache._tally(misses=1)
     cache.flush_counters()
     monkeypatch.undo()
-    assert reads == []
+    assert reads == [("pread", (1, size - 1))]
     assert cache.persistent_stats()["misses"] == 21
 
 
@@ -699,7 +715,7 @@ def test_flush_counters_failure_leaves_no_temp_file(tmp_path, run_desc, monkeypa
 
     monkeypatch.setattr("repro.perf.cache._COMPACT_BYTES", 0)
     monkeypatch.setattr("repro.perf.cache.os.replace", boom)
-    cache._count(hits=1)
+    cache._tally(hits=1)
     with pytest.raises(OSError):
         cache.flush_counters()  # appended, then the compaction failed
     monkeypatch.undo()
